@@ -67,6 +67,7 @@ from .operators import (
     frac_max,
     hl_max,
     local_max,
+    local_max_sweep,
     max_commutator,
     max_commutator_at_cells,
     oracle_check,

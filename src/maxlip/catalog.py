@@ -7,6 +7,8 @@ seed so that every run is reproducible from its config echo.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exponents import VariableExponent, validate_p
@@ -17,14 +19,29 @@ class ConfigError(ValueError):
     """A malformed or inadmissible configuration; maps to exit code 2."""
 
 
-def _require_keys(spec: dict, allowed: set[str], context: str) -> None:
+def config_number(value, context: str) -> float:
+    """A finite JSON number as a float; anything else is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{context} must be finite, got {value!r}")
+    return number
+
+
+def _param(spec: dict, key: str, default: float, context: str) -> float:
+    return config_number(spec.get(key, default), f"{context} {key!r}")
+
+
+def _require_keys(spec, allowed: set[str], context: str) -> None:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{context} must be an object, got {spec!r}")
     unknown = set(spec) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
-
-
-def _axis0(grid: Grid, x, y=None):
-    return x
 
 
 def build_function(grid: Grid, spec: dict) -> GridFunction:
@@ -34,20 +51,22 @@ def build_function(grid: Grid, spec: dict) -> GridFunction:
     kind = spec["kind"]
     if kind == "const":
         _require_keys(spec, {"kind", "value"}, "const function spec")
-        value = float(spec.get("value", 1.0))
+        value = _param(spec, "value", 1.0, "const function spec")
         return sample(grid, (lambda x, y=None: np.full_like(x, value)))
     if kind == "affine":
         _require_keys(spec, {"kind", "a", "b"}, "affine function spec")
-        a = float(spec.get("a", 0.0))
-        b = float(spec.get("b", 1.0))
+        a = _param(spec, "a", 0.0, "affine function spec")
+        b = _param(spec, "b", 1.0, "affine function spec")
         return sample(grid, (lambda x, y=None: a + b * x))
     if kind == "power":
         _require_keys(spec, {"kind", "center", "gamma"}, "power function spec")
-        gamma = float(spec.get("gamma", 0.5))
+        gamma = _param(spec, "gamma", 0.5, "power function spec")
         center = spec.get("center", 0.0)
-        if isinstance(center, (int, float)):
-            center = [float(center)] * grid.dim
-        center = [float(c) for c in center]
+        if not isinstance(center, list):
+            center = [center] * grid.dim
+        if len(center) < grid.dim:
+            raise ConfigError(f"power function center needs {grid.dim} coordinates, got {center!r}")
+        center = [config_number(c, "power function center") for c in center]
         if grid.dim == 1:
             return sample(grid, lambda x: np.abs(x - center[0]) ** gamma)
         return sample(
@@ -55,23 +74,26 @@ def build_function(grid: Grid, spec: dict) -> GridFunction:
         )
     if kind == "step":
         _require_keys(spec, {"kind", "left", "right", "split"}, "step function spec")
-        left = float(spec.get("left", 0.0))
-        right = float(spec.get("right", 1.0))
-        split = float(spec.get("split", 0.5))
+        left = _param(spec, "left", 0.0, "step function spec")
+        right = _param(spec, "right", 1.0, "step function spec")
+        split = _param(spec, "split", 0.5, "step function spec")
         return sample(grid, (lambda x, y=None: np.where(x < split, left, right)))
     if kind == "sine":
         _require_keys(spec, {"kind", "amplitude", "frequency", "offset"}, "sine function spec")
-        amp = float(spec.get("amplitude", 1.0))
-        freq = float(spec.get("frequency", 1.0))
-        off = float(spec.get("offset", 0.0))
+        amp = _param(spec, "amplitude", 1.0, "sine function spec")
+        freq = _param(spec, "frequency", 1.0, "sine function spec")
+        off = _param(spec, "offset", 0.0, "sine function spec")
         return sample(grid, (lambda x, y=None: off + amp * np.sin(2.0 * np.pi * freq * x)))
     if kind == "random":
         _require_keys(spec, {"kind", "seed", "low", "high"}, "random function spec")
         if "seed" not in spec:
             raise ConfigError("random function spec must carry an explicit seed")
-        rng = np.random.default_rng(int(spec["seed"]))
-        low = float(spec.get("low", 0.0))
-        high = float(spec.get("high", 1.0))
+        seed = spec["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"random function seed must be a nonnegative integer, got {seed!r}")
+        rng = np.random.default_rng(seed)
+        low = _param(spec, "low", 0.0, "random function spec")
+        high = _param(spec, "high", 1.0, "random function spec")
         return GridFunction(grid, rng.uniform(low, high, size=grid.shape))
     raise ConfigError(f"unknown function kind {kind!r}")
 
@@ -99,20 +121,22 @@ def build_exponent(grid: Grid, spec: dict) -> VariableExponent:
         raise ConfigError(f"exponent spec must be a single-key dict, got {spec!r}")
     ((key, payload),) = spec.items()
     if key == "const":
-        value = float(payload)
+        value = config_number(payload, "const exponent")
         field = sample(grid, (lambda x, y=None: np.full_like(x, value)))
     elif key == "affine":
         _require_keys(payload, {"a", "b"}, "affine exponent spec")
-        a = float(payload.get("a", 2.0))
-        b = float(payload.get("b", 0.0))
+        a = _param(payload, "a", 2.0, "affine exponent spec")
+        b = _param(payload, "b", 0.0, "affine exponent spec")
         field = sample(grid, (lambda x, y=None: a + b * x))
     elif key == "step":
         _require_keys(payload, {"left", "right", "split"}, "step exponent spec")
-        left = float(payload.get("left", 2.0))
-        right = float(payload.get("right", 4.0))
-        split = float(payload.get("split", 0.5))
+        left = _param(payload, "left", 2.0, "step exponent spec")
+        right = _param(payload, "right", 4.0, "step exponent spec")
+        split = _param(payload, "split", 0.5, "step exponent spec")
         field = sample(grid, (lambda x, y=None: np.where(x < split, left, right)))
     elif key == "csv":
+        if not isinstance(payload, str):
+            raise ConfigError(f"csv exponent spec needs a file path, got {payload!r}")
         try:
             field = read_gridfunction_csv(payload, grid)
         except OSError as exc:

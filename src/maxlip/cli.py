@@ -3,18 +3,21 @@
 ``maxlip verify`` runs a named scenario and emits its report; ``maxlip
 compute`` evaluates a single operator or functional.  Exit codes: 0 all
 hard checks passed, 1 at least one failed, 2 malformed or inadmissible
-configuration, 3 output could not be written.
+configuration, 3 output could not be written; an unwritable output path
+is found before any computing starts.  ``python -m maxlip`` runs the same
+entry point.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from . import __version__
 from .catalog import ConfigError, build_exponent, build_function
-from .config import KNOWN_SCENARIOS, load_config
+from .config import KNOWN_SCENARIOS, load_config, parse_beta, parse_grid
 from .grid import Cube, CubeFamilyMode, GridFunction, check_cube, make_grid, write_gridfunction_csv
 from .lipschitz import lambda_star, lambda_var, lip_seminorm
 from .luxemburg import lux_norm
@@ -35,7 +38,6 @@ _COMPUTE_OPS = (
     "lambda-star",
 )
 _COMPUTE_KEYS = {"grid", "cube_family", "beta", "function", "symbol", "exponent", "cube"}
-_GRID_KEYS = {"dim", "cells", "box_origin", "box_side"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,24 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _compute_grid(raw: dict):
-    grid_raw = raw.get("grid", {})
-    if not isinstance(grid_raw, dict):
-        raise ConfigError("'grid' must be an object")
-    unknown = set(grid_raw) - _GRID_KEYS
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in grid config")
-    origin = grid_raw.get("box_origin", [0.0, 0.0])
-    if isinstance(origin, (int, float)):
-        origin = [float(origin)] * 2
-    try:
-        return make_grid(
-            grid_raw.get("dim", 1),
-            grid_raw.get("cells", 32),
-            box_origin=tuple(float(c) for c in origin),
-            box_side=float(grid_raw.get("box_side", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    dim, cells, box_origin, box_side = parse_grid(raw.get("grid", {}), 32)
+    return make_grid(dim, cells, box_origin=box_origin, box_side=box_side)
 
 
 def _parse_cube(spec, grid) -> Cube:
@@ -118,9 +104,7 @@ def _run_compute(op: str, raw: dict, out_path: str) -> None:
         mode = CubeFamilyMode.parse(raw.get("cube_family", "full"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    beta = float(raw.get("beta", 0.5))
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    beta = parse_beta(raw)
 
     def need(key: str):
         if key not in raw:
@@ -166,12 +150,23 @@ def _run_compute(op: str, raw: dict, out_path: str) -> None:
             fh.write(f"{result:.17g}\n")
 
 
+def _probe_writable(path: str) -> None:
+    """Raise the OSError that writing path would raise, before any work is done."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
             raw = load_config(args.config) if args.config else None
+            if args.out:
+                _probe_writable(args.out)
             report = run_scenario(args.scenario, raw)
             text = report.render(args.format)
             if args.out:
@@ -180,7 +175,9 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 sys.stdout.write(text)
             return 1 if report.has_failures else 0
-        _run_compute(args.op, load_config(args.config), args.out)
+        raw = load_config(args.config)
+        _probe_writable(args.out)
+        _run_compute(args.op, raw, args.out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

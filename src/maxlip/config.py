@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .catalog import ConfigError
+from .catalog import ConfigError, config_number
 from .grid import CubeFamilyMode, Grid, make_grid
 
 KNOWN_SCENARIOS = (
@@ -170,6 +170,35 @@ def _check_keys(raw: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
 
 
+def parse_grid(grid_raw, default_cells: int) -> tuple[int, int, tuple[float, ...], float]:
+    """Validate a 'grid' object; returns dim, cells, box_origin and box_side."""
+    if not isinstance(grid_raw, dict):
+        raise ConfigError("'grid' must be an object")
+    _check_keys(grid_raw, _GRID_KEYS, "grid config")
+    dim = grid_raw.get("dim", 1)
+    cells = grid_raw.get("cells", default_cells)
+    if not isinstance(dim, int) or not isinstance(cells, int):
+        raise ConfigError("grid dim and cells must be integers")
+    box_side = config_number(grid_raw.get("box_side", 1.0), "grid box_side")
+    origin_raw = grid_raw.get("box_origin", [0.0, 0.0])
+    if not isinstance(origin_raw, list):
+        origin_raw = [origin_raw] * 2
+    box_origin = tuple(config_number(c, "grid box_origin") for c in origin_raw)
+    try:
+        make_grid(dim, cells, box_origin=box_origin, box_side=box_side)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return dim, cells, box_origin, box_side
+
+
+def parse_beta(raw: dict) -> float:
+    """The smoothness order 'beta' of a config object, in (0, 1), default 0.5."""
+    beta = config_number(raw.get("beta", 0.5), "beta")
+    if not 0.0 < beta < 1.0:
+        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    return beta
+
+
 def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     """Overlay user config on scenario defaults and validate everything."""
     if scenario not in KNOWN_SCENARIOS:
@@ -180,23 +209,7 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     _check_keys(raw, _TOP_KEYS, "config")
     defaults = _SCENARIO_DEFAULTS[scenario]
 
-    grid_raw = raw.get("grid", {})
-    if not isinstance(grid_raw, dict):
-        raise ConfigError("'grid' must be an object")
-    _check_keys(grid_raw, _GRID_KEYS, "grid config")
-    dim = grid_raw.get("dim", 1)
-    cells = grid_raw.get("cells", defaults["cells"])
-    if not isinstance(dim, int) or not isinstance(cells, int):
-        raise ConfigError("grid dim and cells must be integers")
-    box_side = float(grid_raw.get("box_side", 1.0))
-    origin_raw = grid_raw.get("box_origin", [0.0, 0.0])
-    if isinstance(origin_raw, (int, float)):
-        origin_raw = [float(origin_raw)] * 2
-    box_origin = tuple(float(c) for c in origin_raw)
-    try:
-        make_grid(dim, cells, box_origin=box_origin, box_side=box_side)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    dim, cells, box_origin, box_side = parse_grid(raw.get("grid", {}), defaults["cells"])
 
     family_raw = raw.get("cube_family", defaults["cube_family"])
     try:
@@ -204,9 +217,7 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    beta = float(raw.get("beta", 0.5))
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    beta = parse_beta(raw)
 
     exponents = raw.get("exponents", defaults.get("exponents"))
     if exponents is None:
@@ -231,13 +242,13 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
         raise ConfigError("'tolerances' must be an object")
     _check_keys(tol_raw, _TOL_KEYS, "tolerances config")
     tolerances = Tolerances(
-        identity_tol=float(tol_raw.get("identity_tol", 1e-9)),
-        oracle_tol=float(tol_raw.get("oracle_tol", 1e-12)),
+        identity_tol=config_number(tol_raw.get("identity_tol", 1e-9), "identity_tol"),
+        oracle_tol=config_number(tol_raw.get("oracle_tol", 1e-12), "oracle_tol"),
     )
     if tolerances.identity_tol < 0.0 or tolerances.oracle_tol < 0.0:
         raise ConfigError("tolerances must be nonnegative")
 
-    stability_factor = float(raw.get("stability_factor", 3.0))
+    stability_factor = config_number(raw.get("stability_factor", 3.0), "stability_factor")
     if stability_factor <= 1.0:
         raise ConfigError(f"stability_factor must exceed 1, got {stability_factor}")
 

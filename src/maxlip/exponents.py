@@ -4,7 +4,8 @@ An exponent field p(.) is admissible when 1 < p_- <= p_+ < infinity over
 the cell centers.  A discrete log-Holder modulus is reported alongside as a
 diagnostic: max over cell-center pairs of |p(x) - p(y)| * log(e + 1/|x-y|).
 It is computed exactly on small grids and from a seeded pair sample on
-large ones, with the choice flagged.
+large ones, with the choice flagged; a constant field has modulus 0 exactly
+and skips the sweep.
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ def validate_p(p: GridFunction) -> VariableExponent:
         )
     if not np.isfinite(p_plus):
         raise ValueError("exponent class violation: p_+ must be finite")
+    if p_minus == p_plus:
+        # Every pair difference vanishes, so the modulus is exactly 0.
+        return VariableExponent(p, p_minus, p_plus, 0.0, True)
     const, exact = _log_holder(p)
     return VariableExponent(p, p_minus, p_plus, const, exact)
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import VariableExponent
 from .grid import (
@@ -30,7 +31,8 @@ from .grid import (
     indicator,
 )
 from .luxemburg import _lux_solve_batch, lux_norm
-from .operators import OperatorTag, apply_operator, local_max, sharp_max
+from .operators import OperatorTag, apply_operator, local_max_sweep, sharp_max
+from .operators import local_max  # noqa: F401  still importable from here, as before the sweep
 
 __all__ = [
     "LipResult",
@@ -179,31 +181,29 @@ def cube_oscillation_rows(
     n = grid.cells_per_axis
     qv = q.values.values
     cm = grid.cell_measure
+    sides = family_sides(n, mode)
+    local = local_max_sweep(b, sides) if center == "local_max" else None
     rows: list[tuple[Cube, float]] = []
-    for k in family_sides(n, mode):
-        if dim == 1:
-            cubes = [Cube((s,), k) for s in range(n - k + 1)]
-        else:
-            cubes = [
-                Cube((i, j), k)
-                for i in range(n - k + 1)
-                for j in range(n - k + 1)
-            ]
+    for k in sides:
+        window = (k,) * dim
+        cubes = [Cube(start, k) for start in np.ndindex((n - k + 1,) * dim)]
         width = k**dim
-        diff_rows = np.empty((len(cubes), width))
-        q_rows = np.empty((len(cubes), width))
-        for r, cube in enumerate(cubes):
-            sl = cube.slices()
-            block = b.values[sl]
-            if center == "average":
-                ref = block.sum() / width
-            elif center == "local_max":
-                ref = local_max(b, cube)
-            else:
-                sharp = sharp_max(b * indicator(grid, cube), mode)
-                ref = 2.0 * sharp.values[sl]
-            diff_rows[r] = np.abs(block - ref).reshape(-1)
-            q_rows[r] = qv[sl].reshape(-1)
+        q_rows = sliding_window_view(qv, window).reshape(len(cubes), width)
+        if local is not None:
+            _, levels = next(local)
+            diff_rows = np.abs(sliding_window_view(b.values, window) - levels)
+            diff_rows = diff_rows.reshape(len(cubes), width)
+        else:
+            diff_rows = np.empty((len(cubes), width))
+            for r, cube in enumerate(cubes):
+                sl = cube.slices()
+                block = b.values[sl]
+                if center == "average":
+                    ref = block.sum() / width
+                else:
+                    sharp = sharp_max(b * indicator(grid, cube), mode)
+                    ref = 2.0 * sharp.values[sl]
+                diff_rows[r] = np.abs(block - ref).reshape(-1)
         num = _lux_solve_batch(diff_rows, q_rows, cm)
         den = _lux_solve_batch(np.ones_like(diff_rows), q_rows, cm)
         factor = (k * grid.spacing) ** (-beta)

@@ -1,11 +1,25 @@
 """Modulars and Luxemburg norms for variable exponents on a grid.
 
 The modular of f is sum over cells of |f(c)|^p(c) * h^dim, and the norm is
-the unique lambda > 0 with modular(f/lambda) = 1, found by a doubling or
-halving bracket seeded at max|f| followed by plain bisection.  The modular
-is strictly decreasing in lambda, so the bracket is safe; 1e-12 relative
-bracket width keeps |modular(f/value) - 1| below 1e-10 for the exponent
-ranges this laboratory sweeps.
+the unique lambda > 0 with modular(f/lambda) = 1.  One solver finds it, for
+a single support or for a batch of supports of equal size solved in
+lockstep: a safeguarded Newton iteration on t = log lambda.
+
+In t the log-modular g(t) = log modular(f e^{-t}) is a log-sum-exp of
+affine functions, so it is convex and decreasing: Newton's method started
+left of the root climbs to it monotonically, and a Newton step taken from
+the right of the root lands left of it.  The start
+lambda_0 = max_c |f(c)| h^{dim/p(c)} is left of the root, since its cell
+alone gives modular 1, and no term exceeds 1/h^dim there, so nothing
+overflows.  Each evaluation moves one end of a bracket [lo, hi] with
+modular(f/lo) >= 1 >= modular(f/hi) as evaluated, so an iterate that
+rounding puts past the root becomes hi.  The next point is the Newton
+estimate clipped to [lo (1 + tol/2), hi (1 - tol/2)], tol = 1e-12.  Near
+the root the Newton step falls below tol/2, so the clipped point closes the
+bracket to relative width tol with one evaluation, and the last Newton
+estimate, clipped into the bracket, is returned.  This takes 5-8 modular
+evaluations per solve.  The tests hold the solver against a plain
+bisection written apart from it.
 
 Also here: the norm identities that admit explicit discrete constants and
 therefore hard checks, namely the generalized Holder inequality with
@@ -34,12 +48,12 @@ __all__ = [
     "cube_embedding_ratio",
 ]
 
-MAX_ITERATIONS = 200
+MAX_ITERATIONS = 100
 BRACKET_REL_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the norm bisection exhausts its budget; carries the bracket."""
+    """Raised when the norm solver exhausts its budget; carries the bracket."""
 
     def __init__(self, message: str, bracket: tuple[float, float]):
         super().__init__(f"{message} (bracket [{bracket[0]:g}, {bracket[1]:g}])")
@@ -48,7 +62,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class NormResult:
-    """Bisection outcome: value plus the evidence it converged."""
+    """Solver outcome: value plus the evidence it converged.
+
+    iterations counts modular evaluations; bracket is [lo, hi] with
+    modular(f/lo) >= 1 >= modular(f/hi) as evaluated.
+    """
 
     value: float
     iterations: int
@@ -64,107 +82,77 @@ def _check_same_grid(f: GridFunction, p: VariableExponent) -> None:
         raise ValueError("function and exponent live on different grids")
 
 
-def _modular_at(abs_vals: np.ndarray, p_vals: np.ndarray, cell_measure: float, lam: float) -> float:
-    with np.errstate(over="ignore"):
-        total = float(np.sum(np.power(abs_vals / lam, p_vals))) * cell_measure
-    return total
-
-
 def modular(f: GridFunction, p: VariableExponent) -> float:
     """sum |f(c)|^p(c) h^dim over all cells."""
     _check_same_grid(f, p)
-    return _modular_at(np.abs(f.values), p.values.values, f.grid.cell_measure, 1.0)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.power(np.abs(f.values), p.values.values)))
+    return total * f.grid.cell_measure
+
+
+def _newton_solve(
+    abs_rows: np.ndarray, p_rows: np.ndarray, cell_measure: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Norm of every row: values, bracket ends lo and hi, modular evaluations.
+
+    Rows are independent supports of equal size; an all-zero row has norm 0
+    and costs no evaluation.
+    """
+    rows = abs_rows.shape[0]
+    value = np.zeros(rows)
+    lo_out = np.zeros(rows)
+    hi_out = np.zeros(rows)
+    evals = np.zeros(rows, dtype=np.int64)
+    idx = np.flatnonzero(abs_rows.max(axis=1, initial=0.0) > 0.0)
+    vals = abs_rows[idx]
+    pows = p_rows[idx]
+    lam = np.max(vals * cell_measure ** (1.0 / pows), axis=1)
+    lo = np.zeros(idx.size)
+    hi = np.full(idx.size, np.inf)
+    for _ in range(MAX_ITERATIONS):
+        if idx.size == 0:
+            break
+        terms = np.power(vals / lam[:, None], pows)
+        total = terms.sum(axis=1)
+        phi = total * cell_measure
+        evals[idx] += 1
+        above = phi >= 1.0
+        lo = np.where(above, lam, lo)
+        hi = np.where(above, hi, lam)
+        # g(t) = log phi has slope -(p weighted by the terms) in t = log lambda.
+        est = lam * np.exp(np.log(phi) * total / (terms * pows).sum(axis=1))
+        done = lo >= hi * (1.0 - BRACKET_REL_TOL)
+        if done.any():
+            rows_done = idx[done]
+            value[rows_done] = np.clip(est[done], lo[done], hi[done])
+            lo_out[rows_done] = lo[done]
+            hi_out[rows_done] = hi[done]
+            keep = ~done
+            idx, vals, pows = idx[keep], vals[keep], pows[keep]
+            lo, hi, est = lo[keep], hi[keep], est[keep]
+        # A Newton step that would land within half the tolerance of a
+        # bracket end, or beyond it, evaluates there instead and so either
+        # closes the bracket or moves that end.
+        lam = np.clip(est, lo * (1.0 + 0.5 * BRACKET_REL_TOL), hi * (1.0 - 0.5 * BRACKET_REL_TOL))
+    if idx.size == 0:
+        return value, lo_out, hi_out, evals
+    # Every cell at most 1/(cells * h^dim) makes the modular at most 1.
+    cap = np.max(vals * (vals.shape[1] * cell_measure) ** (1.0 / pows), axis=1)
+    hi = np.where(np.isfinite(hi), hi, cap)
+    raise ConvergenceError("Newton budget exhausted", (float(lo.min()), float(hi.max())))
 
 
 def _lux_solve(abs_vals: np.ndarray, p_vals: np.ndarray, cell_measure: float) -> NormResult:
-    """Core solver on raw arrays; support may be a cube slice of the grid."""
-    top = float(abs_vals.max(initial=0.0))
-    if top == 0.0:
-        return NormResult(0.0, 0, (0.0, 0.0), True)
-    evals = 0
-
-    def phi(lam: float) -> float:
-        nonlocal evals
-        evals += 1
-        return _modular_at(abs_vals, p_vals, cell_measure, lam)
-
-    lam = top
-    value = phi(lam)
-    if value == 1.0:
-        return NormResult(lam, evals, (lam, lam), True)
-    if value > 1.0:
-        lo = lam
-        hi = 2.0 * lam
-        while phi(hi) > 1.0:
-            lo, hi = hi, 2.0 * hi
-            if evals > MAX_ITERATIONS:
-                raise ConvergenceError("bracket expansion exhausted", (lo, hi))
-    else:
-        hi = lam
-        lo = 0.5 * lam
-        while phi(lo) < 1.0:
-            lo, hi = 0.5 * lo, lo
-            if evals > MAX_ITERATIONS:
-                raise ConvergenceError("bracket contraction exhausted", (lo, hi))
-    # Invariant: phi(lo) >= 1 >= phi(hi).
-    while hi - lo > BRACKET_REL_TOL * hi and evals < MAX_ITERATIONS:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    converged = hi - lo <= BRACKET_REL_TOL * hi
-    if not converged:
-        raise ConvergenceError("bisection budget exhausted", (lo, hi))
-    return NormResult(0.5 * (lo + hi), evals, (lo, hi), True)
+    """Norm of one support, which may be a cube slice of the grid."""
+    value, lo, hi, evals = _newton_solve(
+        abs_vals.reshape(1, -1), p_vals.reshape(1, -1), cell_measure
+    )
+    return NormResult(float(value[0]), int(evals[0]), (float(lo[0]), float(hi[0])), True)
 
 
 def _lux_solve_batch(abs_rows: np.ndarray, p_rows: np.ndarray, cell_measure: float) -> np.ndarray:
-    """Solve many independent supports at once, one row each.
-
-    Same bracket-and-bisect scheme as _lux_solve, advanced in lockstep
-    across rows; rows that converge early just keep tightening.
-    """
-    out = np.zeros(abs_rows.shape[0])
-    top = abs_rows.max(axis=1, initial=0.0)
-    live = top > 0.0
-    if not live.any():
-        return out
-    vals = abs_rows[live]
-    pows = p_rows[live]
-
-    def phi(lam: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.sum(np.power(vals / lam[:, None], pows), axis=1) * cell_measure
-
-    lo = top[live].copy()
-    hi = top[live].copy()
-    for _ in range(MAX_ITERATIONS):
-        high = phi(hi)
-        if not (high > 1.0).any():
-            break
-        hi = np.where(high > 1.0, 2.0 * hi, hi)
-    else:
-        raise ConvergenceError("bracket expansion exhausted", (float(lo.min()), float(hi.max())))
-    for _ in range(MAX_ITERATIONS):
-        low = phi(lo)
-        if not (low < 1.0).any():
-            break
-        lo = np.where(low < 1.0, 0.5 * lo, lo)
-    else:
-        raise ConvergenceError("bracket contraction exhausted", (float(lo.min()), float(hi.max())))
-    # Invariant per row: phi(lo) >= 1 >= phi(hi).
-    for _ in range(MAX_ITERATIONS):
-        if not (hi - lo > BRACKET_REL_TOL * hi).any():
-            break
-        mid = 0.5 * (lo + hi)
-        above = phi(mid) >= 1.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    else:
-        raise ConvergenceError("bisection budget exhausted", (float(lo.min()), float(hi.max())))
-    out[live] = 0.5 * (lo + hi)
-    return out
+    """Norms of many independent supports at once, one row each."""
+    return _newton_solve(abs_rows, p_rows, cell_measure)[0]
 
 
 def lux_norm(f: GridFunction, p: VariableExponent) -> NormResult:

@@ -11,7 +11,10 @@ Each operator has two routes: a fast path built on per-side window
 statistics (prefix-sum queries, or one window view per side for the sharp
 function) plus per-side sliding maxima, and a naive nested-loop oracle that
 sums cube slices directly.  oracle_check compares the two and is wired
-into the test suite; the routes are intentionally kept separate.
+into the test suite; the routes are intentionally kept separate.  The
+sweeps over every cube of a family take the local maximal function from
+local_max_sweep, one pass per symbol; the single-cube local_max is its
+reference.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "sharp_max",
     "frac_max",
     "local_max",
+    "local_max_sweep",
     "max_commutator",
     "comm_m",
     "comm_sharp",
@@ -127,6 +131,43 @@ def local_max(b: GridFunction, q0: Cube) -> np.ndarray:
         sub = all_avgs[tuple(slice(s, s + m - k + 1) for s in q0.start)]
         np.maximum(out, _windowed_cell_max(sub, k), out=out)
     return out
+
+
+def local_max_sweep(b: GridFunction, sides):
+    """local_max of every cube of each requested side, one pass per symbol.
+
+    Yields (k, L) for each distinct side k in ascending order, where
+    L[start] == local_max(b, Cube(start, k)) for every start cell, so L
+    has shape (N-k+1,)^dim + (k,)^dim.  It works by levels up to the
+    largest side: a proper subcube of a side-k cube lies in one of its
+    2^dim side-(k-1) subcubes, so level k is the max of the side-k window
+    averages and the level k-1 arrays shifted by each offset in {0,1}^dim.
+    The candidates are the window averages local_max takes its max over,
+    so the result is bit-identical.  Two levels are alive at a time.
+    """
+    grid = b.grid
+    dim = grid.dim
+    n = grid.cells_per_axis
+    wanted = sorted(set(sides))
+    if not wanted:
+        return
+    if not 1 <= wanted[0] <= wanted[-1] <= n:
+        raise ValueError(f"cube sides must lie in 1..{n}, got {wanted}")
+    absb = abs(b)
+    whole = (slice(None),) * dim
+    prev = None
+    for k in range(1, wanted[-1] + 1):
+        avgs = window_sums(absb, k) / k**dim
+        level = np.empty(avgs.shape + (k,) * dim)
+        level[...] = avgs.reshape(avgs.shape + (1,) * dim)
+        if prev is not None:
+            m = n - k + 1
+            for offset in itertools.product((0, 1), repeat=dim):
+                region = level[whole + tuple(slice(e, e + k - 1) for e in offset)]
+                np.maximum(region, prev[tuple(slice(e, e + m) for e in offset)], out=region)
+        if k in wanted:
+            yield k, level
+        prev = level
 
 
 def _comm_kernel_cell(

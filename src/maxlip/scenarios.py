@@ -69,7 +69,7 @@ from .operators import (
     comm_sharp,
     frac_max,
     hl_max,
-    local_max,
+    local_max_sweep,
     max_commutator,
     max_commutator_at_cells,
     sharp_max,
@@ -104,30 +104,27 @@ def _run_jobs(jobs: list[Job]) -> list[Check]:
     return [row for rows in results for row in rows]
 
 
-def _function_bank(grid: Grid, specs: list[dict]) -> list[tuple[str, GridFunction]]:
+def _bank(grid: Grid, specs: list[dict], build, label_of) -> list[tuple[str, object]]:
+    """Build every spec, labelled uniquely; a spec is labelled only once it built."""
     out = []
     seen: dict[str, int] = {}
     for spec in specs:
-        label = function_label(spec)
+        item = build(grid, spec)
+        label = label_of(spec)
         count = seen.get(label, 0) + 1
         seen[label] = count
         if count > 1:
             label = f"{label}#{count}"
-        out.append((label, build_function(grid, spec)))
+        out.append((label, item))
     return out
+
+
+def _function_bank(grid: Grid, specs: list[dict]) -> list[tuple[str, GridFunction]]:
+    return _bank(grid, specs, build_function, function_label)
 
 
 def _exponent_bank(grid: Grid, specs: list[dict]) -> list[tuple[str, VariableExponent]]:
-    out = []
-    seen: dict[str, int] = {}
-    for spec in specs:
-        label = exponent_label(spec)
-        count = seen.get(label, 0) + 1
-        seen[label] = count
-        if count > 1:
-            label = f"{label}#{count}"
-        out.append((label, build_exponent(grid, spec)))
-    return out
+    return _bank(grid, specs, build_exponent, exponent_label)
 
 
 def _pair_bank(cfg: ScenarioConfig, grid: Grid) -> list[tuple[str, ExponentPair]]:
@@ -201,6 +198,14 @@ def _containing_cube(grid: Grid, cube: Cube, mode: CubeFamilyMode) -> Cube | Non
         start = tuple(max(0, s + k - m) for s in cube.start)
         return Cube(start, m)
     return None
+
+
+def _local_max_by_cube(b: GridFunction, mode: CubeFamilyMode):
+    """(cube, local_max(b, cube)) for every family cube, in enumeration order."""
+    dim = b.grid.dim
+    for k, levels in local_max_sweep(b, family_sides(b.grid.cells_per_axis, mode)):
+        for start in np.ndindex(levels.shape[:dim]):
+            yield Cube(start, k), levels[start]
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +289,9 @@ def _jobs_identities(cfg: ScenarioConfig) -> list[Job]:
     def job_local(label: str, b: GridFunction) -> list[Check]:
         worst = -1.0
         wit = None
-        for cube in cubes:
+        for cube, loc in _local_max_by_cube(b, mode):
             chi = indicator(grid, cube)
             full = hl_max(b * chi, CubeFamilyMode.FULL).values[cube.slices()]
-            loc = local_max(b, cube)
             d = float(np.max(np.abs(full - loc)))
             if d > worst:
                 worst, wit = d, cube
@@ -351,6 +355,8 @@ def _jobs_lemmas(cfg: ScenarioConfig) -> list[Job]:
             d = abs(lux_norm(2.0 * f, q).value - 2.0 * lam) / lam
             if d > worst_hom:
                 worst_hom, wit_hom = d, lf
+        if wit_mod is None:
+            return []
         return [
             check_eq(f"lemmas/unit-modular/{lq}", "modular at the norm equals one",
                      worst_mod, 0.0, max(tol, 1e-10), {"f": wit_mod}),
@@ -366,6 +372,8 @@ def _jobs_lemmas(cfg: ScenarioConfig) -> list[Job]:
                 defect = holder_defect(f, g, q)
                 if defect < worst:
                     worst, wit = defect, (lf, lg)
+        if wit is None:
+            return []
         return [check_ge(
             f"lemmas/holder/{lq}",
             "integral of |f g| <= (1 + 1/p_- - 1/p_+) ||f||_p ||g||_{p'}",
@@ -382,6 +390,8 @@ def _jobs_lemmas(cfg: ScenarioConfig) -> list[Job]:
                 d = check_s_norm(f, q, s)
                 if d > worst:
                     worst, wit = d, {"f": lf, "s": s}
+        if wit is None:
+            return []
         return [check_eq(f"lemmas/s-norm/{lq}", "|| |f|^s ||_p = ||f||^s_{s p}",
                          worst, 0.0, tol, wit)]
 
@@ -473,10 +483,11 @@ def _jobs_lemmas(cfg: ScenarioConfig) -> list[Job]:
                 check_eq(f"lemmas/split-product/{lq}/r{r:g}",
                          "||chi_Q||_{r q} ||chi_Q||_{r' q} = ||chi_Q||_q",
                          dev_prod, 0.0, tol, {"cube": wit_prod}),
-                check_le(f"lemmas/split-holder/{lq}/r{r:g}",
-                         "||f g||_q <= ||f||_{r q} ||g||_{r' q}",
-                         worst_h, 0.0, tol, {"pair": wit_h}),
             ])
+            if wit_h is not None:
+                rows.append(check_le(f"lemmas/split-holder/{lq}/r{r:g}",
+                                     "||f g||_q <= ||f||_{r q} ||g||_{r' q}",
+                                     worst_h, 0.0, tol, {"pair": wit_h}))
         r_split = dim / (dim - beta) + 1.0
         q0, _, p0 = split_exponents(q, beta, r_split)
         rebuilt = build_pair(p0, beta)
@@ -572,15 +583,13 @@ def _jobs_theorem1(cfg: ScenarioConfig) -> list[Job]:
     def job_recovery(lb: str, b: GridFunction) -> list[Check]:
         # The localized maximal function is a full-family object, so this
         # sweep always runs the full family regardless of the config.
-        full = enumerate_cubes(grid, CubeFamilyMode.FULL)
         worst_half = np.inf
         wit_half = None
         worst_dom = np.inf
         worst_neg = np.inf
         wit_neg = None
-        for cube in full:
+        for cube, loc in _local_max_by_cube(b, CubeFamilyMode.FULL):
             block = b.values[cube.slices()]
-            loc = local_max(b, cube)
             diff = loc - block
             worst_dom = min(worst_dom, float(diff.min()))
             bq = average(b, cube)
@@ -870,8 +879,6 @@ def _jobs_normequiv(cfg: ScenarioConfig) -> list[Job]:
     mode = cfg.cube_family
 
     def job_pair(b_spec: dict, q_spec: dict) -> list[Check]:
-        lb = function_label(b_spec)
-        lq = exponent_label(q_spec)
         rows: list[Check] = []
         ratios: dict[int, float] = {}
         for n in cfg.refinements:
@@ -879,6 +886,8 @@ def _jobs_normequiv(cfg: ScenarioConfig) -> list[Job]:
             factor = _dim_factor(grid_n.dim, beta)
             b = build_function(grid_n, b_spec)
             q = build_exponent(grid_n, q_spec)
+            # Labelled after building, which rejects a malformed spec first.
+            lb, lq = function_label(b_spec), exponent_label(q_spec)
             lam = lambda_var(b, beta, q, mode)
             lip = lip_seminorm(b, beta)
             bound = factor * lip.value
@@ -953,8 +962,6 @@ def _jobs_counterexamples(cfg: ScenarioConfig) -> list[Job]:
         )
 
     def job_symbol(b_spec: dict, q_spec: dict) -> list[Check]:
-        lb = function_label(b_spec)
-        lq = exponent_label(q_spec)
         rows: list[Check] = []
         stars: dict[int, float] = {}
         is_const = False
@@ -962,6 +969,8 @@ def _jobs_counterexamples(cfg: ScenarioConfig) -> list[Job]:
             grid_n = cfg.build_grid(n)
             b = build_function(grid_n, b_spec)
             q = build_exponent(grid_n, q_spec)
+            # Labelled after building, which rejects a malformed spec first.
+            lb, lq = function_label(b_spec), exponent_label(q_spec)
             h = grid_n.spacing
             is_const = float(np.ptp(b.values)) == 0.0
             lam = lambda_var(b, beta, q, mode)

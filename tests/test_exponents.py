@@ -16,6 +16,8 @@ from maxlip import (
     validate_p,
 )
 
+from maxlip.exponents import _log_holder
+
 from conftest import affine_exponent, const_exponent
 
 
@@ -121,6 +123,18 @@ def test_log_holder_constant_and_flag():
     big = make_grid(2, 80)
     q = validate_p(sample(big, lambda x, y: 2.0 + 0.5 * x))
     assert not q.log_holder_exact
+
+
+def test_constant_exponent_skips_the_pair_sweep():
+    # The short cut returns what the exact pair sweep would, without running it.
+    for g in (make_grid(1, 2), make_grid(1, 17), make_grid(2, 3), make_grid(2, 9)):
+        for value in (1.5, 2.0, 7.25):
+            field = sample(g, lambda *xy: value)
+            p = validate_p(field)
+            assert (p.log_holder_const, p.log_holder_exact) == _log_holder(field)
+            assert p.log_holder_const == 0.0 and p.log_holder_exact
+    big = make_grid(2, 80)
+    assert validate_p(sample(big, lambda *xy: 3.0)).log_holder_exact
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,8 @@
-"""Luxemburg norm solver against closed forms and an independent bisection."""
+"""Luxemburg norm solver against closed forms and an independent bisection.
+
+bisect_oracle below is the solver's test oracle: geometric bisection with
+fsum, sharing no code with the Newton solver in luxemburg.py.
+"""
 
 import math
 
@@ -28,7 +32,8 @@ from maxlip import (
     validate_p,
     CubeFamilyMode,
 )
-from maxlip.luxemburg import _lux_solve_batch
+from maxlip import luxemburg
+from maxlip.luxemburg import ConvergenceError, _lux_solve, _lux_solve_batch
 
 from conftest import affine_exponent, const_exponent, seeded_function
 
@@ -136,7 +141,7 @@ def test_monotone_in_absolute_value(seed):
     assert lux_norm(small, q).value <= lux_norm(bigger, q).value + 1e-12
 
 
-def test_batch_solver_agrees_with_scalar():
+def test_batch_solver_agrees_with_bisection():
     g = make_grid(1, 9)
     rng = np.random.default_rng(77)
     rows = rng.uniform(0.0, 4.0, (30, 9))
@@ -146,8 +151,64 @@ def test_batch_solver_agrees_with_scalar():
     got = _lux_solve_batch(rows, p_rows, g.cell_measure)
     assert got[7] == 0.0
     for i in range(30):
-        want = lux_norm(GridFunction(g, rows[i]), validate_p(GridFunction(g, p_rows[i]))).value
-        assert got[i] == pytest.approx(want, rel=1e-10, abs=1e-300)
+        if i == 7:
+            continue
+        want = bisect_oracle(GridFunction(g, rows[i]), p_rows[i])
+        assert got[i] == pytest.approx(want, rel=1e-10)
+
+
+def _newton_cases():
+    """(f, p values) with p up to 20, box sides from 1/8 to 1000, zero cells."""
+    rng = np.random.default_rng(2024)
+    for case in range(60):
+        dim = 1 if case % 3 else 2
+        n = int(rng.integers(2, 40)) if dim == 1 else int(rng.integers(2, 9))
+        side = (0.125, 1.0, 7.0, 1000.0)[case % 4]
+        g = make_grid(dim, n, box_side=side)
+        vals = rng.uniform(0.0, 3.0, g.shape) * (rng.random(g.shape) < 0.7)
+        vals.reshape(-1)[case % g.cell_count] = 1.5
+        p_low = rng.uniform(1.01, 3.0)
+        pv = rng.uniform(p_low, p_low + (17.0 if case % 2 else 2.0), g.shape)
+        yield GridFunction(g, vals), pv
+
+
+def test_newton_solver_against_bisection_with_certified_bracket():
+    for f, pv in _newton_cases():
+        res = lux_norm(f, validate_p(GridFunction(f.grid, pv)))
+        assert res.value == pytest.approx(bisect_oracle(f, pv), rel=1e-10)
+        assert 1 <= res.iterations <= 10
+        lo, hi = res.bracket
+        assert lo <= res.value <= hi
+        assert hi - lo <= 1e-12 * hi
+        # The invariant holds as the solver evaluates: the quotient f/lambda
+        # taken cell by cell, summed, then scaled by the cell measure.
+        absv, cm = np.abs(f.values), f.grid.cell_measure
+        assert float(np.sum(np.power(absv / lo, pv))) * cm >= 1.0
+        assert float(np.sum(np.power(absv / hi, pv))) * cm <= 1.0
+
+
+def test_newton_batch_rows_match_single_solves():
+    cases = [(f, pv) for f, pv in _newton_cases() if f.grid.dim == 1 and f.grid.cells_per_axis >= 8]
+    rows = np.stack([f.values[:8] for f, _ in cases])
+    p_rows = np.stack([pv[:8] for _, pv in cases])
+    rows[0] = 0.0
+    cm = 1.0 / 64.0
+    got = _lux_solve_batch(rows, p_rows, cm)
+    assert got[0] == 0.0
+    for i in range(1, len(cases)):
+        assert got[i] == pytest.approx(_lux_solve(rows[i], p_rows[i], cm).value, rel=1e-14)
+
+
+def test_convergence_error_carries_a_real_bracket(monkeypatch):
+    g = make_grid(1, 12)
+    f = seeded_function(g, 3, -2.0, 2.0)
+    pv = np.linspace(1.5, 9.0, 12)
+    want = bisect_oracle(f, pv)
+    monkeypatch.setattr(luxemburg, "MAX_ITERATIONS", 2)
+    with pytest.raises(ConvergenceError) as err:
+        lux_norm(f, validate_p(GridFunction(g, pv)))
+    lo, hi = err.value.bracket
+    assert 0.0 < lo <= want <= hi < np.inf
 
 
 def test_holder_defect_nonnegative():

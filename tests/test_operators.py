@@ -1,5 +1,7 @@
 """Maximal operators and commutators against naive oracles and hand counts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from maxlip import (
     frac_max,
     hl_max,
     indicator,
+    family_sides,
     local_max,
+    local_max_sweep,
     make_grid,
     max_commutator,
     max_commutator_at_cells,
@@ -123,6 +127,37 @@ def test_local_max_restricted_window():
     spiked = b.values.copy()
     spiked[0] = 100.0
     assert np.allclose(local_max(GridFunction(g, spiked), q0), got)
+
+
+def test_local_max_sweep_equals_per_cube_local_max():
+    # Byte for byte: the sweep takes its max over the same window averages.
+    for dim, n in ((1, 37), (2, 11)):
+        g = make_grid(dim, n)
+        b = seeded_function(g, n, -2.0, 2.0)
+        largest_missing = [k for k in family_sides(n, CubeFamilyMode.DYADIC_SIDES) if k < 8]
+        for sides in (
+            family_sides(n, CubeFamilyMode.FULL),
+            family_sides(n, CubeFamilyMode.DYADIC_SIDES),
+            largest_missing,
+            [n],
+        ):
+            got = list(local_max_sweep(b, sides))
+            assert [k for k, _ in got] == sorted(sides)
+            for k, levels in got:
+                assert levels.shape == (n - k + 1,) * dim + (k,) * dim
+                for start in itertools.product(range(n - k + 1), repeat=dim):
+                    want = local_max(b, Cube(start, k))
+                    assert levels[start].tobytes() == want.tobytes(), (dim, k, start)
+
+
+def test_local_max_sweep_rejects_sides_off_the_grid():
+    g = make_grid(1, 6)
+    b = seeded_function(g, 1)
+    assert list(local_max_sweep(b, [])) == []
+    with pytest.raises(ValueError, match="1..6"):
+        list(local_max_sweep(b, [2, 7]))
+    with pytest.raises(ValueError, match="1..6"):
+        list(local_max_sweep(b, [0, 2]))
 
 
 def test_dyadic_never_exceeds_full():

@@ -1,8 +1,15 @@
 """End-to-end runs of the named scenarios and the command line front end."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import maxlip
 
 from maxlip import (
     ConfigError,
@@ -95,7 +102,7 @@ def test_cli_verify_exits_zero_and_writes_json(tmp_path, capsys):
 
 
 def test_cli_failure_exit_code(tmp_path):
-    # Zero tolerance turns benign bisection residue into red rows.
+    # Zero tolerance turns benign solver residue into red rows.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps(
@@ -194,3 +201,68 @@ def test_cli_compute_scalar_output(tmp_path):
     out = tmp_path / "v.txt"
     assert main(["compute", "lambda-star", "--config", str(cfg), "--out", str(out)]) == 0
     assert float(out.read_text()) == pytest.approx(8.0, rel=1e-9)
+
+
+def test_lemmas_with_empty_banks_emit_no_vacuous_row(tmp_path):
+    raw = {"grid": {"cells": 8}, "functions": {"b": [], "f": []}}
+    rep = run_scenario("lemmas", raw)
+    assert not rep.has_failures
+    swept = ("unit-modular", "homogeneity", "s-norm", "holder", "split-holder")
+    assert not [c.check_id for c in rep.checks if c.check_id.split("/")[1] in swept]
+    assert all(c.lhs != -1.0 for c in rep.checks)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", "lemmas", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"grid": {"box_origin": None}}, "box_origin must be a number"),
+    ({"exponents": [{"affine": [1, 2]}]}, "affine exponent spec must be an object"),
+    ({"grid": {"cells": 8}, "tolerances": {"identity_tol": math.nan}}, "identity_tol must be finite"),
+    ({"beta": None}, "beta must be a number"),
+    ({"stability_factor": math.inf}, "stability_factor must be finite"),
+    ({"functions": {"b": [7], "f": [7]}}, "function spec must be a dict"),
+    ({"functions": {"b": [{"kind": "const", "value": "2"}], "f": [{"kind": "const", "value": "2"}]}},
+     "'value' must be a number"),
+])
+def test_malformed_config_is_a_one_line_error(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    for scenario in ("lemmas", "normequiv"):
+        code = main(["verify", scenario, "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_unwritable_out_is_found_before_computing(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before probing --out")
+
+    monkeypatch.setattr("maxlip.cli.run_scenario", no_work)
+    monkeypatch.setattr("maxlip.cli._run_compute", no_work)
+    missing = str(tmp_path / "no-such-dir" / "rep.json")
+    assert main(["verify", "identities", "--out", missing]) == 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"cells": 8}}))
+    assert main(["compute", "hl", "--config", str(cfg), "--out", missing]) == 3
+    assert main(["verify", "identities", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.count("cannot write output") == 3
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"cells": 8}}))
+    out = tmp_path / "rep.json"
+    src = str(Path(maxlip.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "maxlip", "verify", "identities", "--config", str(cfg),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["scenario"] == "identities"
