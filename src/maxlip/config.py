@@ -36,7 +36,7 @@ _TOP_KEYS = {
     "refinements",
 }
 _GRID_KEYS = {"dim", "cells", "box_origin", "box_side"}
-_TOL_KEYS = {"identity_tol", "oracle_tol"}
+_TOL_KEYS = {"identity_tol"}
 _FUN_KEYS = {"b", "f"}
 
 _SCENARIO_DEFAULTS: dict[str, dict] = {
@@ -77,7 +77,6 @@ _SCENARIO_DEFAULTS: dict[str, dict] = {
 @dataclass(frozen=True)
 class Tolerances:
     identity_tol: float = 1e-9
-    oracle_tol: float = 1e-12
 
 
 @dataclass
@@ -96,7 +95,6 @@ class ScenarioConfig:
     tolerances: Tolerances
     stability_factor: float
     refinements: list[int]
-    raw: dict
 
     def build_grid(self, cells: int | None = None) -> Grid:
         n = self.cells if cells is None else cells
@@ -116,10 +114,7 @@ class ScenarioConfig:
             "exponents": self.exponents,
             "pair_exponents": self.pair_exponents,
             "functions": {"b": self.functions_b, "f": self.functions_f},
-            "tolerances": {
-                "identity_tol": self.tolerances.identity_tol,
-                "oracle_tol": self.tolerances.oracle_tol,
-            },
+            "tolerances": {"identity_tol": self.tolerances.identity_tol},
             "stability_factor": self.stability_factor,
             "refinements": self.refinements,
         }
@@ -243,9 +238,8 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     _check_keys(tol_raw, _TOL_KEYS, "tolerances config")
     tolerances = Tolerances(
         identity_tol=config_number(tol_raw.get("identity_tol", 1e-9), "identity_tol"),
-        oracle_tol=config_number(tol_raw.get("oracle_tol", 1e-12), "oracle_tol"),
     )
-    if tolerances.identity_tol < 0.0 or tolerances.oracle_tol < 0.0:
+    if tolerances.identity_tol < 0.0:
         raise ConfigError("tolerances must be nonnegative")
 
     stability_factor = config_number(raw.get("stability_factor", 3.0), "stability_factor")
@@ -276,5 +270,4 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
         tolerances=tolerances,
         stability_factor=stability_factor,
         refinements=refinements,
-        raw=raw,
     )

@@ -3,9 +3,9 @@
 An exponent field p(.) is admissible when 1 < p_- <= p_+ < infinity over
 the cell centers.  A discrete log-Holder modulus is reported alongside as a
 diagnostic: max over cell-center pairs of |p(x) - p(y)| * log(e + 1/|x-y|).
-It is computed exactly on small grids and from a seeded pair sample on
-large ones, with the choice flagged; a constant field has modulus 0 exactly
-and skips the sweep.
+It is one score of the cell-pair sweep in ``sweep``: exact on small grids,
+from a seeded pair sample on large ones, with the choice flagged; a constant
+field has modulus 0 exactly and skips the sweep.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, GridFunction
+from .sweep import pair_sweep
 
 __all__ = [
     "VariableExponent",
@@ -26,12 +27,6 @@ __all__ = [
     "split_exponents",
     "log_holder_constant",
 ]
-
-# Exact pair sweeps stay cheap up to these grid sizes; beyond them the
-# log-Holder modulus falls back to adjacent pairs plus a seeded sample.
-_EXACT_PAIRS_DIM1 = 4096
-_EXACT_PAIRS_DIM2 = 64
-_SAMPLE_PAIRS = 4096
 
 
 @dataclass
@@ -54,65 +49,16 @@ class VariableExponent:
         return self.p_minus == self.p_plus
 
 
+def _log_holder_score(diff, dist):
+    # math.log on the exact sweep's floats and np.log on the sample's arrays:
+    # the two differ in the last bit on some distances.
+    log = np.log if isinstance(dist, np.ndarray) else math.log
+    return diff * log(math.e + 1.0 / dist)
+
+
 def _log_holder(values: GridFunction) -> tuple[float, bool]:
-    grid = values.grid
-    v = values.values
-    n = grid.cells_per_axis
-    h = grid.spacing
-    best = 0.0
-    if grid.dim == 1:
-        if n <= _EXACT_PAIRS_DIM1:
-            for d in range(1, n):
-                diff = float(np.max(np.abs(v[d:] - v[:-d])))
-                best = max(best, diff * math.log(math.e + 1.0 / (d * h)))
-            return best, True
-        return _sampled_log_holder(v, grid), False
-    if n <= _EXACT_PAIRS_DIM2:
-        for di in range(n):
-            for dj in range(-(n - 1), n):
-                if di == 0 and dj <= 0:
-                    continue
-                if dj >= 0:
-                    diff = np.abs(v[di:, dj:] - v[: n - di, : n - dj])
-                else:
-                    diff = np.abs(v[di:, :dj] - v[: n - di, -dj:])
-                if diff.size == 0:
-                    continue
-                dist = h * math.hypot(di, dj)
-                best = max(best, float(diff.max()) * math.log(math.e + 1.0 / dist))
-        return best, True
-    return _sampled_log_holder(v, grid), False
-
-
-def _sampled_log_holder(v: np.ndarray, grid: Grid) -> float:
-    n = grid.cells_per_axis
-    h = grid.spacing
-    best = 0.0
-    # All adjacent pairs first: they carry the largest log weight.
-    if grid.dim == 1:
-        flat = v.reshape(-1)
-        best = float(np.max(np.abs(flat[1:] - flat[:-1]))) * math.log(math.e + 1.0 / h)
-        coords = np.arange(n).reshape(-1, 1)
-        flatv = flat
-    else:
-        w = math.log(math.e + 1.0 / h)
-        best = max(
-            float(np.max(np.abs(v[1:, :] - v[:-1, :]))) * w,
-            float(np.max(np.abs(v[:, 1:] - v[:, :-1]))) * w,
-        )
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        coords = np.column_stack([ii.reshape(-1), jj.reshape(-1)])
-        flatv = v.reshape(-1)
-    rng = np.random.default_rng(0)
-    m = coords.shape[0]
-    a = rng.integers(0, m, size=_SAMPLE_PAIRS)
-    b = rng.integers(0, m, size=_SAMPLE_PAIRS)
-    keep = a != b
-    a, b = a[keep], b[keep]
-    dist = h * np.sqrt(((coords[a] - coords[b]) ** 2).sum(axis=1))
-    weights = np.log(math.e + 1.0 / dist)
-    best = max(best, float(np.max(np.abs(flatv[a] - flatv[b]) * weights)))
-    return best
+    value, _, exact = pair_sweep(values, _log_holder_score)
+    return value, exact
 
 
 def validate_p(p: GridFunction) -> VariableExponent:

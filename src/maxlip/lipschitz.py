@@ -9,13 +9,13 @@ only in the reference subtracted from b before taking the norm ratio:
     to the cube.
 
 Each sweep reports the attaining cube so that every supremum in a report
-can be reproduced.  The pairwise beta-Holder seminorm is exact on small
-grids and falls back to a flagged sample on large ones.
+can be reproduced.  The pairwise beta-Holder seminorm is one score of the
+cell-pair sweep in ``sweep``: exact on small grids, a flagged sample on
+large ones.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +33,7 @@ from .grid import (
 from .luxemburg import _lux_solve_batch, lux_norm
 from .operators import OperatorTag, apply_operator, local_max_sweep, sharp_max
 from .operators import local_max  # noqa: F401  still importable from here, as before the sweep
+from .sweep import Worst, pair_sweep
 
 __all__ = [
     "LipResult",
@@ -44,10 +45,6 @@ __all__ = [
     "opnorm_lower",
     "cube_oscillation_rows",
 ]
-
-_EXACT_PAIRS_DIM1 = 4096
-_EXACT_PAIRS_DIM2 = 64
-
 
 @dataclass
 class LipResult:
@@ -66,95 +63,16 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
-def lip_seminorm(
-    b: GridFunction, beta: float, *, sample_pairs: int = 4096, seed: int = 0
-) -> LipResult:
+def lip_seminorm(b: GridFunction, beta: float) -> LipResult:
     """Discrete beta-Holder seminorm: max |b(x)-b(y)| / |x-y|^beta over center pairs.
 
-    Exact by offset sweep up to N = 4096 (dim 1) or N = 64 (dim 2); larger
-    grids use all adjacent pairs plus a seeded random sample and flag the
-    result as a non-exhaustive lower bound.
+    Exact up to N = 4096 (dim 1) or N = 64 (dim 2); larger grids give a
+    lower bound from all adjacent pairs plus a seeded sample of pairs, with
+    ``exact`` False.  The witness is the attaining pair of cells, None for a
+    constant b.
     """
     _check_beta(beta)
-    grid = b.grid
-    v = b.values
-    n = grid.cells_per_axis
-    h = grid.spacing
-    best = 0.0
-    witness = None
-    if grid.dim == 1 and n <= _EXACT_PAIRS_DIM1:
-        for d in range(1, n):
-            diffs = np.abs(v[d:] - v[:-d])
-            i = int(np.argmax(diffs))
-            cand = float(diffs[i]) / (d * h) ** beta
-            if cand > best:
-                best, witness = cand, ((i,), (i + d,))
-        return LipResult(best, witness, True)
-    if grid.dim == 2 and n <= _EXACT_PAIRS_DIM2:
-        for di in range(n):
-            for dj in range(-(n - 1), n):
-                if di == 0 and dj <= 0:
-                    continue
-                if dj >= 0:
-                    diffs = np.abs(v[di:, dj:] - v[: n - di, : n - dj])
-                else:
-                    diffs = np.abs(v[di:, : n + dj] - v[: n - di, -dj:])
-                if diffs.size == 0:
-                    continue
-                dist = h * math.hypot(di, dj)
-                flat = int(np.argmax(diffs))
-                i, j = (int(x) for x in np.unravel_index(flat, diffs.shape))
-                cand = float(diffs[i, j]) / dist**beta
-                if cand > best:
-                    if dj >= 0:
-                        pair = ((i + di, j + dj), (i, j))
-                    else:
-                        pair = ((i + di, j), (i, j - dj))
-                    best, witness = cand, pair
-        return LipResult(best, witness, True)
-    return _sampled_lip(b, beta, sample_pairs, seed)
-
-
-def _sampled_lip(b: GridFunction, beta: float, sample_pairs: int, seed: int) -> LipResult:
-    grid = b.grid
-    v = b.values
-    n = grid.cells_per_axis
-    h = grid.spacing
-    best = 0.0
-    witness = None
-    if grid.dim == 1:
-        diffs = np.abs(v[1:] - v[:-1]) / h**beta
-        i = int(np.argmax(diffs))
-        best, witness = float(diffs[i]), ((i,), (i + 1,))
-        coords = np.arange(n).reshape(-1, 1)
-        flat = v
-    else:
-        for axis, sl_a, sl_b, off in (
-            (0, (slice(1, None), slice(None)), (slice(None, -1), slice(None)), (1, 0)),
-            (1, (slice(None), slice(1, None)), (slice(None), slice(None, -1)), (0, 1)),
-        ):
-            diffs = np.abs(v[sl_a] - v[sl_b]) / h**beta
-            flat_i = int(np.argmax(diffs))
-            i, j = np.unravel_index(flat_i, diffs.shape)
-            if float(diffs[i, j]) > best:
-                best = float(diffs[i, j])
-                witness = ((int(i) + off[0], int(j) + off[1]), (int(i), int(j)))
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        coords = np.column_stack([ii.reshape(-1), jj.reshape(-1)])
-        flat = v.reshape(-1)
-    rng = np.random.default_rng(seed)
-    m = coords.shape[0]
-    a = rng.integers(0, m, size=sample_pairs)
-    c = rng.integers(0, m, size=sample_pairs)
-    keep = a != c
-    a, c = a[keep], c[keep]
-    dist = h * np.sqrt(((coords[a] - coords[c]) ** 2).sum(axis=1))
-    ratios = np.abs(flat[a] - flat[c]) / dist**beta
-    i = int(np.argmax(ratios))
-    if float(ratios[i]) > best:
-        best = float(ratios[i])
-        witness = (tuple(int(x) for x in coords[a[i]]), tuple(int(x) for x in coords[c[i]]))
-    return LipResult(best, witness, False)
+    return LipResult(*pair_sweep(b, lambda diff, dist: diff / dist**beta))
 
 
 def cube_oscillation_rows(
@@ -213,11 +131,10 @@ def cube_oscillation_rows(
 
 
 def _sweep_result(rows: list[tuple[Cube, float]]) -> LipResult:
-    best_cube, best = rows[0]
-    for cube, val in rows[1:]:
-        if val > best:
-            best_cube, best = cube, val
-    return LipResult(best, best_cube, True)
+    best = Worst()
+    for cube, val in rows:
+        best.offer(val, cube)
+    return LipResult(best.value, best.witness, True)
 
 
 def osc_norm_q(
@@ -230,17 +147,15 @@ def osc_norm_q(
         raise ValueError(f"q must be at least 1, got {q_const}")
     grid = b.grid
     dim = grid.dim
-    best = -1.0
-    best_cube = None
+    best = Worst()
     for cube in enumerate_cubes(grid, mode):
         block = b.values[cube.slices()]
         k = cube.side_cells
         mean = block.sum() / k**dim
         power_mean = (np.abs(block - mean) ** q_const).sum() / k**dim
         val = cube.measure(grid) ** (-beta / dim) * power_mean ** (1.0 / q_const)
-        if val > best:
-            best, best_cube = float(val), cube
-    return LipResult(best, best_cube, True)
+        best.offer(float(val), cube)
+    return LipResult(best.value, best.witness, True)
 
 
 def lambda_var(

@@ -1,9 +1,10 @@
 """Named verification scenarios assembled into reports.
 
-Each scenario builds a list of independent jobs; a job computes a handful
-of check rows.  Jobs run sequentially by default or on a thread pool when
-MAXLIP_THREADS asks for one, and rows are always assembled in job order,
-so a report is deterministic up to its timestamp.
+Each scenario builds its function and exponent banks first, so a malformed
+spec is rejected before any sweep runs, then computes its check rows in a
+fixed order; a report is deterministic up to its timestamp.  A swept row
+reports the worst case of its sweep with the witness attaining it
+(``sweep.Worst``), and a sweep that saw nothing emits no row.
 
 Hard rows (pass/fail) correspond to relations that hold exactly in this
 discrete setting, with explicit constants.  Boundedness-flavored
@@ -13,8 +14,6 @@ monitored rows instead.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -45,6 +44,7 @@ from .grid import (
     indicator,
 )
 from .lipschitz import (
+    LipResult,
     lambda_sharp,
     lambda_star,
     lambda_var,
@@ -75,33 +75,11 @@ from .operators import (
     sharp_max,
 )
 from .report import Check, Report, check_eq, check_ge, check_le, new_report, report_row
-
-Job = Callable[[], list[Check]]
+from .sweep import Worst
 
 # Sharp-sweep cost grows with the square of the cube count, so the
 # per-cube sharp functional is only swept on grids up to these sizes.
 _SHARP_SWEEP_MAX = {1: 64, 2: 16}
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MAXLIP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"MAXLIP_THREADS must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"MAXLIP_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def _run_jobs(jobs: list[Job]) -> list[Check]:
-    threads = _thread_count()
-    if threads == 1:
-        results = [job() for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: job(), jobs))
-    return [row for rows in results for row in rows]
 
 
 def _bank(grid: Grid, specs: list[dict], build, label_of) -> list[tuple[str, object]]:
@@ -212,7 +190,7 @@ def _local_max_by_cube(b: GridFunction, mode: CubeFamilyMode):
 # identities: exact pointwise identities for indicators and localized symbols.
 
 
-def _jobs_identities(cfg: ScenarioConfig) -> list[Job]:
+def _identities(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
     tol = cfg.tolerances.identity_tol
@@ -220,235 +198,178 @@ def _jobs_identities(cfg: ScenarioConfig) -> list[Job]:
     cubes = enumerate_cubes(grid, mode)
     bs = _function_bank(grid, cfg.functions_b)
 
-    def job_indicator() -> list[Check]:
-        dev_hl = -1.0
-        wit_hl = None
-        top_hl = 0.0
-        wit_top_hl = None
-        dev_sharp = -1.0
-        wit_sharp = None
-        top_sharp = 0.0
-        wit_top_sharp = None
-        dev_frac = -1.0
-        wit_frac = None
-        excess_frac = -np.inf
-        wit_excess = None
-        eligible = 0
-        for cube in cubes:
-            chi = indicator(grid, cube)
-            sl = cube.slices()
-            target = cube.side_length(grid) ** beta
+    dev_hl, top_hl, dev_sharp, top_sharp, dev_frac, excess_frac = (Worst() for _ in range(6))
+    for cube in cubes:
+        chi = indicator(grid, cube)
+        sl = cube.slices()
+        target = cube.side_length(grid) ** beta
 
-            m = hl_max(chi, mode).values
-            d = float(np.max(np.abs(m[sl] - 1.0)))
-            if d > dev_hl:
-                dev_hl, wit_hl = d, cube
-            g = float(m.max())
-            if g > top_hl:
-                top_hl, wit_top_hl = g, cube
+        m = hl_max(chi, mode).values
+        dev_hl.offer(float(np.max(np.abs(m[sl] - 1.0))), cube)
+        top_hl.offer(float(m.max()), cube)
 
-            s = sharp_max(chi, mode).values
-            g = float(s.max())
-            if g > top_sharp:
-                top_sharp, wit_top_sharp = g, cube
-            if _half_overlap_eligible(grid, cube):
-                eligible += 1
-                d = float(np.max(np.abs(s[sl] - 0.5)))
-                if d > dev_sharp:
-                    dev_sharp, wit_sharp = d, cube
+        s = sharp_max(chi, mode).values
+        top_sharp.offer(float(s.max()), cube)
+        if _half_overlap_eligible(grid, cube):
+            dev_sharp.offer(float(np.max(np.abs(s[sl] - 0.5))), cube)
 
-            fr = frac_max(chi, beta, mode).values
-            d = float(np.max(np.abs(fr[sl] - target)))
-            if d > dev_frac:
-                dev_frac, wit_frac = d, cube
-            e = float(fr.max()) - target
-            if e > excess_frac:
-                excess_frac, wit_excess = e, cube
+        fr = frac_max(chi, beta, mode).values
+        dev_frac.offer(float(np.max(np.abs(fr[sl] - target))), cube)
+        excess_frac.offer(float(fr.max()) - target, cube)
 
-        rows = [
-            check_eq("identities/hl-on-cube", "M(chi_Q) = 1 on Q", dev_hl, 0.0, tol,
-                     {"cube": wit_hl}),
-            check_le("identities/hl-bound", "M(chi_Q) <= 1 everywhere", top_hl, 1.0, tol,
-                     {"cube": wit_top_hl}),
-            check_le("identities/sharp-bound", "M#(chi_Q) <= 1/2 everywhere", top_sharp,
-                     0.5, tol, {"cube": wit_top_sharp}),
-            check_eq("identities/frac-on-cube", "M_beta(chi_Q) = |Q|^{beta/dim} on Q",
-                     dev_frac, 0.0, tol, {"cube": wit_frac}),
-            check_le("identities/frac-bound", "M_beta(chi_Q) <= |Q|^{beta/dim} everywhere",
-                     excess_frac, 0.0, tol, {"cube": wit_excess}),
-        ]
-        if eligible:
-            rows.insert(2, check_eq(
-                "identities/sharp-on-cube",
-                "M#(chi_Q) = 1/2 on Q when a half-overlap cube exists",
-                dev_sharp, 0.0, tol,
-                {"cube": wit_sharp, "eligible_cubes": eligible},
-            ))
-        return rows
+    rows = [
+        check_eq("identities/hl-on-cube", "M(chi_Q) = 1 on Q", dev_hl.value, 0.0, tol,
+                 {"cube": dev_hl.witness}),
+        check_le("identities/hl-bound", "M(chi_Q) <= 1 everywhere", top_hl.value, 1.0, tol,
+                 {"cube": top_hl.witness}),
+    ]
+    if dev_sharp.count:
+        rows.append(check_eq(
+            "identities/sharp-on-cube",
+            "M#(chi_Q) = 1/2 on Q when a half-overlap cube exists",
+            dev_sharp.value, 0.0, tol,
+            {"cube": dev_sharp.witness, "eligible_cubes": dev_sharp.count},
+        ))
+    rows += [
+        check_le("identities/sharp-bound", "M#(chi_Q) <= 1/2 everywhere", top_sharp.value,
+                 0.5, tol, {"cube": top_sharp.witness}),
+        check_eq("identities/frac-on-cube", "M_beta(chi_Q) = |Q|^{beta/dim} on Q",
+                 dev_frac.value, 0.0, tol, {"cube": dev_frac.witness}),
+        check_le("identities/frac-bound", "M_beta(chi_Q) <= |Q|^{beta/dim} everywhere",
+                 excess_frac.value, 0.0, tol, {"cube": excess_frac.witness}),
+    ]
 
-    def job_local(label: str, b: GridFunction) -> list[Check]:
-        worst = -1.0
-        wit = None
+    for label, b in bs:
+        local = Worst()
         for cube, loc in _local_max_by_cube(b, mode):
             chi = indicator(grid, cube)
             full = hl_max(b * chi, CubeFamilyMode.FULL).values[cube.slices()]
-            d = float(np.max(np.abs(full - loc)))
-            if d > worst:
-                worst, wit = d, cube
-        return [check_eq(
+            local.offer(float(np.max(np.abs(full - loc))), cube)
+        rows.append(check_eq(
             f"identities/local-on-cube/{label}",
             "M(b chi_Q) = M_Q(b) on Q for the full family",
-            worst, 0.0, tol, {"cube": wit},
-        )]
+            local.value, 0.0, tol, {"cube": local.witness},
+        ))
 
-    def job_median(label: str, b: GridFunction) -> list[Check]:
-        worst = -1.0
-        wit = None
+        split = Worst()
         for cube in cubes:
             block = b.values[cube.slices()]
             bq = average(b, cube)
             below = float(np.sum(np.where(block <= bq, bq - block, 0.0)))
             half = 0.5 * float(np.sum(np.abs(block - bq)))
-            d = abs(below - half)
-            if d > worst:
-                worst, wit = d, cube
-        return [check_eq(
+            split.offer(abs(below - half), cube)
+        rows.append(check_eq(
             f"identities/median-split/{label}",
             "sum over Q of (b - b_Q) splits evenly around the average",
-            worst, 0.0, tol, {"cube": wit},
-        )]
-
-    jobs: list[Job] = [job_indicator]
-    for label, b in bs:
-        jobs.append(lambda label=label, b=b: job_local(label, b))
-        jobs.append(lambda label=label, b=b: job_median(label, b))
-    return jobs
+            split.value, 0.0, tol, {"cube": split.witness},
+        ))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # lemmas: norm-level machinery with explicit constants.
 
 
-def _jobs_lemmas(cfg: ScenarioConfig) -> list[Job]:
+def _lemmas(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
     tol = cfg.tolerances.identity_tol
     beta = cfg.beta
     dim = grid.dim
     cubes = enumerate_cubes(grid, mode)
+    # No lemma uses b; its bank is built so that a bad spec is rejected here too.
+    _function_bank(grid, cfg.functions_b)
     fs = _function_bank(grid, cfg.functions_f)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
 
-    def job_lux(lq: str, q: VariableExponent) -> list[Check]:
-        worst_mod = -1.0
-        wit_mod = None
-        worst_hom = -1.0
-        wit_hom = None
+    def lux(lq: str, q: VariableExponent) -> list[Check]:
+        mod, hom = Worst(), Worst()
         for lf, f in fs:
             lam = lux_norm(f, q).value
             if lam == 0.0:
                 continue
-            d = abs(modular(f * (1.0 / lam), q) - 1.0)
-            if d > worst_mod:
-                worst_mod, wit_mod = d, lf
-            d = abs(lux_norm(2.0 * f, q).value - 2.0 * lam) / lam
-            if d > worst_hom:
-                worst_hom, wit_hom = d, lf
-        if wit_mod is None:
+            mod.offer(abs(modular(f * (1.0 / lam), q) - 1.0), lf)
+            hom.offer(abs(lux_norm(2.0 * f, q).value - 2.0 * lam) / lam, lf)
+        if not mod.count:
             return []
         return [
             check_eq(f"lemmas/unit-modular/{lq}", "modular at the norm equals one",
-                     worst_mod, 0.0, max(tol, 1e-10), {"f": wit_mod}),
+                     mod.value, 0.0, max(tol, 1e-10), {"f": mod.witness}),
             check_eq(f"lemmas/homogeneity/{lq}", "||2f||_q = 2 ||f||_q",
-                     worst_hom, 0.0, max(tol, 1e-10), {"f": wit_hom}),
+                     hom.value, 0.0, max(tol, 1e-10), {"f": hom.witness}),
         ]
 
-    def job_holder(lq: str, q: VariableExponent) -> list[Check]:
-        worst = np.inf
-        wit = None
+    def holder(lq: str, q: VariableExponent) -> list[Check]:
+        worst = Worst(lowest=True)
         for i, (lf, f) in enumerate(fs):
             for lg, g in fs[i:]:
-                defect = holder_defect(f, g, q)
-                if defect < worst:
-                    worst, wit = defect, (lf, lg)
-        if wit is None:
+                worst.offer(holder_defect(f, g, q), (lf, lg))
+        if not worst.count:
             return []
         return [check_ge(
             f"lemmas/holder/{lq}",
             "integral of |f g| <= (1 + 1/p_- - 1/p_+) ||f||_p ||g||_{p'}",
-            worst, 0.0, tol, {"pair": wit},
+            worst.value, 0.0, tol, {"pair": worst.witness},
         )]
 
-    def job_snorm(lq: str, q: VariableExponent) -> list[Check]:
-        worst = -1.0
-        wit = None
+    def snorm(lq: str, q: VariableExponent) -> list[Check]:
+        worst = Worst()
         for s in (0.5, 1.0, 1.5, 2.0):
             if s * q.p_minus < 1.0:
                 continue
             for lf, f in fs:
-                d = check_s_norm(f, q, s)
-                if d > worst:
-                    worst, wit = d, {"f": lf, "s": s}
-        if wit is None:
+                worst.offer(check_s_norm(f, q, s), {"f": lf, "s": s})
+        if not worst.count:
             return []
         return [check_eq(f"lemmas/s-norm/{lq}", "|| |f|^s ||_p = ||f||^s_{s p}",
-                         worst, 0.0, tol, wit)]
+                         worst.value, 0.0, tol, worst.witness)]
 
-    def job_duality(lq: str, q: VariableExponent) -> list[Check]:
-        rows = []
-        worst_low = np.inf
-        wit_low = None
-        top = -np.inf
-        wit_top = None
+    def duality(lq: str, q: VariableExponent) -> list[Check]:
+        low, top = Worst(lowest=True), Worst()
         for cube in cubes:
             prod = cube_duality_product(cube, q)
-            if prod < worst_low:
-                worst_low, wit_low = prod, cube
-            if prod > top:
-                top, wit_top = prod, cube
+            low.offer(prod, cube)
+            top.offer(prod, cube)
         if q.is_constant:
-            dev = max(abs(worst_low - 1.0), abs(top - 1.0))
-            rows.append(check_eq(
+            return [check_eq(
                 f"lemmas/duality/{lq}",
                 "(1/|Q|) ||chi_Q||_q ||chi_Q||_{q'} = 1 for constant q",
-                dev, 0.0, tol, {"cube": wit_top},
-            ))
-        else:
-            rows.append(check_ge(
+                max(abs(low.value - 1.0), abs(top.value - 1.0)), 0.0, tol,
+                {"cube": top.witness},
+            )]
+        return [
+            check_ge(
                 f"lemmas/duality-lower/{lq}",
                 "(1/|Q|) ||chi_Q||_q ||chi_Q||_{q'} >= 1/(1 + 1/q_- - 1/q_+)",
-                worst_low, 1.0 / holder_constant(q), tol, {"cube": wit_low},
-            ))
-            rows.append(report_row(
+                low.value, 1.0 / holder_constant(q), tol, {"cube": low.witness},
+            ),
+            report_row(
                 f"lemmas/duality-top/{lq}",
                 "largest normalized duality product over the family",
-                top, 1.0, {"cube": wit_top},
-            ))
-        return rows
+                top.value, 1.0, {"cube": top.witness},
+            ),
+        ]
 
-    def job_embedding(lp: str, pair: ExponentPair) -> list[Check]:
+    def embedding(lp: str, pair: ExponentPair) -> list[Check]:
         bound = embedding_bound(pair)
-        top = -np.inf
-        wit = None
+        top = Worst()
         for cube in cubes:
-            ratio = cube_embedding_ratio(cube, pair)
-            if ratio > top:
-                top, wit = ratio, cube
+            top.offer(cube_embedding_ratio(cube, pair), cube)
         rows = [check_le(
             f"lemmas/embedding/{lp}",
             "||chi_Q||_p <= C |Q|^{beta/dim} ||chi_Q||_q with derived C",
-            top, bound, tol, {"cube": wit, "bound": bound},
+            top.value, bound, tol, {"cube": top.witness, "bound": bound},
         )]
         if pair.p.is_constant:
             rows.append(check_eq(
                 f"lemmas/embedding-const/{lp}",
                 "||chi_Q||_p = |Q|^{beta/dim} ||chi_Q||_q for constant pairs",
-                abs(top - 1.0), 0.0, tol, {"cube": wit},
+                abs(top.value - 1.0), 0.0, tol, {"cube": top.witness},
             ))
         return rows
 
-    def job_split(lq: str, q: VariableExponent) -> list[Check]:
+    def split(lq: str, q: VariableExponent) -> list[Check]:
         rows = []
         qv = q.values.values
         base = _indicator_norms(grid, q, cubes)
@@ -458,36 +379,26 @@ def _jobs_lemmas(cfg: ScenarioConfig) -> list[Job]:
             q_rp = validate_p(q.values.with_values(rp * qv))
             big = _indicator_norms(grid, q_r, cubes)
             small = _indicator_norms(grid, q_rp, cubes)
-            dev_pow = -1.0
-            wit_pow = None
-            dev_prod = -1.0
-            wit_prod = None
+            power, product, gap = Worst(), Worst(), Worst()
             for cube in cubes:
-                d = abs(big[cube] - base[cube] ** (1.0 / r))
-                if d > dev_pow:
-                    dev_pow, wit_pow = d, cube
-                d = abs(big[cube] * small[cube] - base[cube])
-                if d > dev_prod:
-                    dev_prod, wit_prod = d, cube
-            worst_h = -np.inf
-            wit_h = None
+                power.offer(abs(big[cube] - base[cube] ** (1.0 / r)), cube)
+                product.offer(abs(big[cube] * small[cube] - base[cube]), cube)
             for i, (lf, f) in enumerate(fs):
                 for lg, g in fs[i:]:
-                    gap = lux_norm(f * g, q).value - lux_norm(f, q_r).value * lux_norm(g, q_rp).value
-                    if gap > worst_h:
-                        worst_h, wit_h = gap, (lf, lg)
+                    gap.offer(lux_norm(f * g, q).value
+                              - lux_norm(f, q_r).value * lux_norm(g, q_rp).value, (lf, lg))
             rows.extend([
                 check_eq(f"lemmas/split-power/{lq}/r{r:g}",
                          "||chi_Q||_{r q} = ||chi_Q||_q^{1/r}",
-                         dev_pow, 0.0, tol, {"cube": wit_pow}),
+                         power.value, 0.0, tol, {"cube": power.witness}),
                 check_eq(f"lemmas/split-product/{lq}/r{r:g}",
                          "||chi_Q||_{r q} ||chi_Q||_{r' q} = ||chi_Q||_q",
-                         dev_prod, 0.0, tol, {"cube": wit_prod}),
+                         product.value, 0.0, tol, {"cube": product.witness}),
             ])
-            if wit_h is not None:
+            if gap.count:
                 rows.append(check_le(f"lemmas/split-holder/{lq}/r{r:g}",
                                      "||f g||_q <= ||f||_{r q} ||g||_{r' q}",
-                                     worst_h, 0.0, tol, {"pair": wit_h}))
+                                     gap.value, 0.0, tol, {"pair": gap.witness}))
         r_split = dim / (dim - beta) + 1.0
         q0, _, p0 = split_exponents(q, beta, r_split)
         rebuilt = build_pair(p0, beta)
@@ -499,31 +410,86 @@ def _jobs_lemmas(cfg: ScenarioConfig) -> list[Job]:
         ))
         return rows
 
-    def job_logholder(lq: str, q: VariableExponent) -> list[Check]:
-        return [report_row(
+    rows: list[Check] = []
+    for lq, q in qs:
+        rows += lux(lq, q)
+        rows += holder(lq, q)
+        rows += snorm(lq, q)
+        rows += duality(lq, q)
+        rows += split(lq, q)
+        rows.append(report_row(
             f"lemmas/log-holder/{lq}",
             "log-Holder modulus of the exponent",
             q.log_holder_const, 0.0, {"exact": q.log_holder_exact},
-        )]
-
-    jobs: list[Job] = []
-    for lq, q in qs:
-        jobs.append(lambda lq=lq, q=q: job_lux(lq, q))
-        jobs.append(lambda lq=lq, q=q: job_holder(lq, q))
-        jobs.append(lambda lq=lq, q=q: job_snorm(lq, q))
-        jobs.append(lambda lq=lq, q=q: job_duality(lq, q))
-        jobs.append(lambda lq=lq, q=q: job_split(lq, q))
-        jobs.append(lambda lq=lq, q=q: job_logholder(lq, q))
+        ))
     for lp, pair in pairs:
-        jobs.append(lambda lp=lp, pair=pair: job_embedding(lp, pair))
-    return jobs
+        rows += embedding(lp, pair)
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# theorem1: commutator with the maximal operator.
+# theorem1 and theorem2: commutators [b, M] and [b, M#].
 
 
-def _jobs_theorem1(cfg: ScenarioConfig) -> list[Job]:
+def _commutator_checks(theorem: str, op: str, const: float, comm: Callable,
+                       tag: Callable[[GridFunction], OperatorTag],
+                       fs: list[tuple[str, GridFunction]], beta: float, factor: float,
+                       mode: CubeFamilyMode, tol: float):
+    """The rows theorem1 ([b, M], const 1) and theorem2 ([b, M#], const 2) share:
+    the pointwise bound |[b, T]f| <= const M_b f, its norm chain, and the
+    operator-norm lower bound, as the functions (pointwise, chain, opnorm)."""
+    times = "" if const == 1.0 else f"{const:g} "
+
+    def pointwise(lb: str, b: GridFunction) -> list[Check]:
+        worst = Worst()
+        for lf, f in fs:
+            worst.offer(float(np.max(
+                np.abs(comm(b, f, mode).values) - const * max_commutator(b, f, mode).values
+            )), lf)
+        if not worst.count:
+            return []
+        return [check_le(
+            f"{theorem}/pointwise/{lb}",
+            f"|[b, {op}]f| <= {times}M_b f pointwise for b >= 0",
+            worst.value, 0.0, tol, {"b": lb, "f": worst.witness},
+        )]
+
+    def chain(lb: str, b: GridFunction, lip: LipResult, lq: str,
+              q: VariableExponent) -> list[Check]:
+        worst = Worst()
+        for lf, f in fs:
+            lhs = lux_norm(comm(b, f, mode), q).value
+            rhs = const * factor * lip.value * lux_norm(frac_max(f, beta, mode), q).value
+            worst.offer(lhs - rhs, lf)
+        if not worst.count:
+            return []
+        return [check_le(
+            f"{theorem}/norm-chain/{lb}/{lq}",
+            f"||[b, {op}]f||_q <= {times}dim^{{beta/2}} Lip_beta(b) ||M_beta f||_q for b >= 0",
+            worst.value, 0.0, tol, {"b": lb, "f": worst.witness},
+        )]
+
+    def opnorm(lb: str, b: GridFunction, lp: str, pair: ExponentPair) -> list[Check]:
+        return _opnorm_row(f"{theorem}/opnorm/{lb}/{lp}", f"[b, {op}]", tag(b), pair, fs, mode,
+                           {"b": lb, "pair": lp})
+
+    return pointwise, chain, opnorm
+
+
+def _opnorm_row(check_id: str, op: str, tag: OperatorTag, pair: ExponentPair,
+                fs: list[tuple[str, GridFunction]], mode: CubeFamilyMode,
+                witness: dict) -> list[Check]:
+    """Operator-norm lower bound from p to the paired q over the f bank; none without one."""
+    if not fs:
+        return []
+    value = opnorm_lower(tag, pair.p, pair.q, [f for _, f in fs], mode)
+    return [report_row(
+        check_id, f"operator norm lower bound for {op} from p to the paired q",
+        value, 0.0, witness,
+    )]
+
+
+def _theorem1(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
     tol = cfg.tolerances.identity_tol
@@ -533,131 +499,72 @@ def _jobs_theorem1(cfg: ScenarioConfig) -> list[Job]:
     fs = _function_bank(grid, cfg.functions_f)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
-    lips = {label: lip_seminorm(b, beta) for label, b in bs}
+    pointwise, chain, opnorm = _commutator_checks(
+        "theorem1", "M", 1.0, comm_m, OperatorTag.comm_m, fs, beta, factor, mode, tol)
 
-    def job_pointwise(lb: str, b: GridFunction) -> list[Check]:
-        worst = -np.inf
-        wit = None
-        for lf, f in fs:
-            gap = float(np.max(
-                np.abs(comm_m(b, f, mode).values) - max_commutator(b, f, mode).values
-            ))
-            if gap > worst:
-                worst, wit = gap, lf
-        return [check_le(
-            f"theorem1/pointwise/{lb}",
-            "|[b, M]f| <= M_b f pointwise for b >= 0",
-            worst, 0.0, tol, {"b": lb, "f": wit},
-        )]
+    rows: list[Check] = []
+    for lb, b in bs:
+        lip = lip_seminorm(b, beta)
+        nonneg = float(b.values.min()) >= 0.0
+        if nonneg:
+            rows += pointwise(lb, b)
 
-    def job_smoothing(lb: str, b: GridFunction) -> list[Check]:
-        lip = lips[lb]
-        worst = -np.inf
-        wit = None
+        smooth = Worst()
         for lf, f in fs:
             bound = factor * lip.value * frac_max(f, beta, mode).values
-            gap = float(np.max(max_commutator(b, f, mode).values - bound))
-            if gap > worst:
-                worst, wit = gap, lf
-        return [check_le(
-            f"theorem1/smoothing/{lb}",
-            "M_b f <= dim^{beta/2} Lip_beta(b) M_beta f pointwise",
-            worst, 0.0, tol, {"b": lb, "f": wit, "lip": lip.value, "lip_exact": lip.exact},
-        )]
+            smooth.offer(float(np.max(max_commutator(b, f, mode).values - bound)), lf)
+        if smooth.count:
+            rows.append(check_le(
+                f"theorem1/smoothing/{lb}",
+                "M_b f <= dim^{beta/2} Lip_beta(b) M_beta f pointwise",
+                smooth.value, 0.0, tol,
+                {"b": lb, "f": smooth.witness, "lip": lip.value, "lip_exact": lip.exact},
+            ))
 
-    def job_chain(lb: str, b: GridFunction, lq: str, q: VariableExponent) -> list[Check]:
-        lip = lips[lb]
-        worst = -np.inf
-        wit = None
-        for lf, f in fs:
-            lhs = lux_norm(comm_m(b, f, mode), q).value
-            rhs = factor * lip.value * lux_norm(frac_max(f, beta, mode), q).value
-            if lhs - rhs > worst:
-                worst, wit = lhs - rhs, lf
-        return [check_le(
-            f"theorem1/norm-chain/{lb}/{lq}",
-            "||[b, M]f||_q <= dim^{beta/2} Lip_beta(b) ||M_beta f||_q for b >= 0",
-            worst, 0.0, tol, {"b": lb, "f": wit},
-        )]
-
-    def job_recovery(lb: str, b: GridFunction) -> list[Check]:
         # The localized maximal function is a full-family object, so this
         # sweep always runs the full family regardless of the config.
-        worst_half = np.inf
-        wit_half = None
-        worst_dom = np.inf
-        worst_neg = np.inf
-        wit_neg = None
+        half, dom, neg = Worst(lowest=True), Worst(lowest=True), Worst(lowest=True)
         for cube, loc in _local_max_by_cube(b, CubeFamilyMode.FULL):
             block = b.values[cube.slices()]
             diff = loc - block
-            worst_dom = min(worst_dom, float(diff.min()))
+            dom.offer(float(diff.min()))
             bq = average(b, cube)
-            gap = float(np.mean(np.abs(diff))) - 0.5 * float(np.mean(np.abs(block - bq)))
-            if gap < worst_half:
-                worst_half, wit_half = gap, cube
-            gap = float(np.mean(np.abs(diff))) - float(np.mean(np.maximum(-block, 0.0)))
-            if gap < worst_neg:
-                worst_neg, wit_neg = gap, cube
-        return [
+            half.offer(float(np.mean(np.abs(diff))) - 0.5 * float(np.mean(np.abs(block - bq))),
+                       cube)
+            neg.offer(float(np.mean(np.abs(diff))) - float(np.mean(np.maximum(-block, 0.0))),
+                      cube)
+        rows += [
             check_ge(f"theorem1/local-dominates/{lb}", "M_Q(b) >= b on Q",
-                     worst_dom, 0.0, tol, {"b": lb}),
+                     dom.value, 0.0, tol, {"b": lb}),
             check_ge(f"theorem1/recovery-half/{lb}",
                      "avg_Q |b - M_Q b| >= (1/2) avg_Q |b - b_Q|",
-                     worst_half, 0.0, tol, {"cube": wit_half}),
+                     half.value, 0.0, tol, {"cube": half.witness}),
             check_ge(f"theorem1/recovery-negative/{lb}",
                      "avg_Q of the negative part of b <= avg_Q |M_Q b - b|",
-                     worst_neg, 0.0, tol, {"cube": wit_neg}),
+                     neg.value, 0.0, tol, {"cube": neg.witness}),
         ]
 
-    def job_lambda(lb: str, b: GridFunction, lq: str, q: VariableExponent) -> list[Check]:
-        lip = lips[lb]
-        lam = lambda_var(b, beta, q, mode)
-        rows = [report_row(
-            f"theorem1/lambda-var/{lb}/{lq}",
-            "oscillation functional centered at cube averages",
-            lam.value, factor * lip.value, {"cube": lam.witness},
-        )]
-        if lip.exact:
-            rows.append(check_le(
-                f"theorem1/lambda-upper/{lb}/{lq}",
-                "lambda_var(b) <= dim^{beta/2} Lip_beta(b)",
-                lam.value, factor * lip.value, tol, {"cube": lam.witness},
-            ))
-        return rows
-
-    def job_opnorm(lb: str, b: GridFunction, lp: str, pair: ExponentPair) -> list[Check]:
-        value = opnorm_lower(OperatorTag.comm_m(b), pair.p, pair.q,
-                             [f for _, f in fs], mode)
-        return [report_row(
-            f"theorem1/opnorm/{lb}/{lp}",
-            "operator norm lower bound for [b, M] from p to the paired q",
-            value, 0.0, {"b": lb, "pair": lp},
-        )]
-
-    jobs: list[Job] = []
-    for lb, b in bs:
-        nonneg = float(b.values.min()) >= 0.0
-        if fs and nonneg:
-            jobs.append(lambda lb=lb, b=b: job_pointwise(lb, b))
-        if fs:
-            jobs.append(lambda lb=lb, b=b: job_smoothing(lb, b))
-        jobs.append(lambda lb=lb, b=b: job_recovery(lb, b))
         for lq, q in qs:
-            if fs and nonneg:
-                jobs.append(lambda lb=lb, b=b, lq=lq, q=q: job_chain(lb, b, lq, q))
-            jobs.append(lambda lb=lb, b=b, lq=lq, q=q: job_lambda(lb, b, lq, q))
-        if fs:
-            for lp, pair in pairs:
-                jobs.append(lambda lb=lb, b=b, lp=lp, pair=pair: job_opnorm(lb, b, lp, pair))
-    return jobs
+            if nonneg:
+                rows += chain(lb, b, lip, lq, q)
+            lam = lambda_var(b, beta, q, mode)
+            rows.append(report_row(
+                f"theorem1/lambda-var/{lb}/{lq}",
+                "oscillation functional centered at cube averages",
+                lam.value, factor * lip.value, {"cube": lam.witness},
+            ))
+            if lip.exact:
+                rows.append(check_le(
+                    f"theorem1/lambda-upper/{lb}/{lq}",
+                    "lambda_var(b) <= dim^{beta/2} Lip_beta(b)",
+                    lam.value, factor * lip.value, tol, {"cube": lam.witness},
+                ))
+        for lp, pair in pairs:
+            rows += opnorm(lb, b, lp, pair)
+    return rows
 
 
-# ---------------------------------------------------------------------------
-# theorem2: commutator with the sharp maximal operator.
-
-
-def _jobs_theorem2(cfg: ScenarioConfig) -> list[Job]:
+def _theorem2(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
     tol = cfg.tolerances.identity_tol
@@ -668,101 +575,52 @@ def _jobs_theorem2(cfg: ScenarioConfig) -> list[Job]:
     fs = _function_bank(grid, cfg.functions_f)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
-    lips = {label: lip_seminorm(b, beta) for label, b in bs}
+    pointwise, chain, opnorm = _commutator_checks(
+        "theorem2", "M#", 2.0, comm_sharp, OperatorTag.comm_sharp, fs, beta, factor, mode, tol)
 
-    def job_pointwise(lb: str, b: GridFunction) -> list[Check]:
-        worst = -np.inf
-        wit = None
-        for lf, f in fs:
-            gap = float(np.max(
-                np.abs(comm_sharp(b, f, mode).values)
-                - 2.0 * max_commutator(b, f, mode).values
-            ))
-            if gap > worst:
-                worst, wit = gap, lf
-        return [check_le(
-            f"theorem2/pointwise/{lb}",
-            "|[b, M#]f| <= 2 M_b f pointwise for b >= 0",
-            worst, 0.0, tol, {"b": lb, "f": wit},
-        )]
+    rows: list[Check] = []
+    for lb, b in bs:
+        lip = lip_seminorm(b, beta)
+        nonneg = float(b.values.min()) >= 0.0
+        if nonneg:
+            rows += pointwise(lb, b)
 
-    def job_chain(lb: str, b: GridFunction, lq: str, q: VariableExponent) -> list[Check]:
-        lip = lips[lb]
-        worst = -np.inf
-        wit = None
-        for lf, f in fs:
-            lhs = lux_norm(comm_sharp(b, f, mode), q).value
-            rhs = 2.0 * factor * lip.value * lux_norm(frac_max(f, beta, mode), q).value
-            if lhs - rhs > worst:
-                worst, wit = lhs - rhs, lf
-        return [check_le(
-            f"theorem2/norm-chain/{lb}/{lq}",
-            "||[b, M#]f||_q <= 2 dim^{beta/2} Lip_beta(b) ||M_beta f||_q for b >= 0",
-            worst, 0.0, tol, {"b": lb, "f": wit},
-        )]
-
-    def job_mean_recovery(lb: str, b: GridFunction) -> list[Check]:
-        worst = -np.inf
-        wit = None
-        used = 0
+        recovered = Worst()
         for cube in cubes:
             container = _containing_cube(grid, cube, mode)
             if container is None:
                 continue
-            used += 1
             t = (container.side_cells / cube.side_cells) ** grid.dim
             const = t * t / (2.0 * (t - 1.0))
             sharp = sharp_max(b * indicator(grid, cube), mode).values
             floor = float(sharp[cube.slices()].min())
-            gap = abs(average(b, cube)) - const * floor
-            if gap > worst:
-                worst, wit = gap, {"cube": cube, "ratio": t}
-        if not used:
-            return []
-        return [check_le(
-            f"theorem2/mean-recovery/{lb}",
-            "|b_Q| <= t^2/(2(t-1)) M#(b chi_Q) on Q, t the containing volume ratio",
-            worst, 0.0, tol, wit,
-        )]
+            recovered.offer(abs(average(b, cube)) - const * floor, {"cube": cube, "ratio": t})
+        if recovered.count:
+            rows.append(check_le(
+                f"theorem2/mean-recovery/{lb}",
+                "|b_Q| <= t^2/(2(t-1)) M#(b chi_Q) on Q, t the containing volume ratio",
+                recovered.value, 0.0, tol, recovered.witness,
+            ))
 
-    def job_lambda(lb: str, b: GridFunction, lq: str, q: VariableExponent) -> list[Check]:
-        lam = lambda_sharp(b, beta, q, mode)
-        return [report_row(
-            f"theorem2/lambda-sharp/{lb}/{lq}",
-            "oscillation functional centered at twice the sharp maximal function",
-            lam.value, 0.0, {"cube": lam.witness},
-        )]
-
-    def job_opnorm(lb: str, b: GridFunction, lp: str, pair: ExponentPair) -> list[Check]:
-        value = opnorm_lower(OperatorTag.comm_sharp(b), pair.p, pair.q,
-                             [f for _, f in fs], mode)
-        return [report_row(
-            f"theorem2/opnorm/{lb}/{lp}",
-            "operator norm lower bound for [b, M#] from p to the paired q",
-            value, 0.0, {"b": lb, "pair": lp},
-        )]
-
-    jobs: list[Job] = []
-    for lb, b in bs:
-        nonneg = float(b.values.min()) >= 0.0
-        if fs and nonneg:
-            jobs.append(lambda lb=lb, b=b: job_pointwise(lb, b))
-        jobs.append(lambda lb=lb, b=b: job_mean_recovery(lb, b))
         for lq, q in qs:
-            if fs and nonneg:
-                jobs.append(lambda lb=lb, b=b, lq=lq, q=q: job_chain(lb, b, lq, q))
-            jobs.append(lambda lb=lb, b=b, lq=lq, q=q: job_lambda(lb, b, lq, q))
-        if fs:
-            for lp, pair in pairs:
-                jobs.append(lambda lb=lb, b=b, lp=lp, pair=pair: job_opnorm(lb, b, lp, pair))
-    return jobs
+            if nonneg:
+                rows += chain(lb, b, lip, lq, q)
+            lam = lambda_sharp(b, beta, q, mode)
+            rows.append(report_row(
+                f"theorem2/lambda-sharp/{lb}/{lq}",
+                "oscillation functional centered at twice the sharp maximal function",
+                lam.value, 0.0, {"cube": lam.witness},
+            ))
+        for lp, pair in pairs:
+            rows += opnorm(lb, b, lp, pair)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # theorem3: the maximal commutator itself.
 
 
-def _jobs_theorem3(cfg: ScenarioConfig) -> list[Job]:
+def _theorem3(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
     tol = cfg.tolerances.identity_tol
@@ -774,30 +632,10 @@ def _jobs_theorem3(cfg: ScenarioConfig) -> list[Job]:
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
 
-    def job_lower(lb: str, b: GridFunction) -> list[Check]:
-        worst = np.inf
-        wit = None
-        for cube in cubes:
-            cells = _cube_cells(cube, dim)
-            vals = max_commutator_at_cells(b, indicator(grid, cube), cells, mode)
-            bq = average(b, cube)
-            dev = np.abs(b.values[cube.slices()].reshape(-1) - bq)
-            gap = float(np.min(vals - dev))
-            if gap < worst:
-                worst, wit = gap, cube
-        return [check_ge(
-            f"theorem3/pointwise-lower/{lb}",
-            "|b(x) - b_Q| <= M_b(chi_Q)(x) on Q",
-            worst, 0.0, tol, {"cube": wit},
-        )]
-
-    def job_ratio(lb: str, b: GridFunction, lq: str, q: VariableExponent) -> list[Check]:
+    def ratio(lb: str, b: GridFunction, lq: str, q: VariableExponent) -> list[Check]:
         qv = q.values.values
         cm = grid.cell_measure
-        worst = -np.inf
-        wit = None
-        top = -np.inf
-        wit_top = None
+        worst, top = Worst(), Worst()
         by_side: dict[int, list[Cube]] = {}
         for cube in cubes:
             by_side.setdefault(cube.side_cells, []).append(cube)
@@ -820,65 +658,57 @@ def _jobs_theorem3(cfg: ScenarioConfig) -> list[Job]:
             for r, cube in enumerate(group):
                 lhs = scale * float(osc[r]) / float(den[r])
                 rhs = scale * float(mb[r]) / float(den[r])
-                if lhs - rhs > worst:
-                    worst, wit = lhs - rhs, cube
-                if rhs > top:
-                    top, wit_top = rhs, cube
+                worst.offer(lhs - rhs, cube)
+                top.offer(rhs, cube)
         return [
             check_le(
                 f"theorem3/ratio-dominated/{lb}/{lq}",
                 "oscillation ratio of b - b_Q is dominated by the M_b(chi_Q) ratio",
-                worst, 0.0, tol, {"cube": wit},
+                worst.value, 0.0, tol, {"cube": worst.witness},
             ),
             report_row(
                 f"theorem3/mb-functional/{lb}/{lq}",
                 "oscillation functional built from M_b(chi_Q)",
-                top, 0.0, {"cube": wit_top},
+                top.value, 0.0, {"cube": top.witness},
             ),
         ]
 
-    def job_opnorm(lb: str, b: GridFunction, lp: str, pair: ExponentPair) -> list[Check]:
-        value = opnorm_lower(OperatorTag.max_commutator(b), pair.p, pair.q,
-                             [f for _, f in fs], mode)
-        return [report_row(
-            f"theorem3/opnorm/{lb}/{lp}",
-            "operator norm lower bound for M_b from p to the paired q",
-            value, 0.0, {"b": lb, "pair": lp},
-        )]
-
-    def job_frac(lp: str, pair: ExponentPair) -> list[Check]:
-        value = opnorm_lower(OperatorTag.fractional(beta), pair.p, pair.q,
-                             [f for _, f in fs], mode)
-        return [report_row(
-            f"theorem3/frac-opnorm/{lp}",
-            "operator norm lower bound for M_beta from p to the paired q",
-            value, 0.0, {"pair": lp},
-        )]
-
-    jobs: list[Job] = []
+    rows: list[Check] = []
     for lb, b in bs:
-        jobs.append(lambda lb=lb, b=b: job_lower(lb, b))
+        lower = Worst(lowest=True)
+        for cube in cubes:
+            cells = _cube_cells(cube, dim)
+            vals = max_commutator_at_cells(b, indicator(grid, cube), cells, mode)
+            bq = average(b, cube)
+            dev = np.abs(b.values[cube.slices()].reshape(-1) - bq)
+            lower.offer(float(np.min(vals - dev)), cube)
+        rows.append(check_ge(
+            f"theorem3/pointwise-lower/{lb}",
+            "|b(x) - b_Q| <= M_b(chi_Q)(x) on Q",
+            lower.value, 0.0, tol, {"cube": lower.witness},
+        ))
         for lq, q in qs:
-            jobs.append(lambda lb=lb, b=b, lq=lq, q=q: job_ratio(lb, b, lq, q))
-        if fs:
-            for lp, pair in pairs:
-                jobs.append(lambda lb=lb, b=b, lp=lp, pair=pair: job_opnorm(lb, b, lp, pair))
-    if fs:
+            rows += ratio(lb, b, lq, q)
         for lp, pair in pairs:
-            jobs.append(lambda lp=lp, pair=pair: job_frac(lp, pair))
-    return jobs
+            rows += _opnorm_row(f"theorem3/opnorm/{lb}/{lp}", "M_b",
+                                OperatorTag.max_commutator(b), pair, fs, mode,
+                                {"b": lb, "pair": lp})
+    for lp, pair in pairs:
+        rows += _opnorm_row(f"theorem3/frac-opnorm/{lp}", "M_beta", OperatorTag.fractional(beta),
+                            pair, fs, mode, {"pair": lp})
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # normequiv: the oscillation functional against the pairwise seminorm.
 
 
-def _jobs_normequiv(cfg: ScenarioConfig) -> list[Job]:
+def _normequiv(cfg: ScenarioConfig) -> list[Check]:
     beta = cfg.beta
     tol = cfg.tolerances.identity_tol
     mode = cfg.cube_family
 
-    def job_pair(b_spec: dict, q_spec: dict) -> list[Check]:
+    def pair_rows(b_spec: dict, q_spec: dict) -> list[Check]:
         rows: list[Check] = []
         ratios: dict[int, float] = {}
         for n in cfg.refinements:
@@ -936,18 +766,15 @@ def _jobs_normequiv(cfg: ScenarioConfig) -> list[Job]:
             ))
         return rows
 
-    jobs: list[Job] = []
-    for b_spec in cfg.functions_b:
-        for q_spec in cfg.exponents:
-            jobs.append(lambda b_spec=b_spec, q_spec=q_spec: job_pair(b_spec, q_spec))
-    return jobs
+    return [row for b_spec in cfg.functions_b for q_spec in cfg.exponents
+            for row in pair_rows(b_spec, q_spec)]
 
 
 # ---------------------------------------------------------------------------
 # counterexamples: functionals that blow up under refinement.
 
 
-def _jobs_counterexamples(cfg: ScenarioConfig) -> list[Job]:
+def _counterexamples(cfg: ScenarioConfig) -> list[Check]:
     beta = cfg.beta
     tol = cfg.tolerances.identity_tol
     mode = cfg.cube_family
@@ -961,7 +788,7 @@ def _jobs_counterexamples(cfg: ScenarioConfig) -> list[Job]:
             float(np.max(np.abs(np.diff(v, axis=1)))),
         )
 
-    def job_symbol(b_spec: dict, q_spec: dict) -> list[Check]:
+    def symbol_rows(b_spec: dict, q_spec: dict) -> list[Check]:
         rows: list[Check] = []
         stars: dict[int, float] = {}
         is_const = False
@@ -1061,21 +888,18 @@ def _jobs_counterexamples(cfg: ScenarioConfig) -> list[Job]:
                 ))
         return rows
 
-    jobs: list[Job] = []
-    for b_spec in cfg.functions_b:
-        for q_spec in cfg.exponents:
-            jobs.append(lambda b_spec=b_spec, q_spec=q_spec: job_symbol(b_spec, q_spec))
-    return jobs
+    return [row for b_spec in cfg.functions_b for q_spec in cfg.exponents
+            for row in symbol_rows(b_spec, q_spec)]
 
 
-_BUILDERS: dict[str, Callable[[ScenarioConfig], list[Job]]] = {
-    "identities": _jobs_identities,
-    "lemmas": _jobs_lemmas,
-    "theorem1": _jobs_theorem1,
-    "theorem2": _jobs_theorem2,
-    "theorem3": _jobs_theorem3,
-    "normequiv": _jobs_normequiv,
-    "counterexamples": _jobs_counterexamples,
+_BUILDERS: dict[str, Callable[[ScenarioConfig], list[Check]]] = {
+    "identities": _identities,
+    "lemmas": _lemmas,
+    "theorem1": _theorem1,
+    "theorem2": _theorem2,
+    "theorem3": _theorem3,
+    "normequiv": _normequiv,
+    "counterexamples": _counterexamples,
 }
 
 SCENARIO_ORDER = tuple(_BUILDERS)
@@ -1090,9 +914,9 @@ def run_scenario(scenario: str, raw: dict | None = None) -> Report:
             "scenarios": {name: cfg.echo() for name, cfg in cfgs.items()},
         })
         for name in SCENARIO_ORDER:
-            report.checks.extend(_run_jobs(_BUILDERS[name](cfgs[name])))
+            report.checks.extend(_BUILDERS[name](cfgs[name]))
         return report
     cfg = parse_config(scenario, raw)
     report = new_report(scenario, cfg.echo())
-    report.checks.extend(_run_jobs(_BUILDERS[scenario](cfg)))
+    report.checks.extend(_BUILDERS[scenario](cfg))
     return report

@@ -1,0 +1,105 @@
+"""Suprema with their witnesses: a running worst case and the cell-pair sweep.
+
+Every quantity maxlip reports is an extremum over a finite family (cubes,
+bank functions, cell pairs) together with the member attaining it.
+``Worst`` tracks one such extremum.  ``pair_sweep`` takes the supremum over
+cell-center pairs of a score of |f(x) - f(y)| and |x - y|: the Lip_beta
+seminorm of a symbol and the log-Holder modulus of an exponent are two
+scores of the same sweep.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from .grid import GridFunction
+
+# Exact pair sweeps stay cheap up to these cells per axis; beyond them the
+# sweep scores the adjacent pairs plus a seeded sample of pairs.
+_EXACT_PAIRS = {1: 4096, 2: 64}
+_SAMPLE_PAIRS = 4096
+_SAMPLE_SEED = 0
+
+
+class Worst:
+    """The largest (or, with lowest=True, smallest) value offered, and its witness.
+
+    The first value offered is taken; a later one replaces it only when it is
+    strictly better, so ties keep the earliest witness.  ``count`` is the
+    number of values offered: a sweep that offered none saw nothing, and has
+    no value to report.
+    """
+
+    __slots__ = ("value", "witness", "count", "lowest")
+
+    def __init__(self, lowest: bool = False):
+        self.value = None
+        self.witness = None
+        self.count = 0
+        self.lowest = lowest
+
+    def offer(self, value, witness=None) -> None:
+        if not self.count or (value < self.value if self.lowest else value > self.value):
+            self.value, self.witness = value, witness
+        self.count += 1
+
+
+def pair_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:
+    """Supremum over cell-center pairs of score(|f(x) - f(y)|, |x - y|).
+
+    Returns the value, the attaining pair of cells and whether every pair
+    was seen.  Up to N = 4096 (dim 1) or N = 64 (dim 2) every offset is
+    swept and only its largest difference is scored, so score must be
+    nondecreasing in the difference; it then gets Python floats.  Larger
+    grids score the adjacent offsets the same way, then a seeded sample of
+    pairs as numpy arrays, and return a lower bound.  The supremum starts
+    at 0 with no witness, which is what a constant f returns.
+    """
+    grid = f.grid
+    v = f.values
+    n, dim, h = grid.cells_per_axis, grid.dim, grid.spacing
+    exact = n <= _EXACT_PAIRS[dim]
+    if exact:
+        # Offsets lexicographically above zero meet each unordered pair once.
+        ranges = [range(n)] + [range(1 - n, n)] * (dim - 1)
+        offsets = [o for o in itertools.product(*ranges) if o > (0,) * dim]
+    else:
+        offsets = [tuple(int(a == b) for b in range(dim)) for a in range(dim)]
+    # Along an axis, offset component c pairs the cells x of the first slice
+    # with the cells y = x - c of the second.
+    cut = {c: (slice(c, n), slice(0, n - c)) if c >= 0 else (slice(0, n + c), slice(-c, n))
+           for c in {c for o in offsets for c in o}}
+
+    def diffs(o: tuple[int, ...]) -> np.ndarray:
+        x, y = zip(*map(cut.get, o))
+        return np.abs(v[x] - v[y])
+
+    best = Worst()
+    best.offer(0.0)
+    for o in offsets:
+        d = diffs(o).reshape(-1)
+        best.offer(score(float(d[d.argmax()]), h * math.hypot(*o)), o)
+    if best.witness is not None:
+        o = best.witness
+        start = np.unravel_index(int(diffs(o).argmax()), tuple(n - abs(c) for c in o))
+        x = tuple(int(s) + max(c, 0) for s, c in zip(start, o))
+        y = tuple(int(s) + max(-c, 0) for s, c in zip(start, o))
+        # 1-D pairs are listed in increasing order, 2-D pairs offset cell first.
+        best.witness = (y, x) if dim == 1 else (x, y)
+    if not exact:
+        flat = v.reshape(-1)
+        coords = np.indices(v.shape).reshape(dim, -1).T
+        rng = np.random.default_rng(_SAMPLE_SEED)
+        a = rng.integers(0, flat.size, size=_SAMPLE_PAIRS)
+        c = rng.integers(0, flat.size, size=_SAMPLE_PAIRS)
+        keep = a != c
+        a, c = a[keep], c[keep]
+        dist = h * np.sqrt(((coords[a] - coords[c]) ** 2).sum(axis=1))
+        scores = score(np.abs(flat[a] - flat[c]), dist)
+        i = int(np.argmax(scores))
+        pair = tuple(tuple(int(t) for t in coords[j]) for j in (a[i], c[i]))
+        best.offer(float(scores[i]), pair)
+    return best.value, best.witness, exact

@@ -12,8 +12,10 @@ import pytest
 import maxlip
 
 from maxlip import (
+    KNOWN_SCENARIOS,
     ConfigError,
     make_grid,
+    parse_config,
     read_gridfunction_csv,
     report_from_json,
     run_scenario,
@@ -82,6 +84,16 @@ def test_unknown_scenario_and_key_rejected():
         run_scenario("identities", {"grdi": {}})
 
 
+def test_config_echo_parses_back_to_itself():
+    for scenario in KNOWN_SCENARIOS:
+        echo = parse_config(scenario, None).echo()
+        assert echo["tolerances"] == {"identity_tol": 1e-9}
+        raw = {key: value for key, value in echo.items() if key != "scenario"}
+        assert parse_config(scenario, raw).echo() == echo, scenario
+    with pytest.raises(ConfigError, match=r"unknown keys \['oracle_tol'\]"):
+        parse_config("lemmas", {"tolerances": {"oracle_tol": 1e-12}})
+
+
 def test_report_json_round_trip(tmp_path):
     rep = run_scenario("identities", {"grid": {"dim": 1, "cells": 8}})
     path = tmp_path / "rep.json"
@@ -121,13 +133,6 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     code = main(["verify", "lemmas", "--config", str(cfg)])
     assert code == 2
     assert "admissibility requires 1 < p_-" in capsys.readouterr().err
-
-
-def test_cli_bad_thread_env_exit_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MAXLIP_THREADS", "abc")
-    code = main(["verify", "identities"])
-    assert code == 2
-    assert "MAXLIP_THREADS" in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_exit_code(tmp_path, capsys):
@@ -203,16 +208,25 @@ def test_cli_compute_scalar_output(tmp_path):
     assert float(out.read_text()) == pytest.approx(8.0, rel=1e-9)
 
 
-def test_lemmas_with_empty_banks_emit_no_vacuous_row(tmp_path):
+@pytest.mark.parametrize("scenario, count", [
+    ("identities", 6), ("lemmas", 18), ("theorem1", 0), ("theorem2", 0), ("theorem3", 0),
+    ("normequiv", 0), ("counterexamples", 0),
+])
+def test_empty_banks_emit_no_vacuous_row(tmp_path, scenario, count):
+    # A sweep over an empty bank emits no row, never a worst-case sentinel.
     raw = {"grid": {"cells": 8}, "functions": {"b": [], "f": []}}
-    rep = run_scenario("lemmas", raw)
-    assert not rep.has_failures
-    swept = ("unit-modular", "homogeneity", "s-norm", "holder", "split-holder")
-    assert not [c.check_id for c in rep.checks if c.check_id.split("/")[1] in swept]
-    assert all(c.lhs != -1.0 for c in rep.checks)
+    if scenario in ("normequiv", "counterexamples"):
+        raw["refinements"] = [8, 16]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
-    assert main(["verify", "lemmas", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+    out = tmp_path / "r.json"
+    assert main(["verify", scenario, "--config", str(cfg), "--out", str(out)]) == 0
+    checks = report_from_json(out.read_text()).checks
+    assert len(checks) == count
+    assert not [c.check_id for c in checks if c.status == "fail"]
+    assert not [c.check_id for c in checks if c.lhs in (-1.0, math.inf, -math.inf)]
+    swept = ("unit-modular", "homogeneity", "s-norm", "holder", "split-holder")
+    assert not [c.check_id for c in checks if c.check_id.split("/")[1] in swept]
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -224,6 +238,7 @@ def test_lemmas_with_empty_banks_emit_no_vacuous_row(tmp_path):
     ({"functions": {"b": [7], "f": [7]}}, "function spec must be a dict"),
     ({"functions": {"b": [{"kind": "const", "value": "2"}], "f": [{"kind": "const", "value": "2"}]}},
      "'value' must be a number"),
+    ({"functions": {"b": [7], "f": []}}, "function spec must be a dict"),
 ])
 def test_malformed_config_is_a_one_line_error(tmp_path, capsys, raw, message):
     cfg = tmp_path / "cfg.json"

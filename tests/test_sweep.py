@@ -1,0 +1,105 @@
+"""The cell-pair sweep behind Lip_beta and the log-Holder modulus, against
+brute force over every pair, and the worst-case accumulator."""
+
+import math
+
+import numpy as np
+import pytest
+
+from maxlip import GridFunction, lip_seminorm, make_grid, sample, validate_p
+from maxlip.sweep import Worst
+
+from conftest import seeded_function
+
+
+def lip_score(beta):
+    return lambda diff, dist: diff / dist**beta
+
+
+def log_holder_score(diff, dist):
+    return diff * np.log(math.e + 1.0 / dist)
+
+
+def brute_sup(f: GridFunction, score) -> float:
+    """Largest score over all unordered pairs of cell centers, one cell at a time."""
+    centers = np.array([f.grid.center_of(c) for c in np.ndindex(f.grid.shape)])
+    vals = f.values.reshape(-1)
+    best = 0.0
+    for i in range(len(vals) - 1):
+        dist = np.sqrt(((centers[i + 1:] - centers[i]) ** 2).sum(axis=1))
+        best = max(best, float(np.max(score(np.abs(vals[i + 1:] - vals[i]), dist))))
+    return best
+
+
+def pair_score(f: GridFunction, pair, score) -> float:
+    x, y = pair
+    dist = math.dist(f.grid.center_of(x), f.grid.center_of(y))
+    return float(score(np.array([abs(f.values[x] - f.values[y])]), np.array([dist]))[0])
+
+
+def anti_diagonal(n: int, base: float) -> GridFunction:
+    """Constant but for cells (0, 1) and (1, 0): the only pair attaining the
+    supremum sits at a negative column offset."""
+    v = np.full((n, n), base)
+    v[0, 1], v[1, 0] = base + 0.5, base - 0.5
+    return GridFunction(make_grid(2, n), v)
+
+
+def test_log_holder_exact_sweep_matches_all_pairs():
+    fields = []
+    for dim, n in ((1, 12), (2, 5)):
+        g = make_grid(dim, n)
+        fields += [seeded_function(g, seed, 1.5, 3.0) for seed in range(3)]
+    fields.append(anti_diagonal(5, 2.0))
+    for field in fields:
+        p = validate_p(field)
+        assert p.log_holder_exact
+        assert p.log_holder_const == pytest.approx(brute_sup(field, log_holder_score), rel=1e-12)
+    h = 1.0 / 5
+    assert p.log_holder_const == pytest.approx(math.log(math.e + 1.0 / (h * math.sqrt(2.0))),
+                                               rel=1e-12)
+
+
+def test_lip_seminorm_2d_witness_reproduces_value():
+    g = make_grid(2, 5)
+    for b in [seeded_function(g, seed) for seed in range(3)] + [anti_diagonal(5, 0.0)]:
+        res = lip_seminorm(b, 0.6)
+        assert res.exact
+        assert res.value == pytest.approx(brute_sup(b, lip_score(0.6)), rel=1e-12)
+        assert pair_score(b, res.witness, lip_score(0.6)) == pytest.approx(res.value, rel=1e-12)
+    assert set(res.witness) == {(0, 1), (1, 0)}
+
+
+def adjacent_sup(f: GridFunction) -> float:
+    return max(float(np.max(np.abs(np.diff(f.values, axis=a)))) for a in range(f.grid.dim))
+
+
+def test_sampled_sweeps_bracket_the_supremum():
+    # Past N = 64 in 2-D: adjacent pairs plus a seeded sample, a lower bound.
+    # On a linear field the far pairs win, so the sample must add to the
+    # adjacent pairs; on a rough one the adjacent pairs carry the supremum.
+    g = make_grid(2, 65)
+    h = g.spacing
+    for b in (seeded_function(g, 4), sample(g, lambda x, y: x + 0.5 * y)):
+        res = lip_seminorm(b, 0.5)
+        assert not res.exact
+        assert adjacent_sup(b) / h**0.5 <= res.value <= brute_sup(b, lip_score(0.5)) * (1 + 1e-12)
+        assert pair_score(b, res.witness, lip_score(0.5)) == pytest.approx(res.value, rel=1e-12)
+    assert res.value > 2 * adjacent_sup(b) / h**0.5
+
+    for field in (seeded_function(g, 5, 1.5, 3.0), sample(g, lambda x, y: 2.0 + 0.5 * x)):
+        p = validate_p(field)
+        assert not p.log_holder_exact
+        lower = adjacent_sup(field) * math.log(math.e + 1.0 / h)
+        assert lower <= p.log_holder_const <= brute_sup(field, log_holder_score) * (1 + 1e-12)
+    assert p.log_holder_const > 2 * lower
+
+
+def test_worst_takes_the_first_value_and_keeps_the_first_of_ties():
+    top, low = Worst(), Worst(lowest=True)
+    assert top.count == 0 and top.value is None and top.witness is None
+    for value, witness in ((-5.0, "a"), (3.0, "b"), (3.0, "c"), (-5.0, "d")):
+        top.offer(value, witness)
+        low.offer(value, witness)
+    assert (top.value, top.witness, top.count) == (3.0, "b", 4)
+    assert (low.value, low.witness, low.count) == (-5.0, "a", 4)
