@@ -62,10 +62,13 @@ from .luxemburg import (
 from .operators import (
     OperatorTag,
     apply_operator,
+    apply_stack,
     comm_m,
     comm_sharp,
+    cube_blocks,
     frac_max,
     hl_max,
+    indicator_stacks,
     local_max,
     local_max_sweep,
     max_commutator,

@@ -3,9 +3,10 @@
 ``maxlip verify`` runs a named scenario and emits its report; ``maxlip
 compute`` evaluates a single operator or functional.  Exit codes: 0 all
 hard checks passed, 1 at least one failed, 2 malformed or inadmissible
-configuration, 3 output could not be written; an unwritable output path
-is found before any computing starts.  ``python -m maxlip`` runs the same
-entry point.
+configuration, 3 output could not be written, 4 internal error (the norm
+solver did not converge, or memory ran out); an unwritable output path
+is found before any computing starts.  Codes 2 to 4 come with one line on
+stderr.  ``python -m maxlip`` runs the same entry point.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .catalog import ConfigError, build_exponent, build_function
 from .config import KNOWN_SCENARIOS, load_config, parse_beta, parse_grid
 from .grid import Cube, CubeFamilyMode, GridFunction, check_cube, make_grid, write_gridfunction_csv
 from .lipschitz import lambda_star, lambda_var, lip_seminorm
-from .luxemburg import lux_norm
+from .luxemburg import ConvergenceError, lux_norm
 from .operators import comm_m, comm_sharp, frac_max, hl_max, local_max, max_commutator, sharp_max
 from .scenarios import run_scenario
 
@@ -188,6 +189,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 3
+    except (ConvergenceError, MemoryError) as exc:
+        detail = " ".join(str(exc).split()) or "out of memory"
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

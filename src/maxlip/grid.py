@@ -156,15 +156,7 @@ class GridFunction:
     def prefix(self) -> np.ndarray:
         """Prefix sums of raw cell values (summed-area table in dim 2)."""
         if self._prefix is None:
-            n = self.grid.cells_per_axis
-            acc = self.values.astype(np.longdouble)
-            if self.grid.dim == 1:
-                table = np.zeros(n + 1, dtype=np.longdouble)
-                np.cumsum(acc, out=table[1:])
-            else:
-                table = np.zeros((n + 1, n + 1), dtype=np.longdouble)
-                table[1:, 1:] = acc.cumsum(axis=0).cumsum(axis=1)
-            self._prefix = table
+            self._prefix = prefix_table(self.values, self.grid.dim)
         return self._prefix
 
     def __abs__(self) -> "GridFunction":
@@ -332,6 +324,30 @@ def cubes_containing(grid: Grid, cell, mode: CubeFamilyMode = CubeFamilyMode.FUL
     return tuple(out)
 
 
+def prefix_table(values: np.ndarray, dim: int, dtype=np.longdouble) -> np.ndarray:
+    """Prefix sums over the last dim axes of values, any leading axes kept.
+
+    Each trailing axis grows by a leading zero: shape (..., N+1) in dim 1
+    and (..., N+1, N+1) in dim 2.  Each lane is accumulated in order, so a
+    row of a stacked table equals the table of that row alone.
+    """
+    acc = values.astype(dtype)
+    table = np.zeros(values.shape[:-dim] + tuple(s + 1 for s in values.shape[-dim:]), dtype=dtype)
+    if dim == 1:
+        np.cumsum(acc, axis=-1, out=table[..., 1:])
+    else:
+        table[..., 1:, 1:] = acc.cumsum(axis=-2).cumsum(axis=-1)
+    return table
+
+
+def table_window_sums(table: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """Sums of every side-k window from a prefix table, as float64, leading axes kept."""
+    if dim == 1:
+        return (table[..., k:] - table[..., :-k]).astype(float, copy=False)
+    return (table[..., k:, k:] - table[..., k:, :-k] - table[..., :-k, k:]
+            + table[..., :-k, :-k]).astype(float, copy=False)
+
+
 def window_sums(f: GridFunction, k: int) -> np.ndarray:
     """Raw value sums of every side-k cube, indexed by start cell.
 
@@ -340,10 +356,7 @@ def window_sums(f: GridFunction, k: int) -> np.ndarray:
     n = f.grid.cells_per_axis
     if not 1 <= k <= n:
         raise ValueError(f"window side {k} outside 1..{n}")
-    p = f.prefix
-    if f.grid.dim == 1:
-        return (p[k:] - p[:-k]).astype(float)
-    return (p[k:, k:] - p[k:, :-k] - p[:-k, k:] + p[:-k, :-k]).astype(float)
+    return table_window_sums(f.prefix, k, f.grid.dim)
 
 
 def write_gridfunction_csv(f: GridFunction, path) -> None:

@@ -15,6 +15,22 @@ into the test suite; the routes are intentionally kept separate.  The
 sweeps over every cube of a family take the local maximal function from
 local_max_sweep, one pass per symbol; the single-cube local_max is its
 reference.
+
+The fast paths carry a leading batch axis: apply_stack applies an operator
+to a stack of grid arrays, shape (rows,) + grid.shape, in one call, and
+hl_max, sharp_max, frac_max, max_commutator, comm_m and comm_sharp are that
+call on a stack of one.  A stacked row equals its single call bit for bit.
+The maximal commutator computes every cell at once from a float64 prefix
+table with a cell axis and a start-range mask.  The temporaries a kernel
+builds (prefix tables, window differences, the commutator's cell tables)
+stay within STACK_BYTES_MAX bytes: a stack is split over rows, and the
+commutator's tables over cells too.  indicator_stacks builds the cube
+indicators of a family as stacks within the same cap, and cube_blocks
+reads each row on its own cube.  The
+per-cube sweeps run on them: the indicator and local-on-cube checks of
+identities, theorem2's mean recovery, lambda_sharp, theorem3's M_b(chi_Q)
+rows and opnorm_lower's test bank.  The naive oracles stay per cube and
+unbatched.
 """
 
 from __future__ import annotations
@@ -28,9 +44,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import (
     Cube,
     CubeFamilyMode,
+    Grid,
     GridFunction,
     check_cube,
     family_sides,
+    prefix_table,
+    table_window_sums,
     window_sums,
 )
 
@@ -45,6 +64,9 @@ __all__ = [
     "comm_m",
     "comm_sharp",
     "apply_operator",
+    "apply_stack",
+    "indicator_stacks",
+    "cube_blocks",
     "oracle_check",
 ]
 
@@ -53,65 +75,182 @@ __all__ = [
 ORACLE_MAX_CELLS_DIM1 = 64
 ORACLE_MAX_CELLS_DIM2 = 16
 
+# Bytes any one batched temporary may take: a stack of cube indicators, or
+# what a kernel builds from a stack.  Stacks are split over rows to stay
+# below it (the maximal commutator also over cells); a single row larger
+# than this on its own is still computed whole.
+STACK_BYTES_MAX = 1 << 18
 
-def _windowed_cell_max(window_vals: np.ndarray, k: int) -> np.ndarray:
+
+def _chunks(count: int, row_bytes: int):
+    """Consecutive slices of range(count) whose rows take at most STACK_BYTES_MAX bytes."""
+    step = max(1, STACK_BYTES_MAX // max(1, row_bytes))
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
+def indicator_stacks(grid: Grid, cubes):
+    """The indicators of the cubes as stacks of at most STACK_BYTES_MAX bytes.
+
+    Yields (group, stack) in the order of the cubes: group is a run of
+    consecutive cubes of one side and stack[r] is the indicator of group[r],
+    shape (len(group),) + grid.shape.
+    """
+    for _, run in itertools.groupby(cubes, key=lambda cube: cube.side_cells):
+        run = tuple(run)
+        for part in _chunks(len(run), 8 * grid.cell_count):
+            group = run[part]
+            stack = np.zeros((len(group),) + grid.shape)
+            for r, cube in enumerate(group):
+                check_cube(grid, cube)
+                stack[(r,) + cube.slices()] = 1.0
+            yield group, stack
+
+
+def cube_blocks(stack: np.ndarray, cubes) -> np.ndarray:
+    """Row r of the stack on the cells of cubes[r], flattened row-major.
+
+    The cubes share one side k, so the result has shape (len(cubes), k^dim).
+    """
+    dim = stack.ndim - 1
+    k = cubes[0].side_cells
+    windows = sliding_window_view(stack, (k,) * dim, axis=tuple(range(1, dim + 1)))
+    starts = tuple(np.array([cube.start for cube in cubes]).T)
+    return windows[(np.arange(len(cubes)),) + starts].reshape(len(cubes), -1)
+
+
+def _windowed_cell_max(window_vals: np.ndarray, k: int, dim: int) -> np.ndarray:
     """Per-cell max of the side-k window values over windows containing the cell.
 
-    window_vals is indexed by window start.  Cells near the boundary see
-    fewer windows; the -inf padding keeps them out of the running max.
+    window_vals is indexed by window start on its last dim axes; leading
+    axes are rows of a stack.  Cells near the boundary see fewer windows;
+    the -inf padding keeps them out of the running max.
     """
     if k == 1:
         return window_vals
-    if window_vals.ndim == 1:
-        pad = np.full(k - 1, -np.inf)
-        padded = np.concatenate([pad, window_vals, pad])
-        return sliding_window_view(padded, k).max(axis=1)
-    padded = np.pad(window_vals, k - 1, constant_values=-np.inf)
-    return sliding_window_view(padded, (k, k)).max(axis=(2, 3))
+    starts = window_vals.shape[-1]
+    padded = np.full(window_vals.shape[:-dim] + (starts + 2 * (k - 1),) * dim, -np.inf)
+    padded[(Ellipsis,) + (slice(k - 1, k - 1 + starts),) * dim] = window_vals
+    axes = tuple(range(-dim, 0))
+    return sliding_window_view(padded, (k,) * dim, axis=axes).max(axis=axes)
+
+
+def _check_stack(grid: Grid, stack: np.ndarray) -> None:
+    if stack.shape[1:] != grid.shape:
+        raise ValueError(f"stack rows of shape {stack.shape[1:]} do not match grid {grid.shape}")
+
+
+def _average_max(
+    grid: Grid, stack: np.ndarray, mode: CubeFamilyMode, alpha: float | None = None
+) -> np.ndarray:
+    """Rows of the maximal function, or of the fractional one of order alpha."""
+    if alpha is not None and not 0.0 < alpha < grid.dim:
+        raise ValueError(f"alpha must lie in (0, {grid.dim}), got {alpha}")
+    _check_stack(grid, stack)
+    dim, n, h = grid.dim, grid.cells_per_axis, grid.spacing
+    absf = np.abs(stack)
+    out = np.full(stack.shape, -np.inf)
+    # The long-double table is the largest per-row temporary, with the padding
+    # of _windowed_cell_max; both fit in 16 (2N)^dim bytes.
+    for rows in _chunks(len(stack), 16 * (2 * n) ** dim):
+        table = prefix_table(absf[rows], dim)
+        part = out[rows]
+        for k in family_sides(n, mode):
+            sums = table_window_sums(table, k, dim)
+            vals = sums / k**dim if alpha is None else (k * h) ** alpha * sums / k**dim
+            np.maximum(part, _windowed_cell_max(vals, k, dim), out=part)
+    return out
+
+
+def _sharp_rows(grid: Grid, stack: np.ndarray, mode: CubeFamilyMode) -> np.ndarray:
+    """Rows of the sharp maximal function.
+
+    One window view per side yields the mean and the mean absolute
+    deviation of every side-k cube at once; the per-cell sliding max then
+    spreads them over the cells.  Memory per row and side is (N-k+1)^dim k^dim.
+    """
+    _check_stack(grid, stack)
+    dim, n = grid.dim, grid.cells_per_axis
+    grid_axes = tuple(range(1, dim + 1))
+    count_axes = tuple(range(dim + 1, 2 * dim + 1))
+    out = np.full(stack.shape, -np.inf)
+    for k in family_sides(n, mode):
+        count = k**dim
+        for rows in _chunks(len(stack), 8 * ((n - k + 1) * k) ** dim):
+            windows = sliding_window_view(stack[rows], (k,) * dim, axis=grid_axes)
+            means = windows.sum(axis=count_axes, keepdims=True) / count
+            osc = np.abs(windows - means).sum(axis=count_axes) / count
+            part = out[rows]
+            np.maximum(part, _windowed_cell_max(osc, k, dim), out=part)
+    return out
+
+
+def _start_mask(cells: np.ndarray, k: int, n: int) -> np.ndarray:
+    """mask[c, s] is true when the side-k window starting at s holds cell c.
+
+    cells has one row of coordinates per axis; s runs over the window starts.
+    """
+    starts = np.arange(n - k + 1)
+    per_axis = [(starts <= x[:, None]) & (starts > x[:, None] - k) for x in cells]
+    if len(per_axis) == 1:
+        return per_axis[0]
+    return per_axis[0][:, :, None] & per_axis[1][:, None, :]
+
+
+def _max_comm_rows(b: GridFunction, stack: np.ndarray, mode: CubeFamilyMode) -> np.ndarray:
+    """Rows of the maximal commutator M_b, every cell at once.
+
+    For a cell x, the float64 prefix table of |b(x) - b(y)| |f(y)| over y
+    gives the sum of every window; the start-range mask keeps the windows
+    that hold x.  The table carries a row axis and a cell axis, so its
+    chunks are split over cells as well as rows.
+    """
+    grid = b.grid
+    _check_stack(grid, stack)
+    dim, n = grid.dim, grid.cells_per_axis
+    sides = family_sides(n, mode)
+    flat_b = b.values.reshape(-1)
+    coords = np.indices(grid.shape).reshape(dim, -1)
+    absf = np.abs(stack)[:, None]
+    out = np.zeros((len(stack), grid.cell_count))
+    cell_bytes = 8 * (n + 1) ** dim
+    for cols in _chunks(grid.cell_count, cell_bytes):
+        dist = np.abs(b.values[None] - flat_b[cols].reshape((-1,) + (1,) * dim))
+        for rows in _chunks(len(stack), cell_bytes * len(dist)):
+            table = prefix_table(dist * absf[rows], dim, dtype=float)
+            best = np.zeros(table.shape[:2])
+            for k in sides:
+                sums = table_window_sums(table, k, dim)
+                np.copyto(sums, -np.inf, where=~_start_mask(coords[:, cols], k, n))
+                top = sums.reshape(sums.shape[:2] + (-1,)).max(axis=2)
+                np.maximum(best, top / k**dim, out=best)
+            out[rows, cols] = best
+    return out.reshape(stack.shape)
+
+
+def _commutator_rows(kernel, b: GridFunction, stack: np.ndarray, mode: CubeFamilyMode):
+    """Rows of b T(f) - T(b f) for the maximal kernel T."""
+    return b.values * kernel(b.grid, stack, mode) - kernel(b.grid, b.values * stack, mode)
+
+
+def _same_grid(b: GridFunction, f: GridFunction) -> None:
+    if f.grid != b.grid:
+        raise ValueError("symbol and operand live on different grids")
 
 
 def hl_max(f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
     """Maximal function: per cell, the largest average of |f| over cubes containing it."""
-    grid = f.grid
-    absf = abs(f)
-    out = np.full(grid.shape, -np.inf)
-    for k in family_sides(grid.cells_per_axis, mode):
-        avgs = window_sums(absf, k) / k**grid.dim
-        np.maximum(out, _windowed_cell_max(avgs, k), out=out)
-    return GridFunction(grid, out)
+    return GridFunction(f.grid, _average_max(f.grid, f.values[None], mode)[0])
 
 
 def frac_max(f: GridFunction, alpha: float, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
     """Fractional maximal function of order alpha in (0, dim)."""
-    grid = f.grid
-    if not 0.0 < alpha < grid.dim:
-        raise ValueError(f"alpha must lie in (0, {grid.dim}), got {alpha}")
-    absf = abs(f)
-    h = grid.spacing
-    out = np.full(grid.shape, -np.inf)
-    for k in family_sides(grid.cells_per_axis, mode):
-        scaled = (k * h) ** alpha * window_sums(absf, k) / k**grid.dim
-        np.maximum(out, _windowed_cell_max(scaled, k), out=out)
-    return GridFunction(grid, out)
+    return GridFunction(f.grid, _average_max(f.grid, f.values[None], mode, alpha)[0])
 
 
 def sharp_max(f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
-    """Sharp maximal function: largest mean oscillation over cubes containing the cell.
-
-    One window view per side yields the mean and the mean absolute
-    deviation of every side-k cube at once; the per-cell sliding max then
-    spreads them over the cells.  Memory per side is (N-k+1)^dim k^dim.
-    """
-    grid = f.grid
-    count_axes = tuple(range(grid.dim, 2 * grid.dim))
-    out = np.full(grid.shape, -np.inf)
-    for k in family_sides(grid.cells_per_axis, mode):
-        windows = sliding_window_view(f.values, (k,) * grid.dim)
-        count = k**grid.dim
-        means = windows.sum(axis=count_axes, keepdims=True) / count
-        osc = np.abs(windows - means).sum(axis=count_axes) / count
-        np.maximum(out, _windowed_cell_max(osc, k), out=out)
-    return GridFunction(grid, out)
+    """Sharp maximal function: largest mean oscillation over cubes containing the cell."""
+    return GridFunction(f.grid, _sharp_rows(f.grid, f.values[None], mode)[0])
 
 
 def local_max(b: GridFunction, q0: Cube) -> np.ndarray:
@@ -129,7 +268,7 @@ def local_max(b: GridFunction, q0: Cube) -> np.ndarray:
     for k in range(1, m + 1):
         all_avgs = window_sums(absb, k) / k**grid.dim
         sub = all_avgs[tuple(slice(s, s + m - k + 1) for s in q0.start)]
-        np.maximum(out, _windowed_cell_max(sub, k), out=out)
+        np.maximum(out, _windowed_cell_max(sub, k, grid.dim), out=out)
     return out
 
 
@@ -170,56 +309,12 @@ def local_max_sweep(b: GridFunction, sides):
         prev = level
 
 
-def _comm_kernel_cell(
-    b_vals: np.ndarray, absf: np.ndarray, cell: tuple[int, ...], sides: list[int], n: int
-) -> float:
-    """max over cubes containing the cell of avg |b(cell) - b(y)| |f(y)|."""
-    if b_vals.ndim == 1:
-        (x,) = cell
-        gx = np.abs(b_vals - b_vals[x]) * absf
-        pref = np.concatenate(([0.0], np.cumsum(gx)))
-        best = 0.0
-        for k in sides:
-            lo, hi = max(0, x - k + 1), min(x, n - k)
-            if lo > hi:
-                continue
-            sums = pref[lo + k : hi + k + 1] - pref[lo : hi + 1]
-            best = max(best, float(sums.max()) / k)
-        return best
-    i, j = cell
-    gx = np.abs(b_vals - b_vals[i, j]) * absf
-    pref = np.zeros((n + 1, n + 1))
-    pref[1:, 1:] = gx.cumsum(axis=0).cumsum(axis=1)
-    best = 0.0
-    for k in sides:
-        ilo, ihi = max(0, i - k + 1), min(i, n - k)
-        jlo, jhi = max(0, j - k + 1), min(j, n - k)
-        if ilo > ihi or jlo > jhi:
-            continue
-        sums = (
-            pref[ilo + k : ihi + k + 1, jlo + k : jhi + k + 1]
-            - pref[ilo + k : ihi + k + 1, jlo : jhi + 1]
-            - pref[ilo : ihi + 1, jlo + k : jhi + k + 1]
-            + pref[ilo : ihi + 1, jlo : jhi + 1]
-        )
-        best = max(best, float(sums.max()) / k**2)
-    return best
-
-
 def max_commutator(
     b: GridFunction, f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL
 ) -> GridFunction:
     """Maximal commutator: per cell x, sup over cubes of avg |b(x)-b(y)| |f(y)|."""
-    grid = b.grid
-    if f.grid != grid:
-        raise ValueError("symbol and operand live on different grids")
-    n = grid.cells_per_axis
-    sides = family_sides(n, mode)
-    absf = np.abs(f.values)
-    out = np.zeros(grid.shape)
-    for cell in np.ndindex(grid.shape):
-        out[cell] = _comm_kernel_cell(b.values, absf, cell, sides, n)
-    return GridFunction(grid, out)
+    _same_grid(b, f)
+    return GridFunction(b.grid, _max_comm_rows(b, f.values[None], mode)[0])
 
 
 def max_commutator_at_cells(
@@ -228,28 +323,21 @@ def max_commutator_at_cells(
     cells: list[tuple[int, ...]],
     mode: CubeFamilyMode = CubeFamilyMode.FULL,
 ) -> np.ndarray:
-    """Maximal commutator evaluated only at the listed cells (sweep helper)."""
-    grid = b.grid
-    if f.grid != grid:
-        raise ValueError("symbol and operand live on different grids")
-    n = grid.cells_per_axis
-    sides = family_sides(n, mode)
-    absf = np.abs(f.values)
-    return np.array([_comm_kernel_cell(b.values, absf, cell, sides, n) for cell in cells])
+    """Maximal commutator read at the listed cells."""
+    values = max_commutator(b, f, mode).values
+    return np.array([values[tuple(cell)] for cell in cells])
 
 
 def comm_m(b: GridFunction, f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
     """Commutator with the maximal operator: b * M(f) - M(b f)."""
-    lhs = b.values * hl_max(f, mode).values
-    rhs = hl_max(b * f, mode).values
-    return GridFunction(b.grid, lhs - rhs)
+    _same_grid(b, f)
+    return GridFunction(b.grid, _commutator_rows(_average_max, b, f.values[None], mode)[0])
 
 
 def comm_sharp(b: GridFunction, f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
     """Commutator with the sharp maximal operator: b * M#(f) - M#(b f)."""
-    lhs = b.values * sharp_max(f, mode).values
-    rhs = sharp_max(b * f, mode).values
-    return GridFunction(b.grid, lhs - rhs)
+    _same_grid(b, f)
+    return GridFunction(b.grid, _commutator_rows(_sharp_rows, b, f.values[None], mode)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,6 +401,31 @@ def apply_operator(tag: OperatorTag, f: GridFunction, mode: CubeFamilyMode = Cub
     if tag.kind == "comm_sharp":
         return comm_sharp(tag.symbol, f, mode)
     raise ValueError(f"unknown operator kind {tag.kind!r}")
+
+
+def apply_stack(
+    tag: OperatorTag, grid: Grid, stack: np.ndarray, mode: CubeFamilyMode = CubeFamilyMode.FULL
+) -> np.ndarray:
+    """A tagged operator on every row of a stack of grid arrays at once.
+
+    stack has shape (rows,) + grid.shape; row r of the result equals
+    apply_operator(tag, GridFunction(grid, stack[r]), mode).values bit for
+    bit.  The local operator has no full-grid output and is not accepted.
+    """
+    if tag.kind == "hl":
+        return _average_max(grid, stack, mode)
+    if tag.kind == "sharp":
+        return _sharp_rows(grid, stack, mode)
+    if tag.kind == "fractional":
+        return _average_max(grid, stack, mode, tag.alpha)
+    if tag.kind in ("max_commutator", "comm_m", "comm_sharp"):
+        if tag.symbol.grid != grid:
+            raise ValueError("symbol and operand live on different grids")
+        if tag.kind == "max_commutator":
+            return _max_comm_rows(tag.symbol, stack, mode)
+        kernel = _average_max if tag.kind == "comm_m" else _sharp_rows
+        return _commutator_rows(kernel, tag.symbol, stack, mode)
+    raise ValueError(f"operator kind {tag.kind!r} has no stacked form")
 
 
 # ---------------------------------------------------------------------------

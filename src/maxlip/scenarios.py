@@ -14,6 +14,7 @@ monitored rows instead.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -30,6 +31,7 @@ from .exponents import (
     ExponentPair,
     VariableExponent,
     build_pair,
+    conjugate,
     split_exponents,
     validate_p,
 )
@@ -41,7 +43,6 @@ from .grid import (
     average,
     enumerate_cubes,
     family_sides,
-    indicator,
 )
 from .lipschitz import (
     LipResult,
@@ -55,8 +56,6 @@ from .lipschitz import (
 from .luxemburg import (
     _lux_solve_batch,
     check_s_norm,
-    cube_duality_product,
-    cube_embedding_ratio,
     embedding_bound,
     holder_constant,
     holder_defect,
@@ -65,14 +64,14 @@ from .luxemburg import (
 )
 from .operators import (
     OperatorTag,
+    apply_stack,
     comm_m,
     comm_sharp,
+    cube_blocks,
     frac_max,
-    hl_max,
+    indicator_stacks,
     local_max_sweep,
     max_commutator,
-    max_commutator_at_cells,
-    sharp_max,
 )
 from .report import Check, Report, check_eq, check_ge, check_le, new_report, report_row
 from .sweep import Worst
@@ -101,6 +100,16 @@ def _function_bank(grid: Grid, specs: list[dict]) -> list[tuple[str, GridFunctio
     return _bank(grid, specs, build_function, function_label)
 
 
+def _operand_bank(cfg: ScenarioConfig, grid: Grid) -> list[tuple[str, GridFunction]]:
+    """The f bank of theorem1-3, whose operator-norm bounds divide by ||f||_p."""
+    fs = _function_bank(grid, cfg.functions_f)
+    for label, f in fs:
+        if not np.any(f.values):
+            raise ConfigError(f"functions.f: {label} is the zero function, which has no "
+                              "operator-norm ratio")
+    return fs
+
+
 def _exponent_bank(grid: Grid, specs: list[dict]) -> list[tuple[str, VariableExponent]]:
     return _bank(grid, specs, build_exponent, exponent_label)
 
@@ -119,17 +128,6 @@ def _pair_bank(cfg: ScenarioConfig, grid: Grid) -> list[tuple[str, ExponentPair]
 
 def _dim_factor(dim: int, beta: float) -> float:
     return float(dim) ** (beta / 2.0)
-
-
-def _cube_cells(cube: Cube, dim: int) -> list[tuple[int, ...]]:
-    k = cube.side_cells
-    if dim == 1:
-        return [(cube.start[0] + i,) for i in range(k)]
-    return [
-        (cube.start[0] + i, cube.start[1] + j)
-        for i in range(k)
-        for j in range(k)
-    ]
 
 
 def _indicator_norms(
@@ -199,23 +197,23 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
     bs = _function_bank(grid, cfg.functions_b)
 
     dev_hl, top_hl, dev_sharp, top_sharp, dev_frac, excess_frac = (Worst() for _ in range(6))
-    for cube in cubes:
-        chi = indicator(grid, cube)
-        sl = cube.slices()
-        target = cube.side_length(grid) ** beta
-
-        m = hl_max(chi, mode).values
-        dev_hl.offer(float(np.max(np.abs(m[sl] - 1.0))), cube)
-        top_hl.offer(float(m.max()), cube)
-
-        s = sharp_max(chi, mode).values
-        top_sharp.offer(float(s.max()), cube)
-        if _half_overlap_eligible(grid, cube):
-            dev_sharp.offer(float(np.max(np.abs(s[sl] - 0.5))), cube)
-
-        fr = frac_max(chi, beta, mode).values
-        dev_frac.offer(float(np.max(np.abs(fr[sl] - target))), cube)
-        excess_frac.offer(float(fr.max()) - target, cube)
+    tags = (OperatorTag.hl(), OperatorTag.sharp(), OperatorTag.fractional(beta))
+    for group, chis in indicator_stacks(grid, cubes):
+        target = group[0].side_length(grid) ** beta
+        outs = [apply_stack(tag, grid, chis, mode) for tag in tags]
+        top_m, top_s, top_fr = (out.reshape(len(group), -1).max(axis=1) for out in outs)
+        on_m, on_s, on_fr = (cube_blocks(out, group) for out in outs)
+        dev_m = np.abs(on_m - 1.0).max(axis=1)
+        dev_s = np.abs(on_s - 0.5).max(axis=1)
+        dev_fr = np.abs(on_fr - target).max(axis=1)
+        for r, cube in enumerate(group):
+            dev_hl.offer(float(dev_m[r]), cube)
+            top_hl.offer(float(top_m[r]), cube)
+            top_sharp.offer(float(top_s[r]), cube)
+            if _half_overlap_eligible(grid, cube):
+                dev_sharp.offer(float(dev_s[r]), cube)
+            dev_frac.offer(float(dev_fr[r]), cube)
+            excess_frac.offer(float(top_fr[r]) - target, cube)
 
     rows = [
         check_eq("identities/hl-on-cube", "M(chi_Q) = 1 on Q", dev_hl.value, 0.0, tol,
@@ -241,10 +239,12 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
 
     for label, b in bs:
         local = Worst()
-        for cube, loc in _local_max_by_cube(b, mode):
-            chi = indicator(grid, cube)
-            full = hl_max(b * chi, CubeFamilyMode.FULL).values[cube.slices()]
-            local.offer(float(np.max(np.abs(full - loc))), cube)
+        locs = _local_max_by_cube(b, mode)
+        for group, chis in indicator_stacks(grid, cubes):
+            full = apply_stack(OperatorTag.hl(), grid, b.values * chis, CubeFamilyMode.FULL)
+            # The group's rows come first, so zip never draws the next group's cube.
+            for row, (cube, loc) in zip(cube_blocks(full, group), locs):
+                local.offer(float(np.max(np.abs(row - loc.reshape(-1)))), cube)
         rows.append(check_eq(
             f"identities/local-on-cube/{label}",
             "M(b chi_Q) = M_Q(b) on Q for the full family",
@@ -325,10 +325,11 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
         return [check_eq(f"lemmas/s-norm/{lq}", "|| |f|^s ||_p = ||f||^s_{s p}",
                          worst.value, 0.0, tol, worst.witness)]
 
-    def duality(lq: str, q: VariableExponent) -> list[Check]:
+    def duality(lq: str, q: VariableExponent, base: dict[Cube, float]) -> list[Check]:
         low, top = Worst(lowest=True), Worst()
+        dual = _indicator_norms(grid, conjugate(q), cubes)
         for cube in cubes:
-            prod = cube_duality_product(cube, q)
+            prod = base[cube] * dual[cube] / cube.measure(grid)
             low.offer(prod, cube)
             top.offer(prod, cube)
         if q.is_constant:
@@ -354,8 +355,10 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
     def embedding(lp: str, pair: ExponentPair) -> list[Check]:
         bound = embedding_bound(pair)
         top = Worst()
+        num = _indicator_norms(grid, pair.p, cubes)
+        den = _indicator_norms(grid, pair.q, cubes)
         for cube in cubes:
-            top.offer(cube_embedding_ratio(cube, pair), cube)
+            top.offer(num[cube] / (cube.measure(grid) ** (pair.beta / dim) * den[cube]), cube)
         rows = [check_le(
             f"lemmas/embedding/{lp}",
             "||chi_Q||_p <= C |Q|^{beta/dim} ||chi_Q||_q with derived C",
@@ -369,10 +372,9 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
             ))
         return rows
 
-    def split(lq: str, q: VariableExponent) -> list[Check]:
+    def split(lq: str, q: VariableExponent, base: dict[Cube, float]) -> list[Check]:
         rows = []
         qv = q.values.values
-        base = _indicator_norms(grid, q, cubes)
         for r in (2.0, 3.0):
             rp = r / (r - 1.0)
             q_r = validate_p(q.values.with_values(r * qv))
@@ -415,8 +417,9 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
         rows += lux(lq, q)
         rows += holder(lq, q)
         rows += snorm(lq, q)
-        rows += duality(lq, q)
-        rows += split(lq, q)
+        base = _indicator_norms(grid, q, cubes)
+        rows += duality(lq, q, base)
+        rows += split(lq, q, base)
         rows.append(report_row(
             f"lemmas/log-holder/{lq}",
             "log-Holder modulus of the exponent",
@@ -496,7 +499,7 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
     beta = cfg.beta
     factor = _dim_factor(grid.dim, beta)
     bs = _function_bank(grid, cfg.functions_b)
-    fs = _function_bank(grid, cfg.functions_f)
+    fs = _operand_bank(cfg, grid)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
     pointwise, chain, opnorm = _commutator_checks(
@@ -570,9 +573,10 @@ def _theorem2(cfg: ScenarioConfig) -> list[Check]:
     tol = cfg.tolerances.identity_tol
     beta = cfg.beta
     factor = _dim_factor(grid.dim, beta)
-    cubes = enumerate_cubes(grid, mode)
+    containers = {cube: _containing_cube(grid, cube, mode) for cube in enumerate_cubes(grid, mode)}
+    held = [cube for cube, container in containers.items() if container is not None]
     bs = _function_bank(grid, cfg.functions_b)
-    fs = _function_bank(grid, cfg.functions_f)
+    fs = _operand_bank(cfg, grid)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
     pointwise, chain, opnorm = _commutator_checks(
@@ -586,15 +590,13 @@ def _theorem2(cfg: ScenarioConfig) -> list[Check]:
             rows += pointwise(lb, b)
 
         recovered = Worst()
-        for cube in cubes:
-            container = _containing_cube(grid, cube, mode)
-            if container is None:
-                continue
-            t = (container.side_cells / cube.side_cells) ** grid.dim
-            const = t * t / (2.0 * (t - 1.0))
-            sharp = sharp_max(b * indicator(grid, cube), mode).values
-            floor = float(sharp[cube.slices()].min())
-            recovered.offer(abs(average(b, cube)) - const * floor, {"cube": cube, "ratio": t})
+        for group, chis in indicator_stacks(grid, held):
+            sharp = apply_stack(OperatorTag.sharp(), grid, b.values * chis, mode)
+            for cube, floor in zip(group, cube_blocks(sharp, group).min(axis=1)):
+                t = (containers[cube].side_cells / cube.side_cells) ** grid.dim
+                const = t * t / (2.0 * (t - 1.0))
+                recovered.offer(abs(average(b, cube)) - const * float(floor),
+                                {"cube": cube, "ratio": t})
         if recovered.count:
             rows.append(check_le(
                 f"theorem2/mean-recovery/{lb}",
@@ -625,37 +627,42 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
     mode = cfg.cube_family
     tol = cfg.tolerances.identity_tol
     beta = cfg.beta
-    dim = grid.dim
     cubes = enumerate_cubes(grid, mode)
     bs = _function_bank(grid, cfg.functions_b)
-    fs = _function_bank(grid, cfg.functions_f)
+    fs = _operand_bank(cfg, grid)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
 
-    def ratio(lb: str, b: GridFunction, lq: str, q: VariableExponent) -> list[Check]:
-        qv = q.values.values
-        cm = grid.cell_measure
-        worst, top = Worst(), Worst()
-        by_side: dict[int, list[Cube]] = {}
-        for cube in cubes:
-            by_side.setdefault(cube.side_cells, []).append(cube)
-        for k, group in by_side.items():
-            osc_rows = np.empty((len(group), k**dim))
-            mb_rows = np.empty((len(group), k**dim))
-            q_rows = np.empty((len(group), k**dim))
-            for r, cube in enumerate(group):
+    cm = grid.cell_measure
+    sides = [tuple(side) for _, side in itertools.groupby(cubes, key=lambda c: c.side_cells)]
+    # Per exponent and side: the q values on each cube's cells and ||chi_Q||_q.
+    q_sides = {}
+    for lq, q in qs:
+        q_rows = [np.stack([q.values.values[c.slices()].reshape(-1) for c in side])
+                  for side in sides]
+        q_sides[lq] = [(rows, _lux_solve_batch(np.ones_like(rows), rows, cm)) for rows in q_rows]
+
+    def commutator_rows(b: GridFunction) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per side, rows |b - b_Q| and rows M_b(chi_Q), on each cube's own cells."""
+        tag = OperatorTag.max_commutator(b)
+        out = []
+        for side in sides:
+            mb = np.concatenate([cube_blocks(apply_stack(tag, grid, chis, mode), group)
+                                 for group, chis in indicator_stacks(grid, side)])
+            osc = np.empty_like(mb)
+            for r, cube in enumerate(side):
                 block = b.values[cube.slices()].reshape(-1)
-                bq = block.mean()
-                osc_rows[r] = np.abs(block - bq)
-                mb_rows[r] = max_commutator_at_cells(
-                    b, indicator(grid, cube), _cube_cells(cube, dim), mode
-                )
-                q_rows[r] = qv[cube.slices()].reshape(-1)
-            den = _lux_solve_batch(np.ones_like(q_rows), q_rows, cm)
+                osc[r] = np.abs(block - block.mean())
+            out.append((osc, mb))
+        return out
+
+    def ratio(lb: str, b_rows: list, lq: str) -> list[Check]:
+        worst, top = Worst(), Worst()
+        for side, (osc_rows, mb_rows), (q_rows, den) in zip(sides, b_rows, q_sides[lq]):
             osc = _lux_solve_batch(osc_rows, q_rows, cm)
             mb = _lux_solve_batch(mb_rows, q_rows, cm)
-            scale = (k * grid.spacing) ** (-beta)
-            for r, cube in enumerate(group):
+            scale = (side[0].side_cells * grid.spacing) ** (-beta)
+            for r, cube in enumerate(side):
                 lhs = scale * float(osc[r]) / float(den[r])
                 rhs = scale * float(mb[r]) / float(den[r])
                 worst.offer(lhs - rhs, cube)
@@ -675,20 +682,19 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
 
     rows: list[Check] = []
     for lb, b in bs:
+        b_rows = commutator_rows(b)
         lower = Worst(lowest=True)
-        for cube in cubes:
-            cells = _cube_cells(cube, dim)
-            vals = max_commutator_at_cells(b, indicator(grid, cube), cells, mode)
-            bq = average(b, cube)
-            dev = np.abs(b.values[cube.slices()].reshape(-1) - bq)
-            lower.offer(float(np.min(vals - dev)), cube)
+        for side, (_, mb_rows) in zip(sides, b_rows):
+            for cube, mb in zip(side, mb_rows):
+                dev = np.abs(b.values[cube.slices()].reshape(-1) - average(b, cube))
+                lower.offer(float(np.min(mb - dev)), cube)
         rows.append(check_ge(
             f"theorem3/pointwise-lower/{lb}",
             "|b(x) - b_Q| <= M_b(chi_Q)(x) on Q",
             lower.value, 0.0, tol, {"cube": lower.witness},
         ))
-        for lq, q in qs:
-            rows += ratio(lb, b, lq, q)
+        for lq, _ in qs:
+            rows += ratio(lb, b_rows, lq)
         for lp, pair in pairs:
             rows += _opnorm_row(f"theorem3/opnorm/{lb}/{lp}", "M_b",
                                 OperatorTag.max_commutator(b), pair, fs, mode,
@@ -909,6 +915,9 @@ def run_scenario(scenario: str, raw: dict | None = None) -> Report:
     """Run one named scenario (or all of them) and return its report."""
     if scenario == "all":
         cfgs = {name: parse_config(name, raw) for name in SCENARIO_ORDER}
+        # A zero f stops theorem1-3; find it before any scenario computes.
+        for name in ("theorem1", "theorem2", "theorem3"):
+            _operand_bank(cfgs[name], cfgs[name].build_grid())
         report = new_report("all", {
             "scenario": "all",
             "scenarios": {name: cfg.echo() for name, cfg in cfgs.items()},

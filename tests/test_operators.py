@@ -5,18 +5,22 @@ import itertools
 import numpy as np
 import pytest
 
+import maxlip.operators
 from maxlip import (
     Cube,
     CubeFamilyMode,
     GridFunction,
     OperatorTag,
     apply_operator,
+    apply_stack,
     comm_m,
     comm_sharp,
+    cubes_containing,
     enumerate_cubes,
     frac_max,
     hl_max,
     indicator,
+    indicator_stacks,
     family_sides,
     local_max,
     local_max_sweep,
@@ -202,6 +206,68 @@ def test_max_commutator_at_cells_matches_full():
     cells = [(0, 0), (2, 3), (4, 4), (1, 2)]
     got = max_commutator_at_cells(b, f, cells, CubeFamilyMode.FULL)
     assert np.allclose(got, [full[c] for c in cells], atol=1e-14)
+
+
+def test_max_commutator_dyadic_against_cube_loop():
+    # oracle_check only runs the full family; hold the start-range mask of
+    # the all-cells kernel against the dyadic cubes holding each cell.
+    for dim, n in ((1, 13), (2, 7)):
+        g = make_grid(dim, n)
+        b = seeded_function(g, 80, -1.0, 1.0)
+        f = seeded_function(g, 81, -1.0, 1.0)
+        expected = np.zeros(g.shape)
+        for cell in np.ndindex(g.shape):
+            for cube in cubes_containing(g, cell, CubeFamilyMode.DYADIC_SIDES):
+                sl = cube.slices()
+                block = np.abs(b.values[sl] - b.values[cell]) * np.abs(f.values[sl])
+                expected[cell] = max(expected[cell], float(block.sum()) / cube.side_cells**dim)
+        got = max_commutator(b, f, CubeFamilyMode.DYADIC_SIDES).values
+        assert np.max(np.abs(got - expected)) <= 1e-12, dim
+
+
+STACK_KINDS = ("hl", "sharp", "frac", "max_commutator", "comm_m", "comm_sharp")
+
+
+def _stack_tag(kind: str, b: GridFunction) -> OperatorTag:
+    if kind == "frac":
+        return OperatorTag.fractional(0.5)
+    if kind in ("hl", "sharp"):
+        return OperatorTag(kind)
+    return OperatorTag(kind, symbol=b)
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+@pytest.mark.parametrize("dim, n", [(1, 9), (2, 5)])
+@pytest.mark.parametrize("mode", [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES])
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "many-chunks"])
+def test_stacked_call_equals_per_function_calls(monkeypatch, kind, dim, n, mode, chunked):
+    g = make_grid(dim, n)
+    b = seeded_function(g, 90, -1.0, 1.0)
+    tag = _stack_tag(kind, b)
+    rows = [seeded_function(g, 91 + r, -1.0, 1.0).values for r in range(3)]
+    rows += [chi for _, chis in indicator_stacks(g, enumerate_cubes(g, mode)[::4]) for chi in chis]
+    stack = np.stack(rows)
+    expected = np.stack([apply_operator(tag, GridFunction(g, row), mode).values for row in rows])
+    if chunked:
+        # Small enough that every kernel splits the stack over rows, and the
+        # maximal commutator over cells too.
+        monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 512)
+    else:
+        assert stack.nbytes * 16 < maxlip.operators.STACK_BYTES_MAX
+    assert np.array_equal(apply_stack(tag, g, stack, mode), expected)
+
+
+def test_indicator_stacks_split_by_side_and_cap(monkeypatch):
+    g = make_grid(2, 5)
+    cubes = enumerate_cubes(g, CubeFamilyMode.FULL)
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 3 * 8 * g.cell_count)
+    seen = []
+    for group, stack in indicator_stacks(g, cubes):
+        assert 1 <= len(group) <= 3 and len({c.side_cells for c in group}) == 1
+        for cube, chi in zip(group, stack):
+            assert np.array_equal(chi, indicator(g, cube).values)
+        seen.extend(group)
+    assert tuple(seen) == cubes
 
 
 def test_pointwise_commutator_bound_nonneg_symbol():

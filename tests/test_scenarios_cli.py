@@ -14,6 +14,7 @@ import maxlip
 from maxlip import (
     KNOWN_SCENARIOS,
     ConfigError,
+    ConvergenceError,
     make_grid,
     parse_config,
     read_gridfunction_csv,
@@ -250,6 +251,46 @@ def test_malformed_config_is_a_one_line_error(tmp_path, capsys, raw, message):
         assert err.startswith("config error: ") and message in err
         assert err.count("\n") == 1
     assert not (tmp_path / "r.json").exists()
+
+
+def test_zero_operand_is_refused_before_any_operator_runs(tmp_path, monkeypatch, capsys):
+    # theorem1-3 divide by ||f||_p in their operator-norm rows, so a zero f
+    # is a config error found when the f bank is built, not after the sweeps.
+    def no_operator(*args, **kwargs):
+        raise AssertionError("an operator ran before the f bank was checked")
+
+    raw = {"grid": {"cells": 8},
+           "functions": {"b": [{"kind": "const", "value": 1.0}],
+                         "f": [{"kind": "const", "value": 0.0}]}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    for name in ("apply_stack", "comm_m", "comm_sharp", "frac_max", "hl_max", "sharp_max",
+                 "max_commutator", "max_commutator_at_cells"):
+        monkeypatch.setattr(f"maxlip.scenarios.{name}", no_operator, raising=False)
+    for scenario in ("theorem1", "theorem2", "theorem3", "all"):
+        code = main(["verify", scenario, "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2, scenario
+        assert err.startswith("config error: ") and "zero function" in err
+        assert err.count("\n") == 1
+    monkeypatch.undo()
+    # lemmas has no operator-norm row and skips a zero f.
+    assert main(["verify", "lemmas", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("error", [
+    ConvergenceError("Newton budget exhausted", (1.0, 2.0)),
+    MemoryError(),
+])
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("maxlip.cli.run_scenario", fail)
+    assert main(["verify", "identities", "--out", str(tmp_path / "r.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {type(error).__name__}: ")
+    assert err.count("\n") == 1
 
 
 def test_unwritable_out_is_found_before_computing(tmp_path, monkeypatch, capsys):
