@@ -45,6 +45,7 @@ from .lipschitz import (
     lambda_var,
     lip_seminorm,
     opnorm_lower,
+    opnorm_lower_stacked,
     osc_norm_q,
 )
 from .luxemburg import (

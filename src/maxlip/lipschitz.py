@@ -16,6 +16,7 @@ large ones.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,18 +29,20 @@ from .grid import (
     GridFunction,
     enumerate_cubes,
     family_sides,
+    indicator,
 )
-from .luxemburg import _lux_solve_batch
+from .luxemburg import _lux_solve_batch, lux_norm
 from .operators import (
     OperatorTag,
+    _chunks,
+    apply_operator,
     apply_stack,
     cube_blocks,
     indicator_stacks,
     local_max_sweep,
 )
-# Still importable from here, as before the one-pass sweep and the batched
-# opnorm_lower; the benchmark's tracer test pins both aliases.
-from .luxemburg import lux_norm  # noqa: F401
+# Still importable from here, as before the one-pass sweep; the benchmark's
+# tracer test pins the alias.
 from .operators import local_max  # noqa: F401
 from .sweep import Worst, pair_sweep
 
@@ -51,6 +54,7 @@ __all__ = [
     "lambda_star",
     "lambda_sharp",
     "opnorm_lower",
+    "opnorm_lower_stacked",
     "cube_oscillation_rows",
 ]
 
@@ -188,6 +192,21 @@ def lambda_sharp(
     return _sweep_result(cube_oscillation_rows(b, beta, q, mode, "sharp_double"))
 
 
+def _check_bank(tag: OperatorTag, p: VariableExponent, q: VariableExponent,
+                testbank: list[GridFunction]) -> None:
+    if tag.kind == "local":
+        raise ValueError("local operator has no grid-wide operator norm")
+    if not testbank:
+        raise ValueError("testbank must be nonempty")
+    for f in testbank:
+        if not np.any(f.values):
+            raise ValueError("zero function in testbank")
+        if f.grid != p.grid:
+            raise ValueError("testbank function on a different grid")
+    if q.grid != p.grid:
+        raise ValueError("exponents p and q live on different grids")
+
+
 def opnorm_lower(
     tag: OperatorTag,
     p: VariableExponent,
@@ -197,31 +216,52 @@ def opnorm_lower(
 ) -> float:
     """Lower bound for the p -> q operator norm from a finite test bank.
 
-    The bank is extended with the indicator of every cube in the family.
-    The whole bank goes through one stacked operator call, and the norms of
-    its outputs and of its members through one batched solve each.  Zero
-    functions are rejected; the local operator has no full-grid output and
-    is not accepted here.
+    The bank is extended with the indicator of every cube in the family,
+    and each member goes through its own operator call and norm solves.
+    Zero functions are rejected; the local operator has no full-grid output
+    and is not accepted here.  This is the per-function reference of
+    opnorm_lower_stacked, which the scenarios use.
     """
-    if tag.kind == "local":
-        raise ValueError("local operator has no grid-wide operator norm")
-    if not testbank:
-        raise ValueError("testbank must be nonempty")
+    _check_bank(tag, p, q, testbank)
+    bank = list(testbank) + [indicator(p.grid, c) for c in enumerate_cubes(p.grid, mode)]
+    best = 0.0
+    for f in bank:
+        out = apply_operator(tag, f, mode)
+        best = max(best, lux_norm(out, q).value / lux_norm(f, p).value)
+    return best
+
+
+def opnorm_lower_stacked(
+    tag: OperatorTag,
+    p: VariableExponent,
+    q: VariableExponent,
+    testbank: list[GridFunction],
+    mode: CubeFamilyMode = CubeFamilyMode.FULL,
+) -> float:
+    """opnorm_lower, bit for bit, with the bank in stacks.
+
+    The test bank and the cube indicators, in that order, are packed into
+    stacks of at most STACK_BYTES_MAX bytes.  Each stack goes through one
+    operator call, and the norms of its outputs and of its members through
+    one batched solve each; the bound is the largest ratio over the stacks.
+    """
+    _check_bank(tag, p, q, testbank)
     grid = p.grid
-    for f in testbank:
-        if not np.any(f.values):
-            raise ValueError("zero function in testbank")
-        if f.grid != grid:
-            raise ValueError("testbank function on a different grid")
-    if q.grid != grid:
-        raise ValueError("exponents p and q live on different grids")
     cubes = enumerate_cubes(grid, mode)
-    bank = np.concatenate([np.stack([f.values for f in testbank])]
-                          + [chis for _, chis in indicator_stacks(grid, cubes)])
-    out = apply_stack(tag, grid, bank, mode)
-    rows = (len(bank), grid.cell_count)
-    q_rows = np.broadcast_to(q.values.values.reshape(1, -1), rows)
-    p_rows = np.broadcast_to(p.values.values.reshape(1, -1), rows)
-    num = _lux_solve_batch(np.abs(out).reshape(rows), q_rows, grid.cell_measure)
-    den = _lux_solve_batch(np.abs(bank).reshape(rows), p_rows, grid.cell_measure)
-    return max(0.0, float(np.max(num / den)))
+    members = itertools.chain(
+        (f.values for f in testbank),
+        (chi for _, chis in indicator_stacks(grid, cubes) for chi in chis),
+    )
+    best = 0.0
+    for part in _chunks(len(testbank) + len(cubes), 8 * grid.cell_count):
+        stack = np.stack(list(itertools.islice(members, part.stop - part.start)))
+        rows = (len(stack), grid.cell_count)
+        out = apply_stack(tag, grid, stack, mode)
+        num = _lux_solve_batch(np.abs(out).reshape(rows),
+                               np.broadcast_to(q.values.values.reshape(1, -1), rows),
+                               grid.cell_measure)
+        den = _lux_solve_batch(np.abs(stack).reshape(rows),
+                               np.broadcast_to(p.values.values.reshape(1, -1), rows),
+                               grid.cell_measure)
+        best = max(best, float(np.max(num / den)))
+    return best

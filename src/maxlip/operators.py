@@ -26,11 +26,10 @@ builds (prefix tables, window differences, the commutator's cell tables)
 stay within STACK_BYTES_MAX bytes: a stack is split over rows, and the
 commutator's tables over cells too.  indicator_stacks builds the cube
 indicators of a family as stacks within the same cap, and cube_blocks
-reads each row on its own cube.  The
-per-cube sweeps run on them: the indicator and local-on-cube checks of
-identities, theorem2's mean recovery, lambda_sharp, theorem3's M_b(chi_Q)
-rows and opnorm_lower's test bank.  The naive oracles stay per cube and
-unbatched.
+reads each row on its own cube.  The per-cube sweeps run on them: the
+indicator and local-on-cube checks of identities, theorem2's mean
+recovery, lambda_sharp, theorem3's M_b(chi_Q) rows and the test bank of
+opnorm_lower_stacked.  The naive oracles stay per cube and unbatched.
 """
 
 from __future__ import annotations
@@ -233,24 +232,24 @@ def _commutator_rows(kernel, b: GridFunction, stack: np.ndarray, mode: CubeFamil
     return b.values * kernel(b.grid, stack, mode) - kernel(b.grid, b.values * stack, mode)
 
 
-def _same_grid(b: GridFunction, f: GridFunction) -> None:
-    if f.grid != b.grid:
-        raise ValueError("symbol and operand live on different grids")
+def _one(tag: "OperatorTag", f: GridFunction, mode: CubeFamilyMode) -> GridFunction:
+    """The tagged operator on f alone: apply_stack on a stack of one."""
+    return GridFunction(f.grid, apply_stack(tag, f.grid, f.values[None], mode)[0])
 
 
 def hl_max(f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
     """Maximal function: per cell, the largest average of |f| over cubes containing it."""
-    return GridFunction(f.grid, _average_max(f.grid, f.values[None], mode)[0])
+    return _one(OperatorTag.hl(), f, mode)
 
 
 def frac_max(f: GridFunction, alpha: float, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
     """Fractional maximal function of order alpha in (0, dim)."""
-    return GridFunction(f.grid, _average_max(f.grid, f.values[None], mode, alpha)[0])
+    return _one(OperatorTag.fractional(alpha), f, mode)
 
 
 def sharp_max(f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
     """Sharp maximal function: largest mean oscillation over cubes containing the cell."""
-    return GridFunction(f.grid, _sharp_rows(f.grid, f.values[None], mode)[0])
+    return _one(OperatorTag.sharp(), f, mode)
 
 
 def local_max(b: GridFunction, q0: Cube) -> np.ndarray:
@@ -313,8 +312,7 @@ def max_commutator(
     b: GridFunction, f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL
 ) -> GridFunction:
     """Maximal commutator: per cell x, sup over cubes of avg |b(x)-b(y)| |f(y)|."""
-    _same_grid(b, f)
-    return GridFunction(b.grid, _max_comm_rows(b, f.values[None], mode)[0])
+    return _one(OperatorTag.max_commutator(b), f, mode)
 
 
 def max_commutator_at_cells(
@@ -330,14 +328,12 @@ def max_commutator_at_cells(
 
 def comm_m(b: GridFunction, f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
     """Commutator with the maximal operator: b * M(f) - M(b f)."""
-    _same_grid(b, f)
-    return GridFunction(b.grid, _commutator_rows(_average_max, b, f.values[None], mode)[0])
+    return _one(OperatorTag.comm_m(b), f, mode)
 
 
 def comm_sharp(b: GridFunction, f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
     """Commutator with the sharp maximal operator: b * M#(f) - M#(b f)."""
-    _same_grid(b, f)
-    return GridFunction(b.grid, _commutator_rows(_sharp_rows, b, f.values[None], mode)[0])
+    return _one(OperatorTag.comm_sharp(b), f, mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,7 +381,11 @@ class OperatorTag:
 
 
 def apply_operator(tag: OperatorTag, f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL):
-    """Dispatch a tagged operator; local returns the subgrid array."""
+    """Dispatch a tagged operator to its single-function form; local returns the subgrid array.
+
+    Every kind but local is apply_stack on a stack of one, through the
+    named operator (hl_max, sharp_max, ...).
+    """
     if tag.kind == "hl":
         return hl_max(f, mode)
     if tag.kind == "sharp":
@@ -408,9 +408,10 @@ def apply_stack(
 ) -> np.ndarray:
     """A tagged operator on every row of a stack of grid arrays at once.
 
-    stack has shape (rows,) + grid.shape; row r of the result equals
-    apply_operator(tag, GridFunction(grid, stack[r]), mode).values bit for
-    bit.  The local operator has no full-grid output and is not accepted.
+    stack has shape (rows,) + grid.shape; row r of the result equals the
+    operator on stack[r] alone bit for bit.  This is the one map from an
+    operator kind to its kernel.  The local operator has no full-grid output
+    and is not accepted.
     """
     if tag.kind == "hl":
         return _average_max(grid, stack, mode)

@@ -50,7 +50,7 @@ from .lipschitz import (
     lambda_star,
     lambda_var,
     lip_seminorm,
-    opnorm_lower,
+    opnorm_lower_stacked,
     osc_norm_q,
 )
 from .luxemburg import (
@@ -485,7 +485,7 @@ def _opnorm_row(check_id: str, op: str, tag: OperatorTag, pair: ExponentPair,
     """Operator-norm lower bound from p to the paired q over the f bank; none without one."""
     if not fs:
         return []
-    value = opnorm_lower(tag, pair.p, pair.q, [f for _, f in fs], mode)
+    value = opnorm_lower_stacked(tag, pair.p, pair.q, [f for _, f in fs], mode)
     return [report_row(
         check_id, f"operator norm lower bound for {op} from p to the paired q",
         value, 0.0, witness,
@@ -635,12 +635,11 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
 
     cm = grid.cell_measure
     sides = [tuple(side) for _, side in itertools.groupby(cubes, key=lambda c: c.side_cells)]
-    # Per exponent and side: the q values on each cube's cells and ||chi_Q||_q.
-    q_sides = {}
-    for lq, q in qs:
-        q_rows = [np.stack([q.values.values[c.slices()].reshape(-1) for c in side])
-                  for side in sides]
-        q_sides[lq] = [(rows, _lux_solve_batch(np.ones_like(rows), rows, cm)) for rows in q_rows]
+    # Per exponent: the q values on each cube's cells, per side, and ||chi_Q||_q.
+    q_rows = {lq: [np.stack([q.values.values[c.slices()].reshape(-1) for c in side])
+                   for side in sides]
+              for lq, q in qs}
+    chi_norms = {lq: _indicator_norms(grid, q, cubes) for lq, q in qs}
 
     def commutator_rows(b: GridFunction) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per side, rows |b - b_Q| and rows M_b(chi_Q), on each cube's own cells."""
@@ -658,13 +657,14 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
 
     def ratio(lb: str, b_rows: list, lq: str) -> list[Check]:
         worst, top = Worst(), Worst()
-        for side, (osc_rows, mb_rows), (q_rows, den) in zip(sides, b_rows, q_sides[lq]):
-            osc = _lux_solve_batch(osc_rows, q_rows, cm)
-            mb = _lux_solve_batch(mb_rows, q_rows, cm)
+        den = chi_norms[lq]
+        for side, (osc_rows, mb_rows), side_q in zip(sides, b_rows, q_rows[lq]):
+            osc = _lux_solve_batch(osc_rows, side_q, cm)
+            mb = _lux_solve_batch(mb_rows, side_q, cm)
             scale = (side[0].side_cells * grid.spacing) ** (-beta)
             for r, cube in enumerate(side):
-                lhs = scale * float(osc[r]) / float(den[r])
-                rhs = scale * float(mb[r]) / float(den[r])
+                lhs = scale * float(osc[r]) / den[cube]
+                rhs = scale * float(mb[r]) / den[cube]
                 worst.offer(lhs - rhs, cube)
                 top.offer(rhs, cube)
         return [

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import maxlip.operators
 from maxlip import (
     Cube,
     CubeFamilyMode,
@@ -20,6 +21,7 @@ from maxlip import (
     lip_seminorm,
     make_grid,
     opnorm_lower,
+    opnorm_lower_stacked,
     osc_norm_q,
     sample,
 )
@@ -174,14 +176,36 @@ def test_opnorm_lower_bounds():
     g = make_grid(1, 12)
     p = const_exponent(g, 2.0)
     bank = [seeded_function(g, s, 0.5, 1.5) for s in range(2)]
-    # M x >= x pointwise forces the ratio past one.
-    assert opnorm_lower(OperatorTag.hl(), p, p, bank) >= 1.0
-    with pytest.raises(ValueError, match="no grid-wide"):
-        opnorm_lower(OperatorTag.local(Cube((0,), 4)), p, p, bank)
-    with pytest.raises(ValueError, match="nonempty"):
-        opnorm_lower(OperatorTag.hl(), p, p, [])
-    with pytest.raises(ValueError, match="zero function"):
-        opnorm_lower(OperatorTag.hl(), p, p, [GridFunction(g, np.zeros(12))])
+    for bound in (opnorm_lower, opnorm_lower_stacked):
+        # M x >= x pointwise forces the ratio past one.
+        assert bound(OperatorTag.hl(), p, p, bank) >= 1.0
+        with pytest.raises(ValueError, match="no grid-wide"):
+            bound(OperatorTag.local(Cube((0,), 4)), p, p, bank)
+        with pytest.raises(ValueError, match="nonempty"):
+            bound(OperatorTag.hl(), p, p, [])
+        with pytest.raises(ValueError, match="zero function"):
+            bound(OperatorTag.hl(), p, p, [GridFunction(g, np.zeros(12))])
+        with pytest.raises(ValueError, match="different grids"):
+            bound(OperatorTag.hl(), p, const_exponent(make_grid(1, 8), 2.0), bank)
+
+
+@pytest.mark.parametrize("kind", ["hl", "sharp", "fractional", "max_commutator", "comm_m",
+                                  "comm_sharp"])
+@pytest.mark.parametrize("dim, n", [(1, 12), (2, 5)])
+@pytest.mark.parametrize("mode", [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES])
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-stack", "many-stacks"])
+def test_opnorm_lower_stacked_equals_per_function(monkeypatch, kind, dim, n, mode, chunked):
+    g = make_grid(dim, n)
+    b = seeded_function(g, 70)
+    tag = {"hl": OperatorTag.hl(), "sharp": OperatorTag.sharp(),
+           "fractional": OperatorTag.fractional(0.5)}.get(kind) or OperatorTag(kind, symbol=b)
+    p, q = affine_exponent(g, 2.0, 1.0), affine_exponent(g, 3.0, -1.0)
+    bank = [seeded_function(g, 71 + s) for s in range(3)]
+    expected = opnorm_lower(tag, p, q, bank, mode)
+    if chunked:
+        # Two rows per stack: the bank splits, and so does every side's indicators.
+        monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 2 * 8 * g.cell_count)
+    assert opnorm_lower_stacked(tag, p, q, bank, mode) == expected
 
 
 def test_result_float_protocol():
