@@ -26,6 +26,8 @@ from .grid import (
     GridFunction,
     average,
     check_cube,
+    cube_rows,
+    cubes_by_side,
     cubes_containing,
     enumerate_cubes,
     family_sides,

@@ -6,23 +6,25 @@ hard checks passed, 1 at least one failed, 2 malformed or inadmissible
 configuration, 3 output could not be written, 4 internal error (the norm
 solver did not converge, or memory ran out); an unwritable output path
 is found before any computing starts.  Codes 2 to 4 come with one line on
-stderr.  ``python -m maxlip`` runs the same entry point.
+stderr.  An output is written to a temporary file beside its target and
+then moved into place, so a write that fails leaves the old file as it
+was.  ``python -m maxlip`` runs the same entry point.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 from . import __version__
 from .catalog import ConfigError, build_exponent, build_function
 from .config import KNOWN_SCENARIOS, load_config, parse_beta, parse_grid
-from .grid import Cube, CubeFamilyMode, GridFunction, check_cube, make_grid, write_gridfunction_csv
+from .grid import (Cube, CubeFamilyMode, GridFunction, check_cube, make_grid, write_cells_csv,
+                   write_gridfunction_csv)
 from .lipschitz import lambda_star, lambda_var, lip_seminorm
 from .luxemburg import ConvergenceError, lux_norm
-from .operators import comm_m, comm_sharp, frac_max, hl_max, local_max, max_commutator, sharp_max
+from .operators import OperatorTag, apply_operator, local_max
 from .scenarios import run_scenario
 
 _COMPUTE_OPS = (
@@ -39,6 +41,11 @@ _COMPUTE_OPS = (
     "lambda-star",
 )
 _COMPUTE_KEYS = {"grid", "cube_family", "beta", "function", "symbol", "exponent", "cube"}
+# The operator ops: each builds its tag from the symbol b, or else from beta.
+_SYMBOL_OPERATORS = {"maxcomm": OperatorTag.max_commutator, "comm-m": OperatorTag.comm_m,
+                     "comm-sharp": OperatorTag.comm_sharp}
+_OPERATORS = {"hl": lambda beta: OperatorTag.hl(), "sharp": lambda beta: OperatorTag.sharp(),
+              "frac": OperatorTag.fractional, **_SYMBOL_OPERATORS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,23 +86,6 @@ def _parse_cube(spec, grid) -> Cube:
     return cube
 
 
-def _write_local_csv(grid, cube: Cube, values, path) -> None:
-    # Same layout as the full-grid dump, restricted to the cube's cells.
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        k = cube.side_cells
-        if grid.dim == 1:
-            writer.writerow(["index", "value"])
-            for i in range(k):
-                writer.writerow([cube.start[0] + i, f"{values[i]:.17g}"])
-        else:
-            writer.writerow(["i", "j", "value"])
-            for i in range(k):
-                for j in range(k):
-                    writer.writerow([cube.start[0] + i, cube.start[1] + j,
-                                     f"{values[i, j]:.17g}"])
-
-
 def _run_compute(op: str, raw: dict, out_path: str) -> None:
     unknown = set(raw) - _COMPUTE_KEYS
     if unknown:
@@ -112,25 +102,13 @@ def _run_compute(op: str, raw: dict, out_path: str) -> None:
             raise ConfigError(f"compute op {op!r} requires {key!r} in config")
         return raw[key]
 
-    if op == "hl":
-        result = hl_max(build_function(grid, need("function")), mode)
-    elif op == "sharp":
-        result = sharp_max(build_function(grid, need("function")), mode)
-    elif op == "frac":
-        result = frac_max(build_function(grid, need("function")), beta, mode)
-    elif op == "maxcomm":
-        result = max_commutator(build_function(grid, need("symbol")),
-                                build_function(grid, need("function")), mode)
-    elif op == "comm-m":
-        result = comm_m(build_function(grid, need("symbol")),
-                        build_function(grid, need("function")), mode)
-    elif op == "comm-sharp":
-        result = comm_sharp(build_function(grid, need("symbol")),
-                            build_function(grid, need("function")), mode)
+    if op in _OPERATORS:
+        arg = build_function(grid, need("symbol")) if op in _SYMBOL_OPERATORS else beta
+        result = apply_operator(_OPERATORS[op](arg), build_function(grid, need("function")), mode)
     elif op == "local":
         cube = _parse_cube(need("cube"), grid)
         values = local_max(build_function(grid, need("symbol")), cube)
-        _write_local_csv(grid, cube, values, out_path)
+        _write_atomic(out_path, lambda path: write_cells_csv(values, path, cube.start))
         return
     elif op == "lux":
         q = build_exponent(grid, need("exponent"))
@@ -145,10 +123,33 @@ def _run_compute(op: str, raw: dict, out_path: str) -> None:
         result = lambda_star(build_function(grid, need("symbol")), beta, q, mode).value
 
     if isinstance(result, GridFunction):
-        write_gridfunction_csv(result, out_path)
+        _write_atomic(out_path, lambda path: write_gridfunction_csv(result, path))
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(f"{result:.17g}\n")
+        _write_atomic(out_path, lambda path: _write_text(path, f"{result:.17g}\n"))
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_atomic(path: str, write) -> None:
+    """write(tmp) to a temporary file beside path, then move it onto path.
+
+    A failed write leaves path as it was.  An existing path that is not a
+    regular file (a terminal, a pipe, /dev/null) is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        return write(path)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _probe_writable(path: str) -> None:
@@ -171,8 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             report = run_scenario(args.scenario, raw)
             text = report.render(args.format)
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                _write_atomic(args.out, lambda path: _write_text(path, text))
             else:
                 sys.stdout.write(text)
             return 1 if report.has_failures else 0

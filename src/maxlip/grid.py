@@ -9,18 +9,21 @@ asymptotic in the continuum hold exactly on the grid.
 
 Cube enumeration is deterministic (ascending side length, then
 lexicographic start index), which keeps every reported supremum witness
-reproducible.
+reproducible.  cube_rows lays a grid array out on every cube of one side,
+one row per cube in that order, so a sweep over a family is array passes.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "CubeFamilyMode",
@@ -33,8 +36,10 @@ __all__ = [
     "average",
     "indicator",
     "enumerate_cubes",
+    "cubes_by_side",
     "cubes_containing",
     "window_sums",
+    "cube_rows",
     "write_gridfunction_csv",
     "read_gridfunction_csv",
 ]
@@ -307,6 +312,14 @@ def enumerate_cubes(grid: Grid, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> t
     return _enumerate(grid, mode)
 
 
+def cubes_by_side(grid: Grid, mode: CubeFamilyMode = CubeFamilyMode.FULL):
+    """The family split by side: (k, the side-k cubes in enumeration order) per side."""
+    cubes, sides = enumerate_cubes(grid, mode), family_sides(grid.cells_per_axis, mode)
+    counts = [(grid.cells_per_axis - k + 1) ** grid.dim for k in sides]
+    return [(k, cubes[end - count:end])
+            for k, count, end in zip(sides, counts, itertools.accumulate(counts))]
+
+
 def cubes_containing(grid: Grid, cell, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> tuple[Cube, ...]:
     """Cubes of the family whose cell range contains the given cell.
 
@@ -359,19 +372,30 @@ def window_sums(f: GridFunction, k: int) -> np.ndarray:
     return table_window_sums(f.prefix, k, f.grid.dim)
 
 
+def cube_rows(values: np.ndarray, k: int) -> np.ndarray:
+    """Row r: the cells of the r-th side-k cube of enumerate_cubes, row-major.
+
+    Shape ((N-k+1)^dim, k^dim); the rows of a family's sides, joined, are
+    indexed like the family.  A contiguous copy, so a row sums like the
+    cube's slice, bit for bit.
+    """
+    dim = values.ndim
+    return np.ascontiguousarray(sliding_window_view(values, (k,) * dim)).reshape(-1, k**dim)
+
+
 def write_gridfunction_csv(f: GridFunction, path) -> None:
     """CSV dump: header index,value (dim 1) or i,j,value (dim 2), 17 significant digits."""
+    write_cells_csv(f.values, path)
+
+
+def write_cells_csv(values: np.ndarray, path, start: Sequence[int] = (0, 0)) -> None:
+    """write_gridfunction_csv of a block of cell values whose first cell is start."""
+    cells = itertools.product(*(range(s, s + m) for s, m in zip(start, values.shape)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if f.grid.dim == 1:
-            writer.writerow(["index", "value"])
-            for i, v in enumerate(f.values):
-                writer.writerow([i, f"{v:.17g}"])
-        else:
-            writer.writerow(["i", "j", "value"])
-            for i in range(f.grid.cells_per_axis):
-                for j in range(f.grid.cells_per_axis):
-                    writer.writerow([i, j, f"{f.values[i, j]:.17g}"])
+        writer.writerow(["index", "value"] if values.ndim == 1 else ["i", "j", "value"])
+        writer.writerows([*cell, f"{v:.17g}"]
+                         for cell, v in zip(cells, values.reshape(-1).tolist()))
 
 
 def read_gridfunction_csv(path, grid: Grid) -> GridFunction:

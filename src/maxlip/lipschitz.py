@@ -9,7 +9,11 @@ only in the reference subtracted from b before taking the norm ratio:
     to the cube.
 
 Each sweep reports the attaining cube so that every supremum in a report
-can be reproduced.  The pairwise beta-Holder seminorm is one score of the
+can be reproduced.  The sweeps run on cube rows (grid.cube_rows): b and q
+on every side-k cube, one row per cube in enumeration order, so centers,
+norm solves and the worst case are whole-array passes and enumerate_cubes
+decodes the witness.  A row keeps its cube's cell order, so every value
+equals the per-cube one bit for bit.  The pairwise beta-Holder seminorm is one score of the
 cell-pair sweep in ``sweep``: exact on small grids, a flagged sample on
 large ones.
 """
@@ -20,13 +24,14 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import VariableExponent
 from .grid import (
     Cube,
     CubeFamilyMode,
     GridFunction,
+    cube_rows,
+    cubes_by_side,
     enumerate_cubes,
     family_sides,
     indicator,
@@ -44,7 +49,7 @@ from .operators import (
 # Still importable from here, as before the one-pass sweep; the benchmark's
 # tracer test pins the alias.
 from .operators import local_max  # noqa: F401
-from .sweep import Worst, pair_sweep
+from .sweep import pair_sweep, worst_of
 
 __all__ = [
     "LipResult",
@@ -87,6 +92,38 @@ def lip_seminorm(b: GridFunction, beta: float) -> LipResult:
     return LipResult(*pair_sweep(b, lambda diff, dist: diff / dist**beta))
 
 
+def _oscillation_values(
+    b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode, center: str
+) -> np.ndarray:
+    """The row value of cube_oscillation_rows for every cube, in enumeration order."""
+    _check_beta(beta)
+    grid = b.grid
+    if q.grid != grid:
+        raise ValueError("function and exponent live on different grids")
+    if center not in ("average", "local_max", "sharp_double"):
+        raise ValueError(f"unknown center {center!r}")
+    runs = cubes_by_side(grid, mode)
+    local = local_max_sweep(b, [k for k, _ in runs]) if center == "local_max" else None
+    values = []
+    for k, side in runs:
+        blocks = cube_rows(b.values, k)
+        if local is not None:
+            ref = next(local)[1].reshape(blocks.shape)
+        elif center == "sharp_double":
+            ref = 2.0 * np.concatenate([
+                cube_blocks(apply_stack(OperatorTag.sharp(), grid, b.values * chis, mode), group)
+                for group, chis in indicator_stacks(grid, side)
+            ])
+        else:
+            ref = (blocks.sum(axis=1) / blocks.shape[1])[:, None]
+        diff = np.abs(blocks - ref)
+        q_rows = cube_rows(q.values.values, k)
+        num = _lux_solve_batch(diff, q_rows, grid.cell_measure)
+        den = _lux_solve_batch(np.ones_like(diff), q_rows, grid.cell_measure)
+        values.append((k * grid.spacing) ** (-beta) * num / den)
+    return np.concatenate(values)
+
+
 def cube_oscillation_rows(
     b: GridFunction,
     beta: float,
@@ -101,53 +138,20 @@ def cube_oscillation_rows(
     with ref chosen by ``center``: the cube average, the cube-local maximal
     function, or twice the sharp maximal function of b chi_Q.
     """
-    _check_beta(beta)
-    grid = b.grid
-    if q.grid != grid:
-        raise ValueError("function and exponent live on different grids")
-    if center not in ("average", "local_max", "sharp_double"):
-        raise ValueError(f"unknown center {center!r}")
-    dim = grid.dim
-    n = grid.cells_per_axis
-    qv = q.values.values
-    cm = grid.cell_measure
-    sides = family_sides(n, mode)
-    local = local_max_sweep(b, sides) if center == "local_max" else None
-    rows: list[tuple[Cube, float]] = []
-    for k in sides:
-        window = (k,) * dim
-        cubes = [Cube(start, k) for start in np.ndindex((n - k + 1,) * dim)]
-        width = k**dim
-        q_rows = sliding_window_view(qv, window).reshape(len(cubes), width)
-        if local is not None:
-            _, levels = next(local)
-            diff_rows = np.abs(sliding_window_view(b.values, window) - levels)
-            diff_rows = diff_rows.reshape(len(cubes), width)
-        elif center == "sharp_double":
-            sharp = np.concatenate([
-                cube_blocks(apply_stack(OperatorTag.sharp(), grid, b.values * chis, mode), group)
-                for group, chis in indicator_stacks(grid, cubes)
-            ])
-            blocks = sliding_window_view(b.values, window).reshape(len(cubes), width)
-            diff_rows = np.abs(blocks - 2.0 * sharp)
-        else:
-            diff_rows = np.empty((len(cubes), width))
-            for r, cube in enumerate(cubes):
-                block = b.values[cube.slices()]
-                diff_rows[r] = np.abs(block - block.sum() / width).reshape(-1)
-        num = _lux_solve_batch(diff_rows, q_rows, cm)
-        den = _lux_solve_batch(np.ones_like(diff_rows), q_rows, cm)
-        factor = (k * grid.spacing) ** (-beta)
-        for r, cube in enumerate(cubes):
-            rows.append((cube, factor * float(num[r]) / float(den[r])))
-    return rows
+    values = _oscillation_values(b, beta, q, mode, center)
+    return list(zip(enumerate_cubes(b.grid, mode), values.tolist()))
 
 
-def _sweep_result(rows: list[tuple[Cube, float]]) -> LipResult:
-    best = Worst()
-    for cube, val in rows:
-        best.offer(val, cube)
+def _sweep_result(b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode,
+                  center: str) -> LipResult:
+    best = worst_of(_oscillation_values(b, beta, q, mode, center), enumerate_cubes(b.grid, mode))
     return LipResult(best.value, best.witness, True)
+
+
+def _pow_like_scalar(values: np.ndarray, exponent: float) -> np.ndarray:
+    """values ** exponent rounded as a float64 scalar power (C pow) rounds it,
+    which numpy's vectorized power may miss by an ulp."""
+    return np.frompyfunc(pow, 2, 1)(values, exponent).astype(float)
 
 
 def osc_norm_q(
@@ -160,14 +164,14 @@ def osc_norm_q(
         raise ValueError(f"q must be at least 1, got {q_const}")
     grid = b.grid
     dim = grid.dim
-    best = Worst()
-    for cube in enumerate_cubes(grid, mode):
-        block = b.values[cube.slices()]
-        k = cube.side_cells
-        mean = block.sum() / k**dim
-        power_mean = (np.abs(block - mean) ** q_const).sum() / k**dim
-        val = cube.measure(grid) ** (-beta / dim) * power_mean ** (1.0 / q_const)
-        best.offer(float(val), cube)
+    values = []
+    for k in family_sides(grid.cells_per_axis, mode):
+        blocks = cube_rows(b.values, k)
+        mean = blocks.sum(axis=1) / k**dim
+        power_mean = (np.abs(blocks - mean[:, None]) ** q_const).sum(axis=1) / k**dim
+        measure = (k * grid.spacing) ** dim
+        values.append(measure ** (-beta / dim) * _pow_like_scalar(power_mean, 1.0 / q_const))
+    best = worst_of(np.concatenate(values), enumerate_cubes(grid, mode))
     return LipResult(best.value, best.witness, True)
 
 
@@ -175,21 +179,21 @@ def lambda_var(
     b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode = CubeFamilyMode.FULL
 ) -> LipResult:
     """Oscillation functional centered at cube averages."""
-    return _sweep_result(cube_oscillation_rows(b, beta, q, mode, "average"))
+    return _sweep_result(b, beta, q, mode, "average")
 
 
 def lambda_star(
     b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode = CubeFamilyMode.FULL
 ) -> LipResult:
     """Oscillation functional centered at the cube-local maximal function."""
-    return _sweep_result(cube_oscillation_rows(b, beta, q, mode, "local_max"))
+    return _sweep_result(b, beta, q, mode, "local_max")
 
 
 def lambda_sharp(
     b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode = CubeFamilyMode.FULL
 ) -> LipResult:
     """Oscillation functional centered at twice the sharp maximal function."""
-    return _sweep_result(cube_oscillation_rows(b, beta, q, mode, "sharp_double"))
+    return _sweep_result(b, beta, q, mode, "sharp_double")
 
 
 def _check_bank(tag: OperatorTag, p: VariableExponent, q: VariableExponent,
@@ -232,36 +236,41 @@ def opnorm_lower(
 
 
 def opnorm_lower_stacked(
-    tag: OperatorTag,
+    tags: list[OperatorTag],
     p: VariableExponent,
     q: VariableExponent,
     testbank: list[GridFunction],
     mode: CubeFamilyMode = CubeFamilyMode.FULL,
-) -> float:
-    """opnorm_lower, bit for bit, with the bank in stacks.
+) -> list[float]:
+    """opnorm_lower of each tag, bit for bit, with the bank in stacks.
 
     The test bank and the cube indicators, in that order, are packed into
-    stacks of at most STACK_BYTES_MAX bytes.  Each stack goes through one
-    operator call, and the norms of its outputs and of its members through
-    one batched solve each; the bound is the largest ratio over the stacks.
+    stacks of at most STACK_BYTES_MAX bytes.  The norms ||f||_p of a
+    stack's members are solved once, in one batch, and shared by every tag;
+    each tag takes one operator call and one batched solve of its outputs'
+    norms per stack.  A tag's bound is its largest ratio over the stacks.
     """
-    _check_bank(tag, p, q, testbank)
+    for tag in tags:
+        _check_bank(tag, p, q, testbank)
+    if not tags:
+        return []
     grid = p.grid
     cubes = enumerate_cubes(grid, mode)
     members = itertools.chain(
         (f.values for f in testbank),
         (chi for _, chis in indicator_stacks(grid, cubes) for chi in chis),
     )
-    best = 0.0
+
+    def norms(stack: np.ndarray, r: VariableExponent) -> np.ndarray:
+        rows = np.abs(stack).reshape(len(stack), -1)
+        return _lux_solve_batch(rows, np.broadcast_to(r.values.values.reshape(1, -1), rows.shape),
+                                grid.cell_measure)
+
+    best = [0.0] * len(tags)
     for part in _chunks(len(testbank) + len(cubes), 8 * grid.cell_count):
         stack = np.stack(list(itertools.islice(members, part.stop - part.start)))
-        rows = (len(stack), grid.cell_count)
-        out = apply_stack(tag, grid, stack, mode)
-        num = _lux_solve_batch(np.abs(out).reshape(rows),
-                               np.broadcast_to(q.values.values.reshape(1, -1), rows),
-                               grid.cell_measure)
-        den = _lux_solve_batch(np.abs(stack).reshape(rows),
-                               np.broadcast_to(p.values.values.reshape(1, -1), rows),
-                               grid.cell_measure)
-        best = max(best, float(np.max(num / den)))
+        den = norms(stack, p)
+        for t, tag in enumerate(tags):
+            ratios = norms(apply_stack(tag, grid, stack, mode), q) / den
+            best[t] = max(best[t], float(np.max(ratios)))
     return best

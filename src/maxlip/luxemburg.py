@@ -197,28 +197,28 @@ def check_s_norm(f: GridFunction, p: VariableExponent, s: float) -> float:
     return abs(lhs - rhs)
 
 
-def _indicator_norm_on_cube(cube: Cube, p: VariableExponent) -> float:
-    sl = cube.slices()
-    ones = np.ones((cube.side_cells,) * p.grid.dim)
-    return _lux_solve(ones, p.values.values[sl], p.grid.cell_measure).value
+def _indicator_norm_rows(q_rows: np.ndarray, cell_measure: float) -> np.ndarray:
+    """||chi_Q||_q of each cube Q whose q values, flattened, form a row of q_rows."""
+    return _lux_solve_batch(np.ones_like(q_rows), q_rows, cell_measure)
+
+
+def _indicator_norms_on_cube(cube: Cube, *exponents: VariableExponent) -> list[float]:
+    rows = np.stack([r.values.values[cube.slices()].reshape(-1) for r in exponents])
+    return _indicator_norm_rows(rows, exponents[0].grid.cell_measure).tolist()
 
 
 def cube_duality_product(cube: Cube, q: VariableExponent) -> float:
     """(1/|Q|) ||chi_Q||_q ||chi_Q||_q'; equals 1 exactly for constant q."""
     check_cube(q.grid, cube)
-    qc = conjugate(q)
-    meas = cube.measure(q.grid)
-    return _indicator_norm_on_cube(cube, q) * _indicator_norm_on_cube(cube, qc) / meas
+    norm, dual = _indicator_norms_on_cube(cube, q, conjugate(q))
+    return norm * dual / cube.measure(q.grid)
 
 
 def cube_embedding_ratio(cube: Cube, pair: ExponentPair) -> float:
     """||chi_Q||_p / (|Q|^{beta/dim} ||chi_Q||_q); equals 1 for constant pairs."""
     check_cube(pair.p.grid, cube)
-    meas = cube.measure(pair.p.grid)
-    dim = pair.p.grid.dim
-    num = _indicator_norm_on_cube(cube, pair.p)
-    den = meas ** (pair.beta / dim) * _indicator_norm_on_cube(cube, pair.q)
-    return num / den
+    num, den = _indicator_norms_on_cube(cube, pair.p, pair.q)
+    return num / (cube.measure(pair.p.grid) ** (pair.beta / pair.p.grid.dim) * den)
 
 
 def embedding_bound(pair: ExponentPair) -> float:

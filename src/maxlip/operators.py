@@ -10,7 +10,11 @@ dimensional constants.
 Each operator has two routes: a fast path built on per-side window
 statistics (prefix-sum queries, or one window view per side for the sharp
 function) plus per-side sliding maxima, and a naive nested-loop oracle that
-sums cube slices directly.  oracle_check compares the two and is wired
+sums cube slices directly.  The sliding max is a log-step running max (van
+Herk; Gil and Werman): doubling maxima m_2p[i] = max(m_p[i], m_p[i+p]) up
+to the largest power of two p <= k, then max(m_p[i], m_p[i+k-p]) covers the
+window [i, i+k); a square window is one axis after the other.  Max returns
+one of its arguments, so this equals the direct max over each window.  oracle_check compares the two and is wired
 into the test suite; the routes are intentionally kept separate.  The
 sweeps over every cube of a family take the local maximal function from
 local_max_sweep, one pass per symbol; the single-cube local_max is its
@@ -123,15 +127,37 @@ def _windowed_cell_max(window_vals: np.ndarray, k: int, dim: int) -> np.ndarray:
 
     window_vals is indexed by window start on its last dim axes; leading
     axes are rows of a stack.  Cells near the boundary see fewer windows;
-    the -inf padding keeps them out of the running max.
+    the -inf padding keeps them out of the running max, which runs along
+    each grid axis in turn.
     """
     if k == 1:
         return window_vals
     starts = window_vals.shape[-1]
-    padded = np.full(window_vals.shape[:-dim] + (starts + 2 * (k - 1),) * dim, -np.inf)
+    cells = starts + k - 1
+    padded = np.full(window_vals.shape[:-dim] + (cells + k - 1,) * dim, -np.inf,
+                     dtype=window_vals.dtype)
     padded[(Ellipsis,) + (slice(k - 1, k - 1 + starts),) * dim] = window_vals
-    axes = tuple(range(-dim, 0))
-    return sliding_window_view(padded, (k,) * dim, axis=axes).max(axis=axes)
+    out = padded
+    for axis in range(dim):
+        out = _running_max(out, k, dim - axis, cells)
+    return out
+
+
+def _running_max(a: np.ndarray, k: int, from_end: int, length: int) -> np.ndarray:
+    """The max of every k consecutive entries along axis -from_end, the first length of them.
+
+    m_p[i] = max a[i : i + p] doubles up to the largest power of two p <= k,
+    and the window [i, i + k) is the union of [i, i + p) and [i + k - p, i + k).
+    """
+    def cut(lo: int, size: int) -> tuple:
+        return (Ellipsis, slice(lo, lo + size)) + (slice(None),) * (from_end - 1)
+
+    p = 1
+    while 2 * p <= k:
+        size = a.shape[-from_end] - p
+        a = np.maximum(a[cut(0, size)], a[cut(p, size)])
+        p *= 2
+    return np.maximum(a[cut(0, length)], a[cut(k - p, length)])
 
 
 def _check_stack(grid: Grid, stack: np.ndarray) -> None:

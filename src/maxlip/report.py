@@ -49,30 +49,13 @@ class Check:
     witness: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "anchor": self.anchor,
-            "relation": self.relation,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "witness": _jsonable(self.witness),
-        }
+        return dict(vars(self), witness=_jsonable(self.witness))
 
 
 def _finish(check_id: str, anchor: str, relation: str, lhs: float, rhs: float,
             tolerance: float, ok: bool, witness: dict | None) -> Check:
-    return Check(
-        check_id=check_id,
-        anchor=anchor,
-        relation=relation,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        tolerance=float(tolerance),
-        status="pass" if ok else "fail",
-        witness=_jsonable(witness) if witness is not None else None,
-    )
+    return Check(check_id, anchor, relation, float(lhs), float(rhs), float(tolerance),
+                 "pass" if ok else "fail", _jsonable(witness))
 
 
 def check_eq(check_id: str, anchor: str, lhs: float, rhs: float, tolerance: float,
@@ -96,16 +79,8 @@ def check_ge(check_id: str, anchor: str, lhs: float, rhs: float, tolerance: floa
 def report_row(check_id: str, anchor: str, value: float, reference: float = 0.0,
                witness: dict | None = None) -> Check:
     """An observation row: recorded for inspection, never a failure."""
-    return Check(
-        check_id=check_id,
-        anchor=anchor,
-        relation="report",
-        lhs=float(value),
-        rhs=float(reference),
-        tolerance=0.0,
-        status="monitored",
-        witness=_jsonable(witness) if witness is not None else None,
-    )
+    return Check(check_id, anchor, "report", float(value), float(reference), 0.0, "monitored",
+                 _jsonable(witness))
 
 
 @dataclass
@@ -116,17 +91,12 @@ class Report:
     config: dict
     checks: list[Check] = field(default_factory=list)
 
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.checks if c.status == "pass")
+    def _count(self, status: str) -> int:
+        return sum(c.status == status for c in self.checks)
 
-    @property
-    def failed(self) -> int:
-        return sum(1 for c in self.checks if c.status == "fail")
-
-    @property
-    def monitored(self) -> int:
-        return sum(1 for c in self.checks if c.status == "monitored")
+    passed = property(lambda self: self._count("pass"))
+    failed = property(lambda self: self._count("fail"))
+    monitored = property(lambda self: self._count("monitored"))
 
     @property
     def has_failures(self) -> bool:
@@ -189,23 +159,5 @@ def new_report(scenario: str, config_echo: dict) -> Report:
 
 def report_from_json(text: str) -> Report:
     data = json.loads(text)
-    checks = [
-        Check(
-            check_id=row["check_id"],
-            anchor=row["anchor"],
-            relation=row["relation"],
-            lhs=row["lhs"],
-            rhs=row["rhs"],
-            tolerance=row["tolerance"],
-            status=row["status"],
-            witness=row.get("witness"),
-        )
-        for row in data["checks"]
-    ]
-    return Report(
-        scenario=data["scenario"],
-        version=data["version"],
-        timestamp=data["timestamp"],
-        config=data["config"],
-        checks=checks,
-    )
+    return Report(data["scenario"], data["version"], data["timestamp"], data["config"],
+                  [Check(**row) for row in data["checks"]])

@@ -14,7 +14,7 @@ monitored rows instead.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from typing import Callable
 
 import numpy as np
@@ -36,16 +36,18 @@ from .exponents import (
     validate_p,
 )
 from .grid import (
-    Cube,
     CubeFamilyMode,
     Grid,
     GridFunction,
-    average,
+    cube_rows,
+    cubes_by_side,
     enumerate_cubes,
     family_sides,
+    window_sums,
 )
 from .lipschitz import (
     LipResult,
+    _pow_like_scalar,
     lambda_sharp,
     lambda_star,
     lambda_var,
@@ -54,6 +56,7 @@ from .lipschitz import (
     osc_norm_q,
 )
 from .luxemburg import (
+    _indicator_norm_rows,
     _lux_solve_batch,
     check_s_norm,
     embedding_bound,
@@ -74,7 +77,7 @@ from .operators import (
     max_commutator,
 )
 from .report import Check, Report, check_eq, check_ge, check_le, new_report, report_row
-from .sweep import Worst
+from .sweep import Worst, worst_of
 
 # Sharp-sweep cost grows with the square of the cube count, so the
 # per-cube sharp functional is only swept on grids up to these sizes.
@@ -130,58 +133,36 @@ def _dim_factor(dim: int, beta: float) -> float:
     return float(dim) ** (beta / 2.0)
 
 
-def _indicator_norms(
-    grid: Grid, q: VariableExponent, cubes: tuple[Cube, ...]
-) -> dict[Cube, float]:
-    """Luxemburg norm of every cube indicator, batched by cube side."""
-    by_side: dict[int, list[Cube]] = {}
-    for cube in cubes:
-        by_side.setdefault(cube.side_cells, []).append(cube)
-    qv = q.values.values
-    out: dict[Cube, float] = {}
-    for group in by_side.values():
-        rows = np.stack([qv[c.slices()].reshape(-1) for c in group])
-        norms = _lux_solve_batch(np.ones_like(rows), rows, grid.cell_measure)
-        for cube, val in zip(group, norms):
-            out[cube] = float(val)
-    return out
+def _indicator_norms(grid: Grid, q: VariableExponent, mode: CubeFamilyMode) -> np.ndarray:
+    """||chi_Q||_q of every family cube in enumeration order, solved by side."""
+    return np.concatenate([_indicator_norm_rows(cube_rows(q.values.values, k), grid.cell_measure)
+                           for k in family_sides(grid.cells_per_axis, mode)])
 
 
-def _half_overlap_eligible(grid: Grid, cube: Cube) -> bool:
-    """Whether a family cube exists with exactly half its cells inside Q,
-    reachable from every cell of Q."""
+def _by_side(grid: Grid, mode: CubeFamilyMode, value_of_side) -> np.ndarray:
+    """value_of_side(k) for every family cube of side k, in enumeration order."""
+    return np.concatenate([np.full(len(side), float(value_of_side(k)))
+                           for k, side in cubes_by_side(grid, mode)])
+
+
+def _cube_averages(b: GridFunction, k: int) -> np.ndarray:
+    """average(b, Q) of every side-k cube in enumeration order, rounded as it rounds."""
+    return window_sums(b, k).reshape(-1) / k**b.grid.dim
+
+
+def _half_overlap_eligible(grid: Grid, mode: CubeFamilyMode) -> np.ndarray:
+    """The enumeration indices of the family cubes Q for which a family cube
+    exists with exactly half its cells inside Q, reachable from every cell of Q."""
     n = grid.cells_per_axis
-    k = cube.side_cells
-    if grid.dim == 1:
-        return 2 * k <= n
-    if k % 2:
-        return False
-    half = k // 2
-    for axis in range(2):
-        s = cube.start[axis]
-        if s >= half and s + k + half <= n:
-            return True
-    return False
-
-
-def _containing_cube(grid: Grid, cube: Cube, mode: CubeFamilyMode) -> Cube | None:
-    """Smallest family cube strictly containing the given one, if any."""
-    n = grid.cells_per_axis
-    k = cube.side_cells
-    for m in family_sides(n, mode):
-        if m <= k:
-            continue
-        start = tuple(max(0, s + k - m) for s in cube.start)
-        return Cube(start, m)
-    return None
-
-
-def _local_max_by_cube(b: GridFunction, mode: CubeFamilyMode):
-    """(cube, local_max(b, cube)) for every family cube, in enumeration order."""
-    dim = b.grid.dim
-    for k, levels in local_max_sweep(b, family_sides(b.grid.cells_per_axis, mode)):
-        for start in np.ndindex(levels.shape[:dim]):
-            yield Cube(start, k), levels[start]
+    masks = []
+    for k in family_sides(n, mode):
+        s = np.arange(n - k + 1)
+        if grid.dim == 1:
+            masks.append(np.full(s.size, 2 * k <= n))
+        else:
+            ok = (k % 2 == 0) & (s >= k // 2) & (s + k + k // 2 <= n)
+            masks.append((ok[:, None] | ok[None, :]).reshape(-1))
+    return np.flatnonzero(np.concatenate(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +177,22 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
     cubes = enumerate_cubes(grid, mode)
     bs = _function_bank(grid, cfg.functions_b)
 
-    dev_hl, top_hl, dev_sharp, top_sharp, dev_frac, excess_frac = (Worst() for _ in range(6))
     tags = (OperatorTag.hl(), OperatorTag.sharp(), OperatorTag.fractional(beta))
+    stats = []
     for group, chis in indicator_stacks(grid, cubes):
         target = group[0].side_length(grid) ** beta
         outs = [apply_stack(tag, grid, chis, mode) for tag in tags]
         top_m, top_s, top_fr = (out.reshape(len(group), -1).max(axis=1) for out in outs)
         on_m, on_s, on_fr = (cube_blocks(out, group) for out in outs)
-        dev_m = np.abs(on_m - 1.0).max(axis=1)
-        dev_s = np.abs(on_s - 0.5).max(axis=1)
-        dev_fr = np.abs(on_fr - target).max(axis=1)
-        for r, cube in enumerate(group):
-            dev_hl.offer(float(dev_m[r]), cube)
-            top_hl.offer(float(top_m[r]), cube)
-            top_sharp.offer(float(top_s[r]), cube)
-            if _half_overlap_eligible(grid, cube):
-                dev_sharp.offer(float(dev_s[r]), cube)
-            dev_frac.offer(float(dev_fr[r]), cube)
-            excess_frac.offer(float(top_fr[r]) - target, cube)
+        stats.append((np.abs(on_m - 1.0).max(axis=1), top_m, np.abs(on_s - 0.5).max(axis=1),
+                      top_s, np.abs(on_fr - target).max(axis=1), top_fr - target))
+    dev_m, top_m, dev_s, top_s, dev_fr, excess_fr = (
+        np.concatenate(column) for column in zip(*stats))
+    dev_hl, top_hl, top_sharp, dev_frac, excess_frac = (
+        worst_of(v, cubes) for v in (dev_m, top_m, top_s, dev_fr, excess_fr))
+    eligible = _half_overlap_eligible(grid, mode)
+    dev_sharp = Worst()
+    dev_sharp.offer_all(dev_s[eligible], lambda i: cubes[eligible[i]])
 
     rows = [
         check_eq("identities/hl-on-cube", "M(chi_Q) = 1 on Q", dev_hl.value, 0.0, tol,
@@ -237,27 +216,29 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
                  excess_frac.value, 0.0, tol, {"cube": excess_frac.witness}),
     ]
 
+    runs = cubes_by_side(grid, mode)
     for label, b in bs:
-        local = Worst()
-        locs = _local_max_by_cube(b, mode)
-        for group, chis in indicator_stacks(grid, cubes):
-            full = apply_stack(OperatorTag.hl(), grid, b.values * chis, CubeFamilyMode.FULL)
-            # The group's rows come first, so zip never draws the next group's cube.
-            for row, (cube, loc) in zip(cube_blocks(full, group), locs):
-                local.offer(float(np.max(np.abs(row - loc.reshape(-1)))), cube)
+        devs = []
+        for (k, side), (_, levels) in zip(runs, local_max_sweep(b, [k for k, _ in runs])):
+            locs = levels.reshape(len(side), -1)
+            for group, chis in indicator_stacks(grid, side):
+                full = apply_stack(OperatorTag.hl(), grid, b.values * chis, CubeFamilyMode.FULL)
+                devs.append(np.abs(cube_blocks(full, group) - locs[:len(group)]).max(axis=1))
+                locs = locs[len(group):]
+        local = worst_of(np.concatenate(devs), cubes)
         rows.append(check_eq(
             f"identities/local-on-cube/{label}",
             "M(b chi_Q) = M_Q(b) on Q for the full family",
             local.value, 0.0, tol, {"cube": local.witness},
         ))
 
-        split = Worst()
-        for cube in cubes:
-            block = b.values[cube.slices()]
-            bq = average(b, cube)
-            below = float(np.sum(np.where(block <= bq, bq - block, 0.0)))
-            half = 0.5 * float(np.sum(np.abs(block - bq)))
-            split.offer(abs(below - half), cube)
+        gaps = []
+        for k, _ in runs:
+            blocks = cube_rows(b.values, k)
+            bq = _cube_averages(b, k)[:, None]
+            below = np.where(blocks <= bq, bq - blocks, 0.0).sum(axis=1)
+            gaps.append(np.abs(below - 0.5 * np.abs(blocks - bq).sum(axis=1)))
+        split = worst_of(np.concatenate(gaps), cubes)
         rows.append(check_eq(
             f"identities/median-split/{label}",
             "sum over Q of (b - b_Q) splits evenly around the average",
@@ -325,13 +306,11 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
         return [check_eq(f"lemmas/s-norm/{lq}", "|| |f|^s ||_p = ||f||^s_{s p}",
                          worst.value, 0.0, tol, worst.witness)]
 
-    def duality(lq: str, q: VariableExponent, base: dict[Cube, float]) -> list[Check]:
-        low, top = Worst(lowest=True), Worst()
-        dual = _indicator_norms(grid, conjugate(q), cubes)
-        for cube in cubes:
-            prod = base[cube] * dual[cube] / cube.measure(grid)
-            low.offer(prod, cube)
-            top.offer(prod, cube)
+    measures = _by_side(grid, mode, lambda k: (k * grid.spacing) ** dim)
+
+    def duality(lq: str, q: VariableExponent, base: np.ndarray) -> list[Check]:
+        prod = base * _indicator_norms(grid, conjugate(q), mode) / measures
+        low, top = worst_of(prod, cubes, lowest=True), worst_of(prod, cubes)
         if q.is_constant:
             return [check_eq(
                 f"lemmas/duality/{lq}",
@@ -354,11 +333,9 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
 
     def embedding(lp: str, pair: ExponentPair) -> list[Check]:
         bound = embedding_bound(pair)
-        top = Worst()
-        num = _indicator_norms(grid, pair.p, cubes)
-        den = _indicator_norms(grid, pair.q, cubes)
-        for cube in cubes:
-            top.offer(num[cube] / (cube.measure(grid) ** (pair.beta / dim) * den[cube]), cube)
+        scale = _by_side(grid, mode, lambda k: ((k * grid.spacing) ** dim) ** (pair.beta / dim))
+        top = worst_of(_indicator_norms(grid, pair.p, mode)
+                          / (scale * _indicator_norms(grid, pair.q, mode)), cubes)
         rows = [check_le(
             f"lemmas/embedding/{lp}",
             "||chi_Q||_p <= C |Q|^{beta/dim} ||chi_Q||_q with derived C",
@@ -372,19 +349,18 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
             ))
         return rows
 
-    def split(lq: str, q: VariableExponent, base: dict[Cube, float]) -> list[Check]:
+    def split(lq: str, q: VariableExponent, base: np.ndarray) -> list[Check]:
         rows = []
         qv = q.values.values
         for r in (2.0, 3.0):
             rp = r / (r - 1.0)
             q_r = validate_p(q.values.with_values(r * qv))
             q_rp = validate_p(q.values.with_values(rp * qv))
-            big = _indicator_norms(grid, q_r, cubes)
-            small = _indicator_norms(grid, q_rp, cubes)
-            power, product, gap = Worst(), Worst(), Worst()
-            for cube in cubes:
-                power.offer(abs(big[cube] - base[cube] ** (1.0 / r)), cube)
-                product.offer(abs(big[cube] * small[cube] - base[cube]), cube)
+            big = _indicator_norms(grid, q_r, mode)
+            small = _indicator_norms(grid, q_rp, mode)
+            power = worst_of(np.abs(big - _pow_like_scalar(base, 1.0 / r)), cubes)
+            product = worst_of(np.abs(big * small - base), cubes)
+            gap = Worst()
             for i, (lf, f) in enumerate(fs):
                 for lg, g in fs[i:]:
                     gap.offer(lux_norm(f * g, q).value
@@ -417,7 +393,7 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
         rows += lux(lq, q)
         rows += holder(lq, q)
         rows += snorm(lq, q)
-        base = _indicator_norms(grid, q, cubes)
+        base = _indicator_norms(grid, q, mode)
         rows += duality(lq, q, base)
         rows += split(lq, q, base)
         rows.append(report_row(
@@ -434,62 +410,78 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
 # theorem1 and theorem2: commutators [b, M] and [b, M#].
 
 
-def _commutator_checks(theorem: str, op: str, const: float, comm: Callable,
-                       tag: Callable[[GridFunction], OperatorTag],
-                       fs: list[tuple[str, GridFunction]], beta: float, factor: float,
-                       mode: CubeFamilyMode, tol: float):
-    """The rows theorem1 ([b, M], const 1) and theorem2 ([b, M#], const 2) share:
-    the pointwise bound |[b, T]f| <= const M_b f, its norm chain, and the
-    operator-norm lower bound, as the functions (pointwise, chain, opnorm)."""
+def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float,
+                        comm: Callable, tag: Callable[[GridFunction], OperatorTag],
+                        own_rows: Callable, lambda_rows: Callable) -> list[Check]:
+    """The rows of theorem1 ([b, M], const 1) and theorem2 ([b, M#], const 2).
+
+    Per b: the pointwise bound |[b, T]f| <= const M_b f for b >= 0;
+    own_rows(lb, b, lip, fs, mbs, fracs); per q the norm chain for b >= 0
+    and lambda_rows(lb, b, lip, lq, q); the operator-norm bound per pair.
+    [b, T]f and M_b f (mbs(), on first use) are computed once per (b, f),
+    fracs = M_beta f once per f.
+    """
+    grid = cfg.build_grid()
+    mode = cfg.cube_family
+    tol = cfg.tolerances.identity_tol
+    factor = _dim_factor(grid.dim, cfg.beta)
+    bs = _function_bank(grid, cfg.functions_b)
+    fs = _operand_bank(cfg, grid)
+    qs = _exponent_bank(grid, cfg.exponents)
+    pairs = _pair_bank(cfg, grid)
+    fracs = [frac_max(f, cfg.beta, mode) for _, f in fs]
+    bounds = _opnorm_bounds([tag(b) for _, b in bs], pairs, fs, mode)
     times = "" if const == 1.0 else f"{const:g} "
 
-    def pointwise(lb: str, b: GridFunction) -> list[Check]:
-        worst = Worst()
-        for lf, f in fs:
-            worst.offer(float(np.max(
-                np.abs(comm(b, f, mode).values) - const * max_commutator(b, f, mode).values
-            )), lf)
-        if not worst.count:
-            return []
-        return [check_le(
-            f"{theorem}/pointwise/{lb}",
-            f"|[b, {op}]f| <= {times}M_b f pointwise for b >= 0",
-            worst.value, 0.0, tol, {"b": lb, "f": worst.witness},
-        )]
+    rows: list[Check] = []
+    for i, (lb, b) in enumerate(bs):
+        lip = lip_seminorm(b, cfg.beta)
+        nonneg = float(b.values.min()) >= 0.0
+        comms = [comm(b, f, mode) for _, f in fs] if nonneg else []
+        mbs = functools.cache(lambda b=b: [max_commutator(b, f, mode) for _, f in fs])
+        if comms:
+            worst = Worst()
+            for (lf, _), c, mb in zip(fs, comms, mbs()):
+                worst.offer(float(np.max(np.abs(c.values) - const * mb.values)), lf)
+            rows.append(check_le(
+                f"{theorem}/pointwise/{lb}",
+                f"|[b, {op}]f| <= {times}M_b f pointwise for b >= 0",
+                worst.value, 0.0, tol, {"b": lb, "f": worst.witness},
+            ))
+        rows += own_rows(lb, b, lip, fs, mbs, fracs)
+        for lq, q in qs:
+            if comms:
+                worst = Worst()
+                for (lf, _), c, frac in zip(fs, comms, fracs):
+                    rhs = const * factor * lip.value * lux_norm(frac, q).value
+                    worst.offer(lux_norm(c, q).value - rhs, lf)
+                rows.append(check_le(
+                    f"{theorem}/norm-chain/{lb}/{lq}",
+                    f"||[b, {op}]f||_q <= {times}dim^{{beta/2}} Lip_beta(b) ||M_beta f||_q "
+                    "for b >= 0",
+                    worst.value, 0.0, tol, {"b": lb, "f": worst.witness},
+                ))
+            rows += lambda_rows(lb, b, lip, lq, q)
+        for lp, values in bounds.items():
+            rows.append(_opnorm_row(f"{theorem}/opnorm/{lb}/{lp}", f"[b, {op}]", values[i],
+                                    {"b": lb, "pair": lp}))
+    return rows
 
-    def chain(lb: str, b: GridFunction, lip: LipResult, lq: str,
-              q: VariableExponent) -> list[Check]:
-        worst = Worst()
-        for lf, f in fs:
-            lhs = lux_norm(comm(b, f, mode), q).value
-            rhs = const * factor * lip.value * lux_norm(frac_max(f, beta, mode), q).value
-            worst.offer(lhs - rhs, lf)
-        if not worst.count:
-            return []
-        return [check_le(
-            f"{theorem}/norm-chain/{lb}/{lq}",
-            f"||[b, {op}]f||_q <= {times}dim^{{beta/2}} Lip_beta(b) ||M_beta f||_q for b >= 0",
-            worst.value, 0.0, tol, {"b": lb, "f": worst.witness},
-        )]
 
-    def opnorm(lb: str, b: GridFunction, lp: str, pair: ExponentPair) -> list[Check]:
-        return _opnorm_row(f"{theorem}/opnorm/{lb}/{lp}", f"[b, {op}]", tag(b), pair, fs, mode,
-                           {"b": lb, "pair": lp})
-
-    return pointwise, chain, opnorm
-
-
-def _opnorm_row(check_id: str, op: str, tag: OperatorTag, pair: ExponentPair,
-                fs: list[tuple[str, GridFunction]], mode: CubeFamilyMode,
-                witness: dict) -> list[Check]:
-    """Operator-norm lower bound from p to the paired q over the f bank; none without one."""
+def _opnorm_bounds(tags: list[OperatorTag], pairs: list[tuple[str, ExponentPair]],
+                   fs: list[tuple[str, GridFunction]], mode: CubeFamilyMode) -> dict[str, list]:
+    """Per pair label, the operator-norm lower bound of each tag from p to the
+    paired q over the f bank, the bank's norms solved once per pair; empty
+    without an f bank."""
     if not fs:
-        return []
-    value = opnorm_lower_stacked(tag, pair.p, pair.q, [f for _, f in fs], mode)
-    return [report_row(
-        check_id, f"operator norm lower bound for {op} from p to the paired q",
-        value, 0.0, witness,
-    )]
+        return {}
+    bank = [f for _, f in fs]
+    return {lp: opnorm_lower_stacked(tags, pair.p, pair.q, bank, mode) for lp, pair in pairs}
+
+
+def _opnorm_row(check_id: str, op: str, value: float, witness: dict) -> Check:
+    return report_row(check_id, f"operator norm lower bound for {op} from p to the paired q",
+                      value, 0.0, witness)
 
 
 def _theorem1(cfg: ScenarioConfig) -> list[Check]:
@@ -498,24 +490,17 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
     tol = cfg.tolerances.identity_tol
     beta = cfg.beta
     factor = _dim_factor(grid.dim, beta)
-    bs = _function_bank(grid, cfg.functions_b)
-    fs = _operand_bank(cfg, grid)
-    qs = _exponent_bank(grid, cfg.exponents)
-    pairs = _pair_bank(cfg, grid)
-    pointwise, chain, opnorm = _commutator_checks(
-        "theorem1", "M", 1.0, comm_m, OperatorTag.comm_m, fs, beta, factor, mode, tol)
+    # The localized maximal function is a full-family object, so its sweep
+    # always runs the full family regardless of the config.
+    runs = cubes_by_side(grid, CubeFamilyMode.FULL)
+    full = enumerate_cubes(grid, CubeFamilyMode.FULL)
 
-    rows: list[Check] = []
-    for lb, b in bs:
-        lip = lip_seminorm(b, beta)
-        nonneg = float(b.values.min()) >= 0.0
-        if nonneg:
-            rows += pointwise(lb, b)
-
+    def own_rows(lb: str, b: GridFunction, lip: LipResult, fs: list, mbs: Callable,
+                 fracs: list) -> list[Check]:
+        rows = []
         smooth = Worst()
-        for lf, f in fs:
-            bound = factor * lip.value * frac_max(f, beta, mode).values
-            smooth.offer(float(np.max(max_commutator(b, f, mode).values - bound)), lf)
+        for (lf, _), mb, frac in zip(fs, mbs(), fracs):
+            smooth.offer(float(np.max(mb.values - factor * lip.value * frac.values)), lf)
         if smooth.count:
             rows.append(check_le(
                 f"theorem1/smoothing/{lb}",
@@ -523,20 +508,18 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
                 smooth.value, 0.0, tol,
                 {"b": lb, "f": smooth.witness, "lip": lip.value, "lip_exact": lip.exact},
             ))
-
-        # The localized maximal function is a full-family object, so this
-        # sweep always runs the full family regardless of the config.
-        half, dom, neg = Worst(lowest=True), Worst(lowest=True), Worst(lowest=True)
-        for cube, loc in _local_max_by_cube(b, CubeFamilyMode.FULL):
-            block = b.values[cube.slices()]
-            diff = loc - block
-            dom.offer(float(diff.min()))
-            bq = average(b, cube)
-            half.offer(float(np.mean(np.abs(diff))) - 0.5 * float(np.mean(np.abs(block - bq))),
-                       cube)
-            neg.offer(float(np.mean(np.abs(diff))) - float(np.mean(np.maximum(-block, 0.0))),
-                      cube)
-        rows += [
+        dom, half, neg = [], [], []
+        for (k, _), (_, levels) in zip(runs, local_max_sweep(b, [k for k, _ in runs])):
+            blocks = cube_rows(b.values, k)
+            diff = levels.reshape(blocks.shape) - blocks
+            spread = np.abs(diff).mean(axis=1)
+            bq = _cube_averages(b, k)[:, None]
+            dom.append(diff.min(axis=1))
+            half.append(spread - 0.5 * np.abs(blocks - bq).mean(axis=1))
+            neg.append(spread - np.maximum(-blocks, 0.0).mean(axis=1))
+        dom, half, neg = (worst_of(np.concatenate(v), full, lowest=True)
+                          for v in (dom, half, neg))
+        return rows + [
             check_ge(f"theorem1/local-dominates/{lb}", "M_Q(b) >= b on Q",
                      dom.value, 0.0, tol, {"b": lb}),
             check_ge(f"theorem1/recovery-half/{lb}",
@@ -547,75 +530,67 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
                      neg.value, 0.0, tol, {"cube": neg.witness}),
         ]
 
-        for lq, q in qs:
-            if nonneg:
-                rows += chain(lb, b, lip, lq, q)
-            lam = lambda_var(b, beta, q, mode)
-            rows.append(report_row(
-                f"theorem1/lambda-var/{lb}/{lq}",
-                "oscillation functional centered at cube averages",
-                lam.value, factor * lip.value, {"cube": lam.witness},
+    def lambda_rows(lb: str, b: GridFunction, lip: LipResult, lq: str,
+                    q: VariableExponent) -> list[Check]:
+        lam = lambda_var(b, beta, q, mode)
+        rows = [report_row(
+            f"theorem1/lambda-var/{lb}/{lq}",
+            "oscillation functional centered at cube averages",
+            lam.value, factor * lip.value, {"cube": lam.witness},
+        )]
+        if lip.exact:
+            rows.append(check_le(
+                f"theorem1/lambda-upper/{lb}/{lq}",
+                "lambda_var(b) <= dim^{beta/2} Lip_beta(b)",
+                lam.value, factor * lip.value, tol, {"cube": lam.witness},
             ))
-            if lip.exact:
-                rows.append(check_le(
-                    f"theorem1/lambda-upper/{lb}/{lq}",
-                    "lambda_var(b) <= dim^{beta/2} Lip_beta(b)",
-                    lam.value, factor * lip.value, tol, {"cube": lam.witness},
-                ))
-        for lp, pair in pairs:
-            rows += opnorm(lb, b, lp, pair)
-    return rows
+        return rows
+
+    return _commutator_theorem(cfg, "theorem1", "M", 1.0, comm_m, OperatorTag.comm_m,
+                               own_rows, lambda_rows)
 
 
 def _theorem2(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
     tol = cfg.tolerances.identity_tol
-    beta = cfg.beta
-    factor = _dim_factor(grid.dim, beta)
-    containers = {cube: _containing_cube(grid, cube, mode) for cube in enumerate_cubes(grid, mode)}
-    held = [cube for cube, container in containers.items() if container is not None]
-    bs = _function_bank(grid, cfg.functions_b)
-    fs = _operand_bank(cfg, grid)
-    qs = _exponent_bank(grid, cfg.exponents)
-    pairs = _pair_bank(cfg, grid)
-    pointwise, chain, opnorm = _commutator_checks(
-        "theorem2", "M#", 2.0, comm_sharp, OperatorTag.comm_sharp, fs, beta, factor, mode, tol)
+    cubes = enumerate_cubes(grid, mode)
+    # A cube's smallest strict container in the family has the next side up,
+    # t times its volume; the cubes of the largest side have none.
+    runs = cubes_by_side(grid, mode)
+    held = [(k, side, (m / k) ** grid.dim) for (k, side), (m, _) in zip(runs, runs[1:])]
+    ratios = np.concatenate([np.full(len(side), t) for _, side, t in held] + [np.empty(0)])
 
-    rows: list[Check] = []
-    for lb, b in bs:
-        lip = lip_seminorm(b, beta)
-        nonneg = float(b.values.min()) >= 0.0
-        if nonneg:
-            rows += pointwise(lb, b)
-
+    def own_rows(lb: str, b: GridFunction, lip: LipResult, *bank) -> list[Check]:
+        gaps = [np.empty(0)]
+        for k, side, t in held:
+            floor = np.concatenate([
+                cube_blocks(apply_stack(OperatorTag.sharp(), grid, b.values * chis, mode),
+                            group).min(axis=1)
+                for group, chis in indicator_stacks(grid, side)])
+            gaps.append(np.abs(_cube_averages(b, k)) - t * t / (2.0 * (t - 1.0)) * floor)
         recovered = Worst()
-        for group, chis in indicator_stacks(grid, held):
-            sharp = apply_stack(OperatorTag.sharp(), grid, b.values * chis, mode)
-            for cube, floor in zip(group, cube_blocks(sharp, group).min(axis=1)):
-                t = (containers[cube].side_cells / cube.side_cells) ** grid.dim
-                const = t * t / (2.0 * (t - 1.0))
-                recovered.offer(abs(average(b, cube)) - const * float(floor),
-                                {"cube": cube, "ratio": t})
-        if recovered.count:
-            rows.append(check_le(
-                f"theorem2/mean-recovery/{lb}",
-                "|b_Q| <= t^2/(2(t-1)) M#(b chi_Q) on Q, t the containing volume ratio",
-                recovered.value, 0.0, tol, recovered.witness,
-            ))
+        recovered.offer_all(np.concatenate(gaps),
+                            lambda i: {"cube": cubes[i], "ratio": float(ratios[i])})
+        if not recovered.count:
+            return []
+        return [check_le(
+            f"theorem2/mean-recovery/{lb}",
+            "|b_Q| <= t^2/(2(t-1)) M#(b chi_Q) on Q, t the containing volume ratio",
+            recovered.value, 0.0, tol, recovered.witness,
+        )]
 
-        for lq, q in qs:
-            if nonneg:
-                rows += chain(lb, b, lip, lq, q)
-            lam = lambda_sharp(b, beta, q, mode)
-            rows.append(report_row(
-                f"theorem2/lambda-sharp/{lb}/{lq}",
-                "oscillation functional centered at twice the sharp maximal function",
-                lam.value, 0.0, {"cube": lam.witness},
-            ))
-        for lp, pair in pairs:
-            rows += opnorm(lb, b, lp, pair)
-    return rows
+    def lambda_rows(lb: str, b: GridFunction, lip: LipResult, lq: str,
+                    q: VariableExponent) -> list[Check]:
+        lam = lambda_sharp(b, cfg.beta, q, mode)
+        return [report_row(
+            f"theorem2/lambda-sharp/{lb}/{lq}",
+            "oscillation functional centered at twice the sharp maximal function",
+            lam.value, 0.0, {"cube": lam.witness},
+        )]
+
+    return _commutator_theorem(cfg, "theorem2", "M#", 2.0, comm_sharp, OperatorTag.comm_sharp,
+                               own_rows, lambda_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -632,76 +607,58 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
     fs = _operand_bank(cfg, grid)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
+    bounds = _opnorm_bounds([OperatorTag.max_commutator(b) for _, b in bs]
+                            + [OperatorTag.fractional(beta)], pairs, fs, mode)
 
-    cm = grid.cell_measure
-    sides = [tuple(side) for _, side in itertools.groupby(cubes, key=lambda c: c.side_cells)]
+    runs = cubes_by_side(grid, mode)
+    scale = _by_side(grid, mode, lambda k: (k * grid.spacing) ** (-beta))
     # Per exponent: the q values on each cube's cells, per side, and ||chi_Q||_q.
-    q_rows = {lq: [np.stack([q.values.values[c.slices()].reshape(-1) for c in side])
-                   for side in sides]
-              for lq, q in qs}
-    chi_norms = {lq: _indicator_norms(grid, q, cubes) for lq, q in qs}
-
-    def commutator_rows(b: GridFunction) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per side, rows |b - b_Q| and rows M_b(chi_Q), on each cube's own cells."""
-        tag = OperatorTag.max_commutator(b)
-        out = []
-        for side in sides:
-            mb = np.concatenate([cube_blocks(apply_stack(tag, grid, chis, mode), group)
-                                 for group, chis in indicator_stacks(grid, side)])
-            osc = np.empty_like(mb)
-            for r, cube in enumerate(side):
-                block = b.values[cube.slices()].reshape(-1)
-                osc[r] = np.abs(block - block.mean())
-            out.append((osc, mb))
-        return out
-
-    def ratio(lb: str, b_rows: list, lq: str) -> list[Check]:
-        worst, top = Worst(), Worst()
-        den = chi_norms[lq]
-        for side, (osc_rows, mb_rows), side_q in zip(sides, b_rows, q_rows[lq]):
-            osc = _lux_solve_batch(osc_rows, side_q, cm)
-            mb = _lux_solve_batch(mb_rows, side_q, cm)
-            scale = (side[0].side_cells * grid.spacing) ** (-beta)
-            for r, cube in enumerate(side):
-                lhs = scale * float(osc[r]) / den[cube]
-                rhs = scale * float(mb[r]) / den[cube]
-                worst.offer(lhs - rhs, cube)
-                top.offer(rhs, cube)
-        return [
-            check_le(
-                f"theorem3/ratio-dominated/{lb}/{lq}",
-                "oscillation ratio of b - b_Q is dominated by the M_b(chi_Q) ratio",
-                worst.value, 0.0, tol, {"cube": worst.witness},
-            ),
-            report_row(
-                f"theorem3/mb-functional/{lb}/{lq}",
-                "oscillation functional built from M_b(chi_Q)",
-                top.value, 0.0, {"cube": top.witness},
-            ),
-        ]
+    q_rows = {lq: [cube_rows(q.values.values, k) for k, _ in runs] for lq, q in qs}
+    chi_norms = {lq: _indicator_norms(grid, q, mode) for lq, q in qs}
 
     rows: list[Check] = []
-    for lb, b in bs:
-        b_rows = commutator_rows(b)
-        lower = Worst(lowest=True)
-        for side, (_, mb_rows) in zip(sides, b_rows):
-            for cube, mb in zip(side, mb_rows):
-                dev = np.abs(b.values[cube.slices()].reshape(-1) - average(b, cube))
-                lower.offer(float(np.min(mb - dev)), cube)
+    for i, (lb, b) in enumerate(bs):
+        # Per side, the rows of M_b(chi_Q) and of b, on each cube's own cells.
+        tag = OperatorTag.max_commutator(b)
+        mb_rows = [np.concatenate([cube_blocks(apply_stack(tag, grid, chis, mode), group)
+                                   for group, chis in indicator_stacks(grid, side)])
+                   for _, side in runs]
+        b_rows = [cube_rows(b.values, k) for k, _ in runs]
+        lower = worst_of(np.concatenate([
+            (mb - np.abs(b_k - _cube_averages(b, k)[:, None])).min(axis=1)
+            for (k, _), b_k, mb in zip(runs, b_rows, mb_rows)
+        ]), cubes, lowest=True)
         rows.append(check_ge(
             f"theorem3/pointwise-lower/{lb}",
             "|b(x) - b_Q| <= M_b(chi_Q)(x) on Q",
             lower.value, 0.0, tol, {"cube": lower.witness},
         ))
+        osc_rows = [np.abs(b_k - b_k.mean(axis=1)[:, None]) for b_k in b_rows]
         for lq, _ in qs:
-            rows += ratio(lb, b_rows, lq)
-        for lp, pair in pairs:
-            rows += _opnorm_row(f"theorem3/opnorm/{lb}/{lp}", "M_b",
-                                OperatorTag.max_commutator(b), pair, fs, mode,
-                                {"b": lb, "pair": lp})
-    for lp, pair in pairs:
-        rows += _opnorm_row(f"theorem3/frac-opnorm/{lp}", "M_beta", OperatorTag.fractional(beta),
-                            pair, fs, mode, {"pair": lp})
+            osc, mb = (np.concatenate([_lux_solve_batch(r, q_k, grid.cell_measure)
+                                       for r, q_k in zip(per_side, q_rows[lq])])
+                       for per_side in (osc_rows, mb_rows))
+            rhs = scale * mb / chi_norms[lq]
+            worst = worst_of(scale * osc / chi_norms[lq] - rhs, cubes)
+            top = worst_of(rhs, cubes)
+            rows += [
+                check_le(
+                    f"theorem3/ratio-dominated/{lb}/{lq}",
+                    "oscillation ratio of b - b_Q is dominated by the M_b(chi_Q) ratio",
+                    worst.value, 0.0, tol, {"cube": worst.witness},
+                ),
+                report_row(
+                    f"theorem3/mb-functional/{lb}/{lq}",
+                    "oscillation functional built from M_b(chi_Q)",
+                    top.value, 0.0, {"cube": top.witness},
+                ),
+            ]
+        for lp, values in bounds.items():
+            rows.append(_opnorm_row(f"theorem3/opnorm/{lb}/{lp}", "M_b", values[i],
+                                    {"b": lb, "pair": lp}))
+    for lp, values in bounds.items():
+        rows.append(_opnorm_row(f"theorem3/frac-opnorm/{lp}", "M_beta", values[-1],
+                                {"pair": lp}))
     return rows
 
 
@@ -786,13 +743,7 @@ def _counterexamples(cfg: ScenarioConfig) -> list[Check]:
     mode = cfg.cube_family
 
     def _max_adjacent_diff(b: GridFunction) -> float:
-        v = b.values
-        if b.grid.dim == 1:
-            return float(np.max(np.abs(np.diff(v))))
-        return max(
-            float(np.max(np.abs(np.diff(v, axis=0)))),
-            float(np.max(np.abs(np.diff(v, axis=1)))),
-        )
+        return max(float(np.max(np.abs(np.diff(b.values, axis=a)))) for a in range(b.grid.dim))
 
     def symbol_rows(b_spec: dict, q_spec: dict) -> list[Check]:
         rows: list[Check] = []

@@ -41,10 +41,40 @@ class Worst:
         self.count = 0
         self.lowest = lowest
 
+    def _takes(self, value) -> bool:
+        return not self.count or (value < self.value if self.lowest else value > self.value)
+
     def offer(self, value, witness=None) -> None:
-        if not self.count or (value < self.value if self.lowest else value > self.value):
+        if self._takes(value):
             self.value, self.witness = value, witness
         self.count += 1
+
+    def offer_all(self, values, witness_of) -> None:
+        """offer(values[i], witness_of(i)) for every i in order, in one array pass.
+
+        The first best entry is taken; NaN never compares better, so it is
+        taken only as the very first value.  witness_of(i) is called only
+        for the entry taken.
+        """
+        values = np.asarray(values, dtype=float).reshape(-1)
+        if not values.size:
+            return
+        if not self.count and np.isnan(values[0]):
+            i = 0
+        else:
+            key = np.where(np.isnan(values), np.inf if self.lowest else -np.inf, values)
+            i = int(key.argmin() if self.lowest else key.argmax())
+        value = float(values[i])
+        if self._takes(value):
+            self.value, self.witness = value, witness_of(i)
+        self.count += values.size
+
+
+def worst_of(values, witnesses, lowest: bool = False) -> Worst:
+    """The Worst of an array of values, witnesses[i] the witness of values[i]."""
+    worst = Worst(lowest)
+    worst.offer_all(values, witnesses.__getitem__)
+    return worst
 
 
 def pair_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:

@@ -13,6 +13,8 @@ from maxlip import (
     GridFunction,
     average,
     check_cube,
+    cube_rows,
+    cubes_by_side,
     cubes_containing,
     enumerate_cubes,
     family_sides,
@@ -219,3 +221,20 @@ def test_every_family_cube_fits(n):
         assert 1 <= cube.side_cells <= n
     for cube in enumerate_cubes(g, CubeFamilyMode.DYADIC_SIDES):
         assert cube.side_cells & (cube.side_cells - 1) == 0
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2), (1, 9), (2, 2), (2, 6)])
+@pytest.mark.parametrize("mode", [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES])
+def test_cube_rows_follow_the_enumeration(dim, n, mode):
+    g = make_grid(dim, n)
+    values = seeded_function(g, 7).values * 1e3
+    runs = cubes_by_side(g, mode)
+    assert [k for k, _ in runs] == family_sides(g.cells_per_axis, mode)
+    assert tuple(c for _, side in runs for c in side) == enumerate_cubes(g, mode)
+    for k, side in runs:
+        rows = cube_rows(values, k)
+        assert rows.shape == (len(side), k**dim) and rows.flags.c_contiguous
+        for cube, row in zip(side, rows):
+            block = values[cube.slices()]
+            assert np.array_equal(row, block.reshape(-1))
+            assert row.sum() == block.sum()

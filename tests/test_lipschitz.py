@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import maxlip.lipschitz
 import maxlip.operators
 from maxlip import (
     Cube,
@@ -15,16 +16,21 @@ from maxlip import (
     OperatorTag,
     cube_oscillation_rows,
     enumerate_cubes,
+    indicator,
     lambda_sharp,
     lambda_star,
     lambda_var,
     lip_seminorm,
+    local_max,
     make_grid,
     opnorm_lower,
     opnorm_lower_stacked,
     osc_norm_q,
     sample,
+    sharp_max,
 )
+from maxlip.luxemburg import _lux_solve_batch
+from maxlip.sweep import Worst
 
 from conftest import affine_exponent, const_exponent, seeded_function
 
@@ -176,7 +182,10 @@ def test_opnorm_lower_bounds():
     g = make_grid(1, 12)
     p = const_exponent(g, 2.0)
     bank = [seeded_function(g, s, 0.5, 1.5) for s in range(2)]
-    for bound in (opnorm_lower, opnorm_lower_stacked):
+    def stacked(tag, *args):
+        return opnorm_lower_stacked([tag], *args)[0]
+
+    for bound in (opnorm_lower, stacked):
         # M x >= x pointwise forces the ratio past one.
         assert bound(OperatorTag.hl(), p, p, bank) >= 1.0
         with pytest.raises(ValueError, match="no grid-wide"):
@@ -205,7 +214,7 @@ def test_opnorm_lower_stacked_equals_per_function(monkeypatch, kind, dim, n, mod
     if chunked:
         # Two rows per stack: the bank splits, and so does every side's indicators.
         monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 2 * 8 * g.cell_count)
-    assert opnorm_lower_stacked(tag, p, q, bank, mode) == expected
+    assert opnorm_lower_stacked([tag], p, q, bank, mode) == [expected]
 
 
 def test_result_float_protocol():
@@ -213,3 +222,105 @@ def test_result_float_protocol():
     res = lambda_var(seeded_function(g, 2), 0.5, const_exponent(g, 2.0))
     assert isinstance(res, LipResult)
     assert float(res) == res.value
+
+
+@pytest.mark.parametrize("dim, n", [(1, 10), (2, 5)])
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-stack", "many-stacks"])
+def test_opnorm_lower_stacked_solves_the_bank_once_for_every_tag(monkeypatch, dim, n, chunked):
+    g = make_grid(dim, n)
+    b = seeded_function(g, 80)
+    tags = [OperatorTag.hl(), OperatorTag.sharp(), OperatorTag.fractional(0.5),
+            OperatorTag.max_commutator(b), OperatorTag.comm_m(b), OperatorTag.comm_sharp(b)]
+    p, q = affine_exponent(g, 2.0, 1.0), affine_exponent(g, 3.0, -1.0)
+    bank = [seeded_function(g, 81 + s) for s in range(2)]
+    expected = [opnorm_lower(tag, p, q, bank) for tag in tags]
+    if chunked:
+        monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 3 * 8 * g.cell_count)
+    solves = []
+    solve = maxlip.lipschitz._lux_solve_batch
+    monkeypatch.setattr(maxlip.lipschitz, "_lux_solve_batch",
+                        lambda *args: solves.append(1) or solve(*args))
+    assert opnorm_lower_stacked(tags, p, q, bank) == expected
+    stacks = -(-(len(bank) + len(enumerate_cubes(g))) // (3 if chunked else 10**9))
+    assert len(solves) == stacks * (1 + len(tags))
+    assert opnorm_lower_stacked([], p, q, bank) == []
+
+
+# ---------------------------------------------------------------------------
+# The cube sweeps against the per-cube loops they replaced: one cube at a time,
+# each cube's slice, its own operator call and its own norm solve.
+
+
+def reference_rows(b, beta, q, mode, center):
+    grid = b.grid
+    dim = grid.dim
+    rows = []
+    for cube in enumerate_cubes(grid, mode):
+        k = cube.side_cells
+        block = b.values[cube.slices()]
+        if center == "average":
+            ref = block.sum() / k**dim
+        elif center == "local_max":
+            ref = local_max(b, cube)
+        else:
+            ref = 2.0 * sharp_max(b * indicator(grid, cube), mode).values[cube.slices()]
+        diff = np.abs(block - ref).reshape(1, -1)
+        q_row = q.values.values[cube.slices()].reshape(1, -1)
+        num = _lux_solve_batch(diff, q_row, grid.cell_measure)[0]
+        den = _lux_solve_batch(np.ones_like(diff), q_row, grid.cell_measure)[0]
+        rows.append((cube, (k * grid.spacing) ** (-beta) * float(num) / float(den)))
+    return rows
+
+
+def reference_osc_norm_q(b, beta, q_const, mode):
+    grid = b.grid
+    dim = grid.dim
+    best = Worst()
+    for cube in enumerate_cubes(grid, mode):
+        block = b.values[cube.slices()]
+        k = cube.side_cells
+        mean = block.sum() / k**dim
+        power_mean = (np.abs(block - mean) ** q_const).sum() / k**dim
+        best.offer(float(cube.measure(grid) ** (-beta / dim) * power_mean ** (1.0 / q_const)),
+                   cube)
+    return best.value, best.witness
+
+
+def sweep_fields(g):
+    """A random symbol, and a tied one whose values repeat with period 2 (dim 1)
+    or along rows (dim 2), so many cubes share the worst value."""
+    yield seeded_function(g, 90, -1.0, 2.0)
+    yield sample(g, (lambda x: np.where(np.arange(x.size) % 2, 1.0, 0.0)) if g.dim == 1
+                 else (lambda x, y: np.floor(2.0 * x)))
+
+
+SWEEP_GRIDS = [(1, 14), (2, 5)]
+SWEEP_MODES = [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES]
+
+
+@pytest.mark.parametrize("dim, n", SWEEP_GRIDS)
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+@pytest.mark.parametrize("center, functional", [("average", lambda_var),
+                                                ("local_max", lambda_star),
+                                                ("sharp_double", lambda_sharp)])
+def test_oscillation_sweeps_equal_the_per_cube_loop(dim, n, mode, center, functional):
+    g = make_grid(dim, n)
+    for q in (const_exponent(g, 2.0), const_exponent(g, 1.5), affine_exponent(g, 2.0, 1.0)):
+        for b in sweep_fields(g):
+            rows = reference_rows(b, 0.5, q, mode, center)
+            assert cube_oscillation_rows(b, 0.5, q, mode, center) == rows
+            best = Worst()
+            for cube, value in rows:
+                best.offer(value, cube)
+            res = functional(b, 0.5, q, mode)
+            assert (res.value, res.witness, res.exact) == (best.value, best.witness, True)
+
+
+@pytest.mark.parametrize("dim, n", SWEEP_GRIDS + [(2, 9)])
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_osc_norm_q_equals_the_per_cube_loop(dim, n, mode):
+    g = make_grid(dim, n)
+    for b in sweep_fields(g):
+        for q_const in (1.0, 1.5, 2.0, 2.7, 4.0):
+            res = osc_norm_q(b, 0.4, q_const, mode)
+            assert (res.value, res.witness) == reference_osc_norm_q(b, 0.4, q_const, mode)

@@ -274,3 +274,27 @@ def test_embedding_ratio_within_derived_bound():
     assert bound >= 1.0
     for cube in enumerate_cubes(g, CubeFamilyMode.FULL):
         assert cube_embedding_ratio(cube, pair) <= bound + 1e-9
+
+
+def reference_indicator_norms(q, mode):
+    """||chi_Q||_q one cube at a time: a solve of ones on the cube's own q values."""
+    ones = lambda cube: np.ones((cube.side_cells,) * q.grid.dim)  # noqa: E731
+    return [_lux_solve(ones(c), q.values.values[c.slices()], q.grid.cell_measure).value
+            for c in enumerate_cubes(q.grid, mode)]
+
+
+@pytest.mark.parametrize("dim, n", [(1, 13), (2, 6)])
+@pytest.mark.parametrize("mode", [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES])
+def test_indicator_norms_equal_the_per_cube_solves(dim, n, mode):
+    from maxlip.scenarios import _indicator_norms
+
+    g = make_grid(dim, n)
+    for q in (const_exponent(g, 2.5), affine_exponent(g, 1.5, 1.5),
+              validate_p(sample(g, (lambda x: 2.0 + np.floor(3.0 * x)) if dim == 1
+                                else (lambda x, y: 2.0 + np.floor(3.0 * x) + y)))):
+        norms = _indicator_norms(g, q, mode)
+        assert norms.tolist() == reference_indicator_norms(q, mode)
+        for cube, norm in zip(enumerate_cubes(g, mode), norms):
+            dual = _lux_solve(np.ones((cube.side_cells,) * dim),
+                              conjugate(q).values.values[cube.slices()], g.cell_measure).value
+            assert cube_duality_product(cube, q) == norm * dual / cube.measure(g)

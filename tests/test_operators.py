@@ -298,3 +298,49 @@ def test_mismatched_grids_rejected():
     f = seeded_function(make_grid(1, 9), 0)
     with pytest.raises(ValueError, match="different grids"):
         max_commutator(b, f)
+
+
+def sliding_cell_max(window_vals: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """The per-cell max as one window view over the -inf padded starts."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    starts = window_vals.shape[-1]
+    padded = np.full(window_vals.shape[:-dim] + (starts + 2 * (k - 1),) * dim, -np.inf,
+                     dtype=window_vals.dtype)
+    padded[(Ellipsis,) + (slice(k - 1, k - 1 + starts),) * dim] = window_vals
+    axes = tuple(range(-dim, 0))
+    return sliding_window_view(padded, (k,) * dim, axis=axes).max(axis=axes)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1), (1, 2), (1, 33), (2, 1), (2, 2), (2, 12)])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_windowed_cell_max_equals_sliding_window_reference(dim, n, dtype):
+    rng = np.random.default_rng(100 * dim + n)
+    for k in range(1, n + 1):
+        starts = (n - k + 1,) * dim
+        # Negative values, so a cell that let the padding in would read -inf
+        # or miss its own windows; and integers, so maxima tie.
+        stacks = [rng.uniform(-3.0, -1.0, (3,) + starts),
+                  rng.integers(-2, 2, (2,) + starts).astype(float),
+                  rng.uniform(-1.0, 1.0, starts)]
+        for vals in stacks:
+            vals = vals.astype(dtype)
+            got = maxlip.operators._windowed_cell_max(vals, k, dim)
+            want = sliding_cell_max(vals, k, dim)
+            assert got.shape == vals.shape[:vals.ndim - dim] + (n,) * dim
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
+
+def test_windowed_cell_max_at_the_boundary():
+    # Each start holds its own index: a cell x of an N-cell axis sees the
+    # starts max(0, x-k+1) .. min(x, N-k), so its max is min(x, N-k).
+    n = 11
+    for k in range(1, n + 1):
+        starts = np.arange(n - k + 1, dtype=float)
+        got = maxlip.operators._windowed_cell_max(starts, k, 1)
+        assert np.array_equal(got, np.minimum(np.arange(n), n - k))
+        plane = starts[:, None] * 100.0 + starts[None, :]
+        edge = np.minimum(np.arange(n), n - k)
+        got2 = maxlip.operators._windowed_cell_max(plane, k, 2)
+        assert np.array_equal(got2, edge[:, None] * 100.0 + edge[None, :])

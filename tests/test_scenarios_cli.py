@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import maxlip
@@ -322,3 +323,63 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["scenario"] == "identities"
+
+
+@pytest.mark.parametrize("error, code", [(OSError(28, "No space left on device"), 3),
+                                         (MemoryError(), 4)])
+@pytest.mark.parametrize("command", ["verify", "compute-csv", "compute-scalar"])
+def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch, capsys, error, code, command):
+    scenario_cfg, compute_cfg = tmp_path / "scenario.json", tmp_path / "compute.json"
+    scenario_cfg.write_text(json.dumps({"grid": {"cells": 8}}))
+    compute_cfg.write_text(json.dumps({"grid": {"dim": 1, "cells": 8},
+                                       "function": {"kind": "const", "value": 1.0},
+                                       "exponent": {"const": 2.0}}))
+    out = tmp_path / "out" / "result.txt"
+    out.parent.mkdir()
+    out.write_bytes(b"old bytes\n")
+    argv = {"verify": ["verify", "identities", "--config", str(scenario_cfg), "--out", str(out)],
+            "compute-csv": ["compute", "hl", "--config", str(compute_cfg), "--out", str(out)],
+            "compute-scalar": ["compute", "lux", "--config", str(compute_cfg), "--out", str(out)]}
+    writer = "write_gridfunction_csv" if command == "compute-csv" else "_write_text"
+
+    def fail(*args):
+        with open(args[0] if writer == "_write_text" else args[1], "w") as fh:
+            fh.write("partial")
+        raise error
+
+    monkeypatch.setattr(f"maxlip.cli.{writer}", fail)
+    assert main(argv[command]) == code
+    assert out.read_bytes() == b"old bytes\n"
+    assert os.listdir(out.parent) == ["result.txt"]
+    assert capsys.readouterr().err.count("\n") == 1
+
+    monkeypatch.undo()
+    assert main(argv[command]) == 0
+    assert out.read_bytes() != b"old bytes\n"
+    assert os.listdir(out.parent) == ["result.txt"]
+
+
+def test_output_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"cells": 8}}))
+    assert main(["verify", "identities", "--config", str(cfg), "--out", os.devnull]) == 0
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cli_compute_local_writes_the_cube_cells(tmp_path, dim):
+    from maxlip import Cube, build_function, local_max
+
+    symbol = {"kind": "random", "seed": 5, "low": -1.0, "high": 1.0}
+    start = [2] * dim
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"dim": dim, "cells": 7}, "symbol": symbol,
+                               "cube": {"start": start, "side_cells": 3}}))
+    out = tmp_path / "local.csv"
+    assert main(["compute", "local", "--config", str(cfg), "--out", str(out)]) == 0
+    values = local_max(build_function(make_grid(dim, 7), symbol), Cube(tuple(start), 3))
+    header = "index,value" if dim == 1 else "i,j,value"
+    lines = [header] + [",".join([*(str(s + c) for s, c in zip(start, cell)),
+                                  f"{float(values[cell]):.17g}"])
+                        for cell in np.ndindex(values.shape)]
+    assert out.read_text().splitlines() == lines

@@ -103,3 +103,58 @@ def test_worst_takes_the_first_value_and_keeps_the_first_of_ties():
         low.offer(value, witness)
     assert (top.value, top.witness, top.count) == (3.0, "b", 4)
     assert (low.value, low.witness, low.count) == (-5.0, "a", 4)
+
+
+def offered_one_by_one(values, lowest=False, before=()):
+    worst = Worst(lowest)
+    for value, witness in before:
+        worst.offer(value, witness)
+    for i, value in enumerate(values):
+        worst.offer(float(value), i)
+    return worst.value, worst.witness, worst.count
+
+
+@pytest.mark.parametrize("lowest", [False, True])
+@pytest.mark.parametrize("values", [
+    [1.0, 3.0, 3.0, -2.0, 3.0],
+    [-2.0, -2.0, 5.0, -2.0],
+    [0.0, -0.0, 0.0],
+    [4.0],
+    [-np.inf, 1.0, np.inf, np.inf],
+    [np.nan, 1.0, 2.0],
+    [1.0, np.nan, 2.0, np.nan],
+    [np.nan, np.nan],
+    [-np.inf, np.nan, -np.inf],
+])
+@pytest.mark.parametrize("before", [(), ((2.0, "x"),), ((np.nan, "x"),), ((-np.inf, "x"),)])
+def test_offer_all_follows_one_offer_at_a_time(values, lowest, before):
+    worst = Worst(lowest)
+    for value, witness in before:
+        worst.offer(value, witness)
+    asked = []
+    worst.offer_all(np.array(values), lambda i: asked.append(i) or i)
+    expected = offered_one_by_one(values, lowest, before)
+    got = (worst.value, worst.witness, worst.count)
+    assert np.array_equal(np.array(got[:1], dtype=float), np.array(expected[:1], dtype=float),
+                          equal_nan=True)
+    assert got[1:] == expected[1:]
+    assert len(asked) <= 1
+
+
+def test_offer_all_of_nothing_changes_nothing():
+    worst = Worst()
+    worst.offer_all(np.array([]), lambda i: "never")
+    assert (worst.value, worst.witness, worst.count) == (None, None, 0)
+    worst.offer(1.0, "a")
+    worst.offer_all([], lambda i: "never")
+    assert (worst.value, worst.witness, worst.count) == (1.0, "a", 1)
+
+
+def test_offer_all_in_parts_equals_one_pass():
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 4, 60).astype(float)  # many ties
+    for lowest in (False, True):
+        parts = Worst(lowest)
+        for lo in range(0, 60, 7):
+            parts.offer_all(values[lo:lo + 7], lambda i, lo=lo: lo + i)
+        assert (parts.value, parts.witness, parts.count) == offered_one_by_one(values, lowest)
