@@ -9,7 +9,7 @@ slow independent counterpart used by the test oracles.
 __version__ = "0.1.0"
 
 from .catalog import ConfigError, build_exponent, build_function
-from .config import KNOWN_SCENARIOS, ScenarioConfig, Tolerances, load_config, parse_config
+from .config import KNOWN_SCENARIOS, ScenarioConfig, load_config, parse_config
 from .exponents import (
     ExponentPair,
     VariableExponent,
@@ -42,6 +42,7 @@ from .grid import (
 from .lipschitz import (
     LipResult,
     cube_oscillation_rows,
+    cube_ratios,
     lambda_sharp,
     lambda_star,
     lambda_var,
@@ -59,6 +60,7 @@ from .luxemburg import (
     embedding_bound,
     holder_constant,
     holder_defect,
+    indicator_norms,
     lux_norm,
     modular,
 )
@@ -76,6 +78,7 @@ from .operators import (
     local_max_sweep,
     max_commutator,
     max_commutator_at_cells,
+    on_cubes,
     oracle_check,
     sharp_max,
 )

@@ -74,11 +74,6 @@ _SCENARIO_DEFAULTS: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    identity_tol: float = 1e-9
-
-
 @dataclass
 class ScenarioConfig:
     scenario: str
@@ -92,7 +87,7 @@ class ScenarioConfig:
     pair_exponents: list[dict]
     functions_b: list[dict]
     functions_f: list[dict]
-    tolerances: Tolerances
+    identity_tol: float
     stability_factor: float
     refinements: list[int]
 
@@ -114,7 +109,7 @@ class ScenarioConfig:
             "exponents": self.exponents,
             "pair_exponents": self.pair_exponents,
             "functions": {"b": self.functions_b, "f": self.functions_f},
-            "tolerances": {"identity_tol": self.tolerances.identity_tol},
+            "tolerances": {"identity_tol": self.identity_tol},
             "stability_factor": self.stability_factor,
             "refinements": self.refinements,
         }
@@ -236,10 +231,8 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     if not isinstance(tol_raw, dict):
         raise ConfigError("'tolerances' must be an object")
     _check_keys(tol_raw, _TOL_KEYS, "tolerances config")
-    tolerances = Tolerances(
-        identity_tol=config_number(tol_raw.get("identity_tol", 1e-9), "identity_tol"),
-    )
-    if tolerances.identity_tol < 0.0:
+    identity_tol = config_number(tol_raw.get("identity_tol", 1e-9), "identity_tol")
+    if identity_tol < 0.0:
         raise ConfigError("tolerances must be nonnegative")
 
     stability_factor = config_number(raw.get("stability_factor", 3.0), "stability_factor")
@@ -267,7 +260,7 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
         pair_exponents=pair_exponents,
         functions_b=functions_b,
         functions_f=functions_f,
-        tolerances=tolerances,
+        identity_tol=identity_tol,
         stability_factor=stability_factor,
         refinements=refinements,
     )

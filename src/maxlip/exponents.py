@@ -104,7 +104,6 @@ class ExponentPair:
     p: VariableExponent
     q: VariableExponent
     beta: float
-    q0_check: float
 
 
 def build_pair(p: VariableExponent, beta: float) -> ExponentPair:
@@ -132,7 +131,7 @@ def build_pair(p: VariableExponent, beta: float) -> ExponentPair:
         raise ValueError(
             f"recovered exponent q_-(dim-beta)/dim = {q0_check:g} must exceed 1"
         )
-    return ExponentPair(p, q, float(beta), q0_check)
+    return ExponentPair(p, q, float(beta))
 
 
 def split_exponents(

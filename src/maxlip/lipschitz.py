@@ -12,8 +12,9 @@ Each sweep reports the attaining cube so that every supremum in a report
 can be reproduced.  The sweeps run on cube rows (grid.cube_rows): b and q
 on every side-k cube, one row per cube in enumeration order, so centers,
 norm solves and the worst case are whole-array passes and enumerate_cubes
-decodes the witness.  A row keeps its cube's cell order, so every value
-equals the per-cube one bit for bit.  The pairwise beta-Holder seminorm is one score of the
+decodes the witness; cube_ratios turns such rows into the normalized norm
+ratios.  A row keeps its cube's cell order, so every value equals the
+per-cube one bit for bit.  The pairwise beta-Holder seminorm is one score of the
 cell-pair sweep in ``sweep``: exact on small grids, a flagged sample on
 large ones.
 """
@@ -42,9 +43,9 @@ from .operators import (
     _chunks,
     apply_operator,
     apply_stack,
-    cube_blocks,
     indicator_stacks,
     local_max_sweep,
+    on_cubes,
 )
 # Still importable from here, as before the one-pass sweep; the benchmark's
 # tracer test pins the alias.
@@ -61,6 +62,7 @@ __all__ = [
     "opnorm_lower",
     "opnorm_lower_stacked",
     "cube_oscillation_rows",
+    "cube_ratios",
 ]
 
 @dataclass
@@ -92,11 +94,31 @@ def lip_seminorm(b: GridFunction, beta: float) -> LipResult:
     return LipResult(*pair_sweep(b, lambda diff, dist: diff / dist**beta))
 
 
+def cube_ratios(row_sets: list, beta: float, q: VariableExponent,
+                mode: CubeFamilyMode = CubeFamilyMode.FULL) -> list[np.ndarray]:
+    """|Q|^{-beta/dim} ||r chi_Q||_q / ||chi_Q||_q of every family cube, one array per row set.
+
+    A row set yields per side k of the family the (cubes, k^dim) rows r >= 0
+    on the side-k cubes in enumeration order.  Per side, all sets and the
+    chi_Q rows take one batched solve, each row bit for bit its own solve."""
+    _check_beta(beta)
+    grid = q.grid
+    out = [[] for _ in row_sets]
+    for k, *rows in zip(family_sides(grid.cells_per_axis, mode), *row_sets):
+        q_rows = cube_rows(q.values.values, k)
+        *nums, den = _lux_solve_batch(np.concatenate(rows + [np.ones_like(q_rows)]),
+                                      np.tile(q_rows, (len(rows) + 1, 1)),
+                                      grid.cell_measure).reshape(len(rows) + 1, -1)
+        scale = (k * grid.spacing) ** (-beta)
+        for values, num in zip(out, nums):
+            values.append(scale * num / den)
+    return [np.concatenate(values) for values in out]
+
+
 def _oscillation_values(
     b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode, center: str
 ) -> np.ndarray:
     """The row value of cube_oscillation_rows for every cube, in enumeration order."""
-    _check_beta(beta)
     grid = b.grid
     if q.grid != grid:
         raise ValueError("function and exponent live on different grids")
@@ -104,24 +126,19 @@ def _oscillation_values(
         raise ValueError(f"unknown center {center!r}")
     runs = cubes_by_side(grid, mode)
     local = local_max_sweep(b, [k for k, _ in runs]) if center == "local_max" else None
-    values = []
-    for k, side in runs:
-        blocks = cube_rows(b.values, k)
-        if local is not None:
-            ref = next(local)[1].reshape(blocks.shape)
-        elif center == "sharp_double":
-            ref = 2.0 * np.concatenate([
-                cube_blocks(apply_stack(OperatorTag.sharp(), grid, b.values * chis, mode), group)
-                for group, chis in indicator_stacks(grid, side)
-            ])
-        else:
-            ref = (blocks.sum(axis=1) / blocks.shape[1])[:, None]
-        diff = np.abs(blocks - ref)
-        q_rows = cube_rows(q.values.values, k)
-        num = _lux_solve_batch(diff, q_rows, grid.cell_measure)
-        den = _lux_solve_batch(np.ones_like(diff), q_rows, grid.cell_measure)
-        values.append((k * grid.spacing) ** (-beta) * num / den)
-    return np.concatenate(values)
+
+    def centered():
+        for k, side in runs:
+            blocks = cube_rows(b.values, k)
+            if local is not None:
+                ref = next(local)[1].reshape(blocks.shape)
+            elif center == "sharp_double":
+                ref = 2.0 * on_cubes(OperatorTag.sharp(), grid, side, b.values, mode)
+            else:
+                ref = (blocks.sum(axis=1) / blocks.shape[1])[:, None]
+            yield np.abs(blocks - ref)
+
+    return cube_ratios([centered()], beta, q, mode)[0]
 
 
 def cube_oscillation_rows(

@@ -24,7 +24,7 @@ bisection written apart from it.
 Also here: the norm identities that admit explicit discrete constants and
 therefore hard checks, namely the generalized Holder inequality with
 constant r_p = 1 + 1/p_- - 1/p_+, the power scaling |||f|^s||_p = ||f||^s_{sp},
-and the indicator duality and embedding ratios on cubes.
+and the indicator norms of a cube family with their duality and embedding ratios.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import ExponentPair, VariableExponent, conjugate
-from .grid import Cube, GridFunction, check_cube
+from .grid import Cube, CubeFamilyMode, GridFunction, check_cube, cube_rows, family_sides
 
 __all__ = [
     "NormResult",
@@ -44,6 +44,7 @@ __all__ = [
     "holder_constant",
     "holder_defect",
     "check_s_norm",
+    "indicator_norms",
     "cube_duality_product",
     "cube_embedding_ratio",
 ]
@@ -197,14 +198,16 @@ def check_s_norm(f: GridFunction, p: VariableExponent, s: float) -> float:
     return abs(lhs - rhs)
 
 
-def _indicator_norm_rows(q_rows: np.ndarray, cell_measure: float) -> np.ndarray:
-    """||chi_Q||_q of each cube Q whose q values, flattened, form a row of q_rows."""
-    return _lux_solve_batch(np.ones_like(q_rows), q_rows, cell_measure)
+def indicator_norms(q: VariableExponent, mode: CubeFamilyMode) -> np.ndarray:
+    """||chi_Q||_q of every family cube in enumeration order, solved by side."""
+    grid = q.grid
+    rows = (cube_rows(q.values.values, k) for k in family_sides(grid.cells_per_axis, mode))
+    return np.concatenate([_lux_solve_batch(np.ones_like(r), r, grid.cell_measure) for r in rows])
 
 
 def _indicator_norms_on_cube(cube: Cube, *exponents: VariableExponent) -> list[float]:
     rows = np.stack([r.values.values[cube.slices()].reshape(-1) for r in exponents])
-    return _indicator_norm_rows(rows, exponents[0].grid.cell_measure).tolist()
+    return _lux_solve_batch(np.ones_like(rows), rows, exponents[0].grid.cell_measure).tolist()
 
 
 def cube_duality_product(cube: Cube, q: VariableExponent) -> float:

@@ -30,10 +30,10 @@ builds (prefix tables, window differences, the commutator's cell tables)
 stay within STACK_BYTES_MAX bytes: a stack is split over rows, and the
 commutator's tables over cells too.  indicator_stacks builds the cube
 indicators of a family as stacks within the same cap, and cube_blocks
-reads each row on its own cube.  The per-cube sweeps run on them: the
-indicator and local-on-cube checks of identities, theorem2's mean
-recovery, lambda_sharp, theorem3's M_b(chi_Q) rows and the test bank of
-opnorm_lower_stacked.  The naive oracles stay per cube and unbatched.
+reads each row on its own cube; on_cubes joins the two for lambda_sharp,
+theorem2's mean recovery, theorem3's M_b(chi_Q) rows and identities'
+local-on-cube check.  identities' indicator check and the test bank of
+opnorm_lower_stacked use the stacks.  The naive oracles stay per cube.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ __all__ = [
     "apply_stack",
     "indicator_stacks",
     "cube_blocks",
+    "on_cubes",
     "oracle_check",
 ]
 
@@ -453,6 +454,16 @@ def apply_stack(
         kernel = _average_max if tag.kind == "comm_m" else _sharp_rows
         return _commutator_rows(kernel, tag.symbol, stack, mode)
     raise ValueError(f"operator kind {tag.kind!r} has no stacked form")
+
+
+def on_cubes(tag: OperatorTag, grid: Grid, cubes, weight,
+             mode: CubeFamilyMode = CubeFamilyMode.FULL) -> np.ndarray:
+    """Row r: the operator on weight * chi_Q, Q = cubes[r], read on the cells of Q.
+
+    weight is a grid array or a scalar.  The cubes share one side k; the result,
+    shape (len(cubes), k^dim), equals one call per cube bit for bit."""
+    return np.concatenate([cube_blocks(apply_stack(tag, grid, weight * chis, mode), group)
+                           for group, chis in indicator_stacks(grid, cubes)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,6 @@ from typing import Any
 
 from .grid import Cube
 
-RELATIONS = ("le", "ge", "eq", "report")
-STATUSES = ("pass", "fail", "monitored")
-
 CSV_COLUMNS = ("check_id", "anchor", "relation", "lhs", "rhs", "tolerance", "status", "witness")
 
 

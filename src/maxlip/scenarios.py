@@ -48,6 +48,7 @@ from .grid import (
 from .lipschitz import (
     LipResult,
     _pow_like_scalar,
+    cube_ratios,
     lambda_sharp,
     lambda_star,
     lambda_var,
@@ -56,12 +57,11 @@ from .lipschitz import (
     osc_norm_q,
 )
 from .luxemburg import (
-    _indicator_norm_rows,
-    _lux_solve_batch,
     check_s_norm,
     embedding_bound,
     holder_constant,
     holder_defect,
+    indicator_norms,
     lux_norm,
     modular,
 )
@@ -75,6 +75,7 @@ from .operators import (
     indicator_stacks,
     local_max_sweep,
     max_commutator,
+    on_cubes,
 )
 from .report import Check, Report, check_eq, check_ge, check_le, new_report, report_row
 from .sweep import Worst, worst_of
@@ -133,18 +134,6 @@ def _dim_factor(dim: int, beta: float) -> float:
     return float(dim) ** (beta / 2.0)
 
 
-def _indicator_norms(grid: Grid, q: VariableExponent, mode: CubeFamilyMode) -> np.ndarray:
-    """||chi_Q||_q of every family cube in enumeration order, solved by side."""
-    return np.concatenate([_indicator_norm_rows(cube_rows(q.values.values, k), grid.cell_measure)
-                           for k in family_sides(grid.cells_per_axis, mode)])
-
-
-def _by_side(grid: Grid, mode: CubeFamilyMode, value_of_side) -> np.ndarray:
-    """value_of_side(k) for every family cube of side k, in enumeration order."""
-    return np.concatenate([np.full(len(side), float(value_of_side(k)))
-                           for k, side in cubes_by_side(grid, mode)])
-
-
 def _cube_averages(b: GridFunction, k: int) -> np.ndarray:
     """average(b, Q) of every side-k cube in enumeration order, rounded as it rounds."""
     return window_sums(b, k).reshape(-1) / k**b.grid.dim
@@ -172,7 +161,7 @@ def _half_overlap_eligible(grid: Grid, mode: CubeFamilyMode) -> np.ndarray:
 def _identities(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.tolerances.identity_tol
+    tol = cfg.identity_tol
     beta = cfg.beta
     cubes = enumerate_cubes(grid, mode)
     bs = _function_bank(grid, cfg.functions_b)
@@ -218,14 +207,11 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
 
     runs = cubes_by_side(grid, mode)
     for label, b in bs:
-        devs = []
-        for (k, side), (_, levels) in zip(runs, local_max_sweep(b, [k for k, _ in runs])):
-            locs = levels.reshape(len(side), -1)
-            for group, chis in indicator_stacks(grid, side):
-                full = apply_stack(OperatorTag.hl(), grid, b.values * chis, CubeFamilyMode.FULL)
-                devs.append(np.abs(cube_blocks(full, group) - locs[:len(group)]).max(axis=1))
-                locs = locs[len(group):]
-        local = worst_of(np.concatenate(devs), cubes)
+        local = worst_of(np.concatenate([
+            np.abs(on_cubes(OperatorTag.hl(), grid, side, b.values, CubeFamilyMode.FULL)
+                   - levels.reshape(len(side), -1)).max(axis=1)
+            for (_, side), (_, levels) in zip(runs, local_max_sweep(b, [k for k, _ in runs]))
+        ]), cubes)
         rows.append(check_eq(
             f"identities/local-on-cube/{label}",
             "M(b chi_Q) = M_Q(b) on Q for the full family",
@@ -254,7 +240,7 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
 def _lemmas(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.tolerances.identity_tol
+    tol = cfg.identity_tol
     beta = cfg.beta
     dim = grid.dim
     cubes = enumerate_cubes(grid, mode)
@@ -306,10 +292,10 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
         return [check_eq(f"lemmas/s-norm/{lq}", "|| |f|^s ||_p = ||f||^s_{s p}",
                          worst.value, 0.0, tol, worst.witness)]
 
-    measures = _by_side(grid, mode, lambda k: (k * grid.spacing) ** dim)
+    measures = np.array([cube.measure(grid) for cube in cubes])
 
     def duality(lq: str, q: VariableExponent, base: np.ndarray) -> list[Check]:
-        prod = base * _indicator_norms(grid, conjugate(q), mode) / measures
+        prod = base * indicator_norms(conjugate(q), mode) / measures
         low, top = worst_of(prod, cubes, lowest=True), worst_of(prod, cubes)
         if q.is_constant:
             return [check_eq(
@@ -333,9 +319,9 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
 
     def embedding(lp: str, pair: ExponentPair) -> list[Check]:
         bound = embedding_bound(pair)
-        scale = _by_side(grid, mode, lambda k: ((k * grid.spacing) ** dim) ** (pair.beta / dim))
-        top = worst_of(_indicator_norms(grid, pair.p, mode)
-                          / (scale * _indicator_norms(grid, pair.q, mode)), cubes)
+        scale = np.array([pow(measure, pair.beta / dim) for measure in measures.tolist()])
+        top = worst_of(indicator_norms(pair.p, mode) / (scale * indicator_norms(pair.q, mode)),
+                       cubes)
         rows = [check_le(
             f"lemmas/embedding/{lp}",
             "||chi_Q||_p <= C |Q|^{beta/dim} ||chi_Q||_q with derived C",
@@ -356,8 +342,8 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
             rp = r / (r - 1.0)
             q_r = validate_p(q.values.with_values(r * qv))
             q_rp = validate_p(q.values.with_values(rp * qv))
-            big = _indicator_norms(grid, q_r, mode)
-            small = _indicator_norms(grid, q_rp, mode)
+            big = indicator_norms(q_r, mode)
+            small = indicator_norms(q_rp, mode)
             power = worst_of(np.abs(big - _pow_like_scalar(base, 1.0 / r)), cubes)
             product = worst_of(np.abs(big * small - base), cubes)
             gap = Worst()
@@ -393,7 +379,7 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
         rows += lux(lq, q)
         rows += holder(lq, q)
         rows += snorm(lq, q)
-        base = _indicator_norms(grid, q, mode)
+        base = indicator_norms(q, mode)
         rows += duality(lq, q, base)
         rows += split(lq, q, base)
         rows.append(report_row(
@@ -419,17 +405,18 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
     own_rows(lb, b, lip, fs, mbs, fracs); per q the norm chain for b >= 0
     and lambda_rows(lb, b, lip, lq, q); the operator-norm bound per pair.
     [b, T]f and M_b f (mbs(), on first use) are computed once per (b, f),
-    fracs = M_beta f once per f.
+    fracs = M_beta f once per f and ||M_beta f||_q once per (f, q).
     """
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.tolerances.identity_tol
+    tol = cfg.identity_tol
     factor = _dim_factor(grid.dim, cfg.beta)
     bs = _function_bank(grid, cfg.functions_b)
     fs = _operand_bank(cfg, grid)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
     fracs = [frac_max(f, cfg.beta, mode) for _, f in fs]
+    frac_norms = {lq: [lux_norm(frac, q).value for frac in fracs] for lq, q in qs}
     bounds = _opnorm_bounds([tag(b) for _, b in bs], pairs, fs, mode)
     times = "" if const == 1.0 else f"{const:g} "
 
@@ -452,8 +439,8 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
         for lq, q in qs:
             if comms:
                 worst = Worst()
-                for (lf, _), c, frac in zip(fs, comms, fracs):
-                    rhs = const * factor * lip.value * lux_norm(frac, q).value
+                for (lf, _), c, frac_norm in zip(fs, comms, frac_norms[lq]):
+                    rhs = const * factor * lip.value * frac_norm
                     worst.offer(lux_norm(c, q).value - rhs, lf)
                 rows.append(check_le(
                     f"{theorem}/norm-chain/{lb}/{lq}",
@@ -487,7 +474,7 @@ def _opnorm_row(check_id: str, op: str, value: float, witness: dict) -> Check:
 def _theorem1(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.tolerances.identity_tol
+    tol = cfg.identity_tol
     beta = cfg.beta
     factor = _dim_factor(grid.dim, beta)
     # The localized maximal function is a full-family object, so its sweep
@@ -553,7 +540,7 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
 def _theorem2(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.tolerances.identity_tol
+    tol = cfg.identity_tol
     cubes = enumerate_cubes(grid, mode)
     # A cube's smallest strict container in the family has the next side up,
     # t times its volume; the cubes of the largest side have none.
@@ -564,10 +551,7 @@ def _theorem2(cfg: ScenarioConfig) -> list[Check]:
     def own_rows(lb: str, b: GridFunction, lip: LipResult, *bank) -> list[Check]:
         gaps = [np.empty(0)]
         for k, side, t in held:
-            floor = np.concatenate([
-                cube_blocks(apply_stack(OperatorTag.sharp(), grid, b.values * chis, mode),
-                            group).min(axis=1)
-                for group, chis in indicator_stacks(grid, side)])
+            floor = on_cubes(OperatorTag.sharp(), grid, side, b.values, mode).min(axis=1)
             gaps.append(np.abs(_cube_averages(b, k)) - t * t / (2.0 * (t - 1.0)) * floor)
         recovered = Worst()
         recovered.offer_all(np.concatenate(gaps),
@@ -600,7 +584,7 @@ def _theorem2(cfg: ScenarioConfig) -> list[Check]:
 def _theorem3(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.tolerances.identity_tol
+    tol = cfg.identity_tol
     beta = cfg.beta
     cubes = enumerate_cubes(grid, mode)
     bs = _function_bank(grid, cfg.functions_b)
@@ -611,18 +595,12 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
                             + [OperatorTag.fractional(beta)], pairs, fs, mode)
 
     runs = cubes_by_side(grid, mode)
-    scale = _by_side(grid, mode, lambda k: (k * grid.spacing) ** (-beta))
-    # Per exponent: the q values on each cube's cells, per side, and ||chi_Q||_q.
-    q_rows = {lq: [cube_rows(q.values.values, k) for k, _ in runs] for lq, q in qs}
-    chi_norms = {lq: _indicator_norms(grid, q, mode) for lq, q in qs}
 
     rows: list[Check] = []
     for i, (lb, b) in enumerate(bs):
         # Per side, the rows of M_b(chi_Q) and of b, on each cube's own cells.
         tag = OperatorTag.max_commutator(b)
-        mb_rows = [np.concatenate([cube_blocks(apply_stack(tag, grid, chis, mode), group)
-                                   for group, chis in indicator_stacks(grid, side)])
-                   for _, side in runs]
+        mb_rows = [on_cubes(tag, grid, side, 1.0, mode) for _, side in runs]
         b_rows = [cube_rows(b.values, k) for k, _ in runs]
         lower = worst_of(np.concatenate([
             (mb - np.abs(b_k - _cube_averages(b, k)[:, None])).min(axis=1)
@@ -634,13 +612,10 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
             lower.value, 0.0, tol, {"cube": lower.witness},
         ))
         osc_rows = [np.abs(b_k - b_k.mean(axis=1)[:, None]) for b_k in b_rows]
-        for lq, _ in qs:
-            osc, mb = (np.concatenate([_lux_solve_batch(r, q_k, grid.cell_measure)
-                                       for r, q_k in zip(per_side, q_rows[lq])])
-                       for per_side in (osc_rows, mb_rows))
-            rhs = scale * mb / chi_norms[lq]
-            worst = worst_of(scale * osc / chi_norms[lq] - rhs, cubes)
-            top = worst_of(rhs, cubes)
+        for lq, q in qs:
+            osc, mb = cube_ratios([osc_rows, mb_rows], beta, q, mode)
+            worst = worst_of(osc - mb, cubes)
+            top = worst_of(mb, cubes)
             rows += [
                 check_le(
                     f"theorem3/ratio-dominated/{lb}/{lq}",
@@ -668,7 +643,7 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
 
 def _normequiv(cfg: ScenarioConfig) -> list[Check]:
     beta = cfg.beta
-    tol = cfg.tolerances.identity_tol
+    tol = cfg.identity_tol
     mode = cfg.cube_family
 
     def pair_rows(b_spec: dict, q_spec: dict) -> list[Check]:
@@ -739,7 +714,7 @@ def _normequiv(cfg: ScenarioConfig) -> list[Check]:
 
 def _counterexamples(cfg: ScenarioConfig) -> list[Check]:
     beta = cfg.beta
-    tol = cfg.tolerances.identity_tol
+    tol = cfg.identity_tol
     mode = cfg.cube_family
 
     def _max_adjacent_diff(b: GridFunction) -> float:

@@ -15,7 +15,10 @@ from maxlip import (
     LipResult,
     OperatorTag,
     cube_oscillation_rows,
+    cube_ratios,
+    cube_rows,
     enumerate_cubes,
+    family_sides,
     indicator,
     lambda_sharp,
     lambda_star,
@@ -314,6 +317,33 @@ def test_oscillation_sweeps_equal_the_per_cube_loop(dim, n, mode, center, functi
                 best.offer(value, cube)
             res = functional(b, 0.5, q, mode)
             assert (res.value, res.witness, res.exact) == (best.value, best.witness, True)
+
+
+@pytest.mark.parametrize("dim, n", SWEEP_GRIDS)
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+@pytest.mark.parametrize("sets", [2, 3])
+def test_cube_ratios_of_joint_sets_equal_one_set_at_a_time(dim, n, mode, sets):
+    g = make_grid(dim, n)
+    cm = g.cell_measure
+    sides = family_sides(n, mode)
+    row_sets = [[np.abs(cube_rows(seeded_function(g, 100 + s).values, k)) for k in sides]
+                for s in range(sets)]
+    row_sets[-1][-1][:] = 0.0  # all-zero rows: norm 0, ratio 0
+    for q in (const_exponent(g, 2.0), affine_exponent(g, 2.0, 1.0)):
+        joint = cube_ratios(row_sets, 0.4, q, mode)
+        assert len(joint) == sets
+        for rows, values in zip(row_sets, joint):
+            (alone,) = cube_ratios([iter(rows)], 0.4, q, mode)
+            assert np.array_equal(values, alone)
+            # Each value is its cube's own two solves.
+            expected = []
+            for k, side_rows in zip(sides, rows):
+                for row, q_row in zip(side_rows, cube_rows(q.values.values, k)):
+                    num = _lux_solve_batch(row[None], q_row[None], cm)[0]
+                    den = _lux_solve_batch(np.ones((1, row.size)), q_row[None], cm)[0]
+                    expected.append((k * g.spacing) ** (-0.4) * float(num) / float(den))
+            assert values.tolist() == expected
+        assert not joint[-1][-len(row_sets[-1][-1]):].any()
 
 
 @pytest.mark.parametrize("dim, n", SWEEP_GRIDS + [(2, 9)])

@@ -286,13 +286,13 @@ def reference_indicator_norms(q, mode):
 @pytest.mark.parametrize("dim, n", [(1, 13), (2, 6)])
 @pytest.mark.parametrize("mode", [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES])
 def test_indicator_norms_equal_the_per_cube_solves(dim, n, mode):
-    from maxlip.scenarios import _indicator_norms
+    from maxlip.luxemburg import indicator_norms
 
     g = make_grid(dim, n)
     for q in (const_exponent(g, 2.5), affine_exponent(g, 1.5, 1.5),
               validate_p(sample(g, (lambda x: 2.0 + np.floor(3.0 * x)) if dim == 1
                                 else (lambda x, y: 2.0 + np.floor(3.0 * x) + y)))):
-        norms = _indicator_norms(g, q, mode)
+        norms = indicator_norms(q, mode)
         assert norms.tolist() == reference_indicator_norms(q, mode)
         for cube, norm in zip(enumerate_cubes(g, mode), norms):
             dual = _lux_solve(np.ones((cube.side_cells,) * dim),

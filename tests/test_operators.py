@@ -15,6 +15,7 @@ from maxlip import (
     apply_stack,
     comm_m,
     comm_sharp,
+    cubes_by_side,
     cubes_containing,
     enumerate_cubes,
     frac_max,
@@ -27,6 +28,7 @@ from maxlip import (
     make_grid,
     max_commutator,
     max_commutator_at_cells,
+    on_cubes,
     oracle_check,
     sample,
     sharp_max,
@@ -268,6 +270,31 @@ def test_indicator_stacks_split_by_side_and_cap(monkeypatch):
             assert np.array_equal(chi, indicator(g, cube).values)
         seen.extend(group)
     assert tuple(seen) == cubes
+
+
+@pytest.mark.parametrize("kind", ("hl", "sharp", "max_commutator", "comm_sharp"))
+@pytest.mark.parametrize("dim, n", [(1, 9), (2, 5)])
+@pytest.mark.parametrize("mode", [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES])
+def test_on_cubes_equals_the_per_cube_calls(monkeypatch, kind, dim, n, mode):
+    g = make_grid(dim, n)
+    tag = _stack_tag(kind, seeded_function(g, 95, -1.0, 1.0))
+    w = seeded_function(g, 96, -1.0, 2.0)
+    # Two indicators per stack, and every kernel splits its stack as well.
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 2 * 8 * g.cell_count)
+    for _, side in cubes_by_side(g, mode):
+        for weight, f in ((w.values, w), (1.0, 1.0)):
+            expected = np.stack([
+                apply_operator(tag, indicator(g, cube) * f, mode).values[cube.slices()].reshape(-1)
+                for cube in side])
+            assert np.array_equal(on_cubes(tag, g, side, weight, mode), expected)
+
+
+def test_on_cubes_takes_one_side():
+    g = make_grid(1, 6)
+    with pytest.raises(ValueError):
+        on_cubes(OperatorTag.hl(), g, enumerate_cubes(g), 1.0)
+    with pytest.raises(ValueError):
+        on_cubes(OperatorTag.hl(), g, (), 1.0)
 
 
 def test_pointwise_commutator_bound_nonneg_symbol():

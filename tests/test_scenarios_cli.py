@@ -383,3 +383,40 @@ def test_cli_compute_local_writes_the_cube_cells(tmp_path, dim):
                                   f"{float(values[cell]):.17g}"])
                         for cell in np.ndindex(values.shape)]
     assert out.read_text().splitlines() == lines
+
+
+@pytest.mark.parametrize("grid, family", [({"dim": 1, "cells": 12}, "full"),
+                                          ({"dim": 2, "cells": 6}, "dyadic")])
+def test_theorem3_ratio_rows_equal_the_per_cube_lux_norm_loop(grid, family):
+    from maxlip import (average, build_exponent, build_function, enumerate_cubes, indicator,
+                        lux_norm, max_commutator)
+    from maxlip.catalog import exponent_label, function_label
+
+    raw = {"grid": grid, "cube_family": family, "beta": 0.4,
+           "exponents": [{"const": 2.0}, {"affine": {"a": 2.0, "b": 1.0}}],
+           "functions": {"b": [{"kind": "affine", "a": 0.0, "b": 1.0},
+                               {"kind": "random", "seed": 5, "low": -1.0, "high": 1.0}],
+                         "f": [{"kind": "const", "value": 1.0}]}}
+    cfg = parse_config("theorem3", raw)
+    g, mode = cfg.build_grid(), cfg.cube_family
+    rows = {c.check_id: c for c in run_scenario("theorem3", raw).checks}
+    for b_spec in cfg.functions_b:
+        b = build_function(g, b_spec)
+        for q_spec in cfg.exponents:
+            q = build_exponent(g, q_spec)
+            osc, mb = {}, {}
+            for cube in enumerate_cubes(g, mode):
+                chi = indicator(g, cube)
+                den = cube.measure(g) ** (cfg.beta / g.dim) * lux_norm(chi, q).value
+                osc[cube] = lux_norm(abs(b - average(b, cube)) * chi, q).value / den
+                mb[cube] = lux_norm(max_commutator(b, chi, mode) * chi, q).value / den
+            top = max(mb.values())
+            labels = f"{function_label(b_spec)}/{exponent_label(q_spec)}"
+            functional = rows[f"theorem3/mb-functional/{labels}"]
+            assert functional.lhs == pytest.approx(top, rel=1e-12)
+            witness = maxlip.Cube(tuple(functional.witness["cube"]["start"]),
+                                  functional.witness["cube"]["side_cells"])
+            assert mb[witness] == pytest.approx(top, rel=1e-12)
+            dominated = rows[f"theorem3/ratio-dominated/{labels}"]
+            assert dominated.lhs == pytest.approx(max(osc[c] - mb[c] for c in osc),
+                                                  rel=0.0, abs=1e-12 * top)
