@@ -9,16 +9,16 @@ dimensional constants.
 
 Each operator has two routes: a fast path built on per-side window
 statistics (prefix-sum queries, or one window view per side for the sharp
-function) plus per-side sliding maxima, and a naive nested-loop oracle that
-sums cube slices directly.  The sliding max is a log-step running max (van
-Herk; Gil and Werman): doubling maxima m_2p[i] = max(m_p[i], m_p[i+p]) up
-to the largest power of two p <= k, then max(m_p[i], m_p[i+k-p]) covers the
-window [i, i+k); a square window is one axis after the other.  Max returns
-one of its arguments, so this equals the direct max over each window.  oracle_check compares the two and is wired
-into the test suite; the routes are intentionally kept separate.  The
-sweeps over every cube of a family take the local maximal function from
-local_max_sweep, one pass per symbol; the single-cube local_max is its
-reference.
+function) plus per-side sliding maxima, and a naive oracle that sums each
+cube's gathered cells directly and scatter-maxes the result into them.  The
+sliding max is a log-step running max (van Herk; Gil and Werman): doubling
+maxima m_2p[i] = max(m_p[i], m_p[i+p]) up to the largest power of two p <= k,
+then max(m_p[i], m_p[i+k-p]) covers the window [i, i+k); a square window is
+one axis after the other.  Max returns one of its arguments, so this equals
+the direct max over each window.  oracle_check compares the two routes and
+is wired into the test suite.  The sweeps over every cube of a family take
+the local maximal function from local_max_sweep, one pass per symbol; the
+single-cube local_max is its reference.
 
 The fast paths carry a leading batch axis: apply_stack applies an operator
 to a stack of grid arrays, shape (rows,) + grid.shape, in one call, and
@@ -33,7 +33,8 @@ indicators of a family as stacks within the same cap, and cube_blocks
 reads each row on its own cube; on_cubes joins the two for lambda_sharp,
 theorem2's mean recovery, theorem3's M_b(chi_Q) rows and identities'
 local-on-cube check.  identities' indicator check and the test bank of
-opnorm_lower_stacked use the stacks.  The naive oracles stay per cube.
+opnorm_lower_stacked use the stacks.  The naive oracles, one pass per side,
+are outside the cap.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ __all__ = [
     "oracle_check",
 ]
 
-# The naive oracle slices every cube of the full family once (and, for the
-# maximal commutator, once per cell of the cube); keep it at desk scale.
+# At these limits the naive commutator oracle's largest per-side (cubes, K, K)
+# table is about 4 MB (2-D, k = 11); keep the oracles at desk scale.
 ORACLE_MAX_CELLS_DIM1 = 64
 ORACLE_MAX_CELLS_DIM2 = 16
 
@@ -467,34 +468,37 @@ def on_cubes(tag: OperatorTag, grid: Grid, cubes, weight,
 
 
 # ---------------------------------------------------------------------------
-# Naive oracles: direct slice sums per cube, no prefix tables, no sliding max.
-# To stay independent of the fast paths, no _naive_* function may call
-# window_sums, GridFunction.prefix, _windowed_cell_max or sliding_window_view.
+# Naive oracles: direct sums per cube, scatter-maxed into its cells.  To stay
+# independent of the fast paths, no _naive_* function may call window_sums,
+# prefix_table, table_window_sums, GridFunction.prefix, _windowed_cell_max or
+# sliding_window_view (test_naive_oracles_use_no_fast_primitive).
 
 
-def _blocks(starts: list[range], k: int):
-    """Slices of the side-k blocks whose start runs over the per-axis ranges."""
-    for start in itertools.product(*starts):
-        yield tuple(slice(s, s + k) for s in start)
+def _cube_cells(n: int, dim: int, k: int) -> np.ndarray:
+    """Flat indices of each side-k cube's cells, (cubes, k^dim), rows as in enumerate_cubes."""
+    corners = starts = np.arange(n - k + 1)
+    offsets = steps = np.arange(k)
+    for _ in range(dim - 1):
+        corners = (n * corners[:, None] + starts).reshape(-1)
+        offsets = (n * offsets[:, None] + steps).reshape(-1)
+    return corners[:, None] + offsets
 
 
 def _naive_per_cube(vals: np.ndarray, statistic) -> np.ndarray:
-    """Per cell, the max of statistic(block, k) over all grid cubes holding the cell.
+    """Per cell, the max of statistic(cells, k) over all grid cubes holding the cell.
 
-    Each cube's statistic is computed once from its slice of vals and then
-    taken into the cells of that cube.
+    statistic maps the (cubes, k^dim) values of the side-k cubes to one value per cube.
     """
-    n = vals.shape[0]
-    out = np.zeros(vals.shape)
+    n, flat = vals.shape[0], vals.reshape(-1)
+    out = np.zeros(flat.shape)
     for k in range(1, n + 1):
-        for sl in _blocks([range(n - k + 1)] * vals.ndim, k):
-            region = out[sl]
-            np.maximum(region, statistic(vals[sl], k), out=region)
-    return out
+        idx = _cube_cells(n, vals.ndim, k)
+        np.maximum.at(out, idx, statistic(flat[idx], k)[:, None])
+    return out.reshape(vals.shape)
 
 
 def _naive_average_max(absv: np.ndarray) -> np.ndarray:
-    return _naive_per_cube(absv, lambda block, k: float(block.sum()) / k**absv.ndim)
+    return _naive_per_cube(absv, lambda cells, k: cells.sum(axis=1) / k**absv.ndim)
 
 
 def _naive_hl(f: GridFunction) -> np.ndarray:
@@ -504,9 +508,9 @@ def _naive_hl(f: GridFunction) -> np.ndarray:
 def _naive_sharp(f: GridFunction) -> np.ndarray:
     dim = f.grid.dim
 
-    def mean_oscillation(block: np.ndarray, k: int) -> float:
-        mean = float(block.sum()) / k**dim
-        return float(np.abs(block - mean).sum()) / k**dim
+    def mean_oscillation(cells: np.ndarray, k: int) -> np.ndarray:
+        mean = cells.sum(axis=1, keepdims=True) / k**dim
+        return np.abs(cells - mean).sum(axis=1) / k**dim
 
     return _naive_per_cube(f.values, mean_oscillation)
 
@@ -514,26 +518,22 @@ def _naive_sharp(f: GridFunction) -> np.ndarray:
 def _naive_frac(f: GridFunction, alpha: float) -> np.ndarray:
     dim, h = f.grid.dim, f.grid.spacing
     return _naive_per_cube(
-        np.abs(f.values), lambda block, k: (k * h) ** alpha * float(block.sum()) / k**dim
+        np.abs(f.values), lambda cells, k: (k * h) ** alpha * cells.sum(axis=1) / k**dim
     )
 
 
 def _naive_max_comm(b: GridFunction, f: GridFunction) -> np.ndarray:
-    grid = b.grid
-    n = grid.cells_per_axis
-    bv = b.values
-    absf = np.abs(f.values)
-    out = np.zeros(grid.shape)
-    for cell in np.ndindex(grid.shape):
-        bx = bv[cell]
-        best = 0.0
-        for k in range(1, n + 1):
-            starts = [range(max(0, c - k + 1), min(c, n - k) + 1) for c in cell]
-            for sl in _blocks(starts, k):
-                term = float((np.abs(bv[sl] - bx) * absf[sl]).sum()) / k**grid.dim
-                best = max(best, term)
-        out[cell] = best
-    return out
+    """Per side, each cube's table |b(y) - b(x)| |f(y)| over its cells x, y, summed over y."""
+    n, dim = b.grid.cells_per_axis, b.grid.dim
+    flat_b, flat_f = b.values.reshape(-1), np.abs(f.values).reshape(-1)
+    out = np.zeros(flat_b.shape)
+    for k in range(1, n + 1):
+        idx = _cube_cells(n, dim, k)
+        table = flat_b[idx][:, None, :] - flat_b[idx][:, :, None]
+        np.abs(table, out=table)
+        table *= flat_f[idx][:, None, :]
+        np.maximum.at(out, idx, table.sum(axis=2) / k**dim)
+    return out.reshape(b.grid.shape)
 
 
 def _naive_local(b: GridFunction, q0: Cube) -> np.ndarray:
@@ -563,8 +563,8 @@ def oracle_check(tag: OperatorTag, f: GridFunction) -> float:
     """Max absolute deviation between the fast path and the naive oracle.
 
     Runs the full cube family; gated to small grids because the oracle
-    slices every cube of that family, and the maximal-commutator oracle
-    does so once per cell of each cube.
+    gathers every cube of it, and the maximal commutator's oracle a
+    (cubes, K, K) table per side (K = k^dim cells; about 4 MB at the limits).
     """
     grid = f.grid
     n = grid.cells_per_axis

@@ -9,6 +9,7 @@ import maxlip.operators
 from maxlip import (
     Cube,
     CubeFamilyMode,
+    Grid,
     GridFunction,
     OperatorTag,
     apply_operator,
@@ -64,6 +65,10 @@ def test_oracle_agreement_local():
     b = seeded_function(g, 9)
     tag = OperatorTag.local(Cube((2,), 7))
     assert oracle_check(tag, b) <= 1e-12
+    g2 = make_grid(2, 9)
+    b2 = seeded_function(g2, 11, -2.0, 2.0)
+    for cube in (Cube((1, 3), 5), Cube((0, 0), 9), Cube((8, 2), 1)):
+        assert oracle_check(OperatorTag.local(cube), b2) <= 1e-12, cube
 
 
 def test_oracle_guard_messages():
@@ -74,6 +79,115 @@ def test_oracle_guard_messages():
     g2 = make_grid(2, 17)
     with pytest.raises(ValueError, match=r"exceeds 16 for dim 2"):
         oracle_check(OperatorTag.hl(), seeded_function(g2, 0))
+
+
+def test_oracle_agreement_at_the_guard_limits():
+    for dim, n in ((1, maxlip.operators.ORACLE_MAX_CELLS_DIM1),
+                   (2, maxlip.operators.ORACLE_MAX_CELLS_DIM2)):
+        g = make_grid(dim, n)
+        b = seeded_function(g, 3, -1.0, 1.0)
+        f = seeded_function(g, 4, -1.0, 1.0)
+        for tag in all_tags(b) + [OperatorTag.local(Cube((2,) * dim, n - 5))]:
+            assert oracle_check(tag, f) <= 1e-12, (dim, tag.label)
+
+
+def _naive_tags(g: Grid, b: GridFunction) -> list[OperatorTag]:
+    n = g.cells_per_axis
+    return all_tags(b) + [OperatorTag.local(Cube((n // 3,) * g.dim, n - n // 3))]
+
+
+def test_naive_oracles_use_no_fast_primitive(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a naive oracle reached a fast-path primitive")
+
+    for name in ("window_sums", "prefix_table", "table_window_sums", "sliding_window_view",
+                 "_windowed_cell_max"):
+        monkeypatch.setattr(maxlip.operators, name, refuse)
+    monkeypatch.setattr(GridFunction, "prefix", property(refuse))
+    for dim, n in ((1, 9), (2, 5)):
+        g = make_grid(dim, n)
+        b = seeded_function(g, 20, -1.0, 1.0)
+        f = seeded_function(g, 21, -1.0, 1.0)
+        for tag in _naive_tags(g, b):
+            assert np.isfinite(maxlip.operators._naive_apply(tag, f)).all(), tag.label
+
+
+def slice_loop_per_cube(vals: np.ndarray, statistic) -> np.ndarray:
+    """The per-cube oracle as a loop: one slice of vals and one statistic per cube."""
+    n = vals.shape[0]
+    out = np.zeros(vals.shape)
+    for k in range(1, n + 1):
+        for start in itertools.product(range(n - k + 1), repeat=vals.ndim):
+            sl = tuple(slice(s, s + k) for s in start)
+            region = out[sl]
+            np.maximum(region, statistic(vals[sl], k), out=region)
+    return out
+
+
+def cell_loop_max_comm(b: GridFunction, f: GridFunction) -> np.ndarray:
+    """The maximal commutator as a loop over cells, and per cell over the cubes holding it."""
+    n, dim = b.grid.cells_per_axis, b.grid.dim
+    bv, absf = b.values, np.abs(f.values)
+    out = np.zeros(b.grid.shape)
+    for cell in np.ndindex(b.grid.shape):
+        best = 0.0
+        for k in range(1, n + 1):
+            starts = [range(max(0, c - k + 1), min(c, n - k) + 1) for c in cell]
+            for start in itertools.product(*starts):
+                sl = tuple(slice(s, s + k) for s in start)
+                best = max(best, float((np.abs(bv[sl] - bv[cell]) * absf[sl]).sum()) / k**dim)
+        out[cell] = best
+    return out
+
+
+def slice_loop_apply(tag: OperatorTag, f: GridFunction) -> np.ndarray:
+    dim, h = f.grid.dim, f.grid.spacing
+
+    def average(absv, scale=lambda k: 1.0):
+        return slice_loop_per_cube(absv, lambda block, k: scale(k) * float(block.sum()) / k**dim)
+
+    def hl(vals):
+        return average(np.abs(vals))
+
+    def mean_oscillation(block, k):
+        mean = float(block.sum()) / k**dim
+        return float(np.abs(block - mean).sum()) / k**dim
+
+    def sharp(vals):
+        return slice_loop_per_cube(vals, mean_oscillation)
+
+    b = tag.symbol.values if tag.symbol is not None else None
+    if tag.kind == "hl":
+        return hl(f.values)
+    if tag.kind == "sharp":
+        return sharp(f.values)
+    if tag.kind == "fractional":
+        return average(np.abs(f.values), lambda k: (k * h) ** tag.alpha)
+    if tag.kind == "local":
+        return average(np.abs(f.values)[tag.cube.slices()])
+    if tag.kind == "max_commutator":
+        return cell_loop_max_comm(tag.symbol, f)
+    if tag.kind == "comm_m":
+        return b * hl(f.values) - hl(b * f.values)
+    assert tag.kind == "comm_sharp"
+    return b * sharp(f.values) - sharp(b * f.values)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1), (1, 2), (1, 13), (1, 32),
+                                    (2, 1), (2, 2), (2, 5), (2, 8)])
+def test_naive_oracles_equal_the_slice_loops(dim, n):
+    # Bit for bit: a gathered row of a cube sums like the cube's slice.  The
+    # guard limits are left out; the cell loop takes about 0.5 s a call there.
+    g = Grid(dim, n, (0.0,) * dim, 1.0)  # make_grid refuses N = 1; the oracles do not
+    b = seeded_function(g, 30 + n, -1.0, 1.0)
+    rng = np.random.default_rng(7 * n + dim)
+    for vals in (rng.uniform(-1.0, 1.0, g.shape),  # random, tied, negative
+                 rng.integers(-2, 3, g.shape).astype(float),
+                 rng.uniform(-3.0, -1.0, g.shape)):
+        f = GridFunction(g, vals)
+        for tag in _naive_tags(g, b):
+            got = maxlip.operators._naive_apply(tag, f)
+            assert np.array_equal(got, slice_loop_apply(tag, f)), tag.label
 
 
 def test_hl_single_spike_hand_count():
