@@ -36,6 +36,7 @@ from .grid import (
     make_grid,
     read_gridfunction_csv,
     sample,
+    side_runs,
     window_sums,
     write_gridfunction_csv,
 )

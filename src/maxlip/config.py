@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .catalog import ConfigError, config_number
-from .grid import CubeFamilyMode, Grid, make_grid
+from .grid import CubeFamilyMode, Grid, family_sides, make_grid
 
 KNOWN_SCENARIOS = (
     "lemmas",
@@ -38,6 +38,15 @@ _TOP_KEYS = {
 _GRID_KEYS = {"dim", "cells", "box_origin", "box_side"}
 _TOL_KEYS = {"identity_tol"}
 _FUN_KEYS = {"b", "f"}
+
+# The most cube cells, the sum over the family's sides k of (N-k+1)^dim k^dim,
+# that a grid of a scenario may have: every cube's cells, as the per-cube
+# sweeps lay them out in rows (8 bytes a cell, 32 MiB at the limit).  The
+# largest default is normequiv's 1-D N=128 full family, 357,760 cells.
+MAX_CUBE_CELLS = 1 << 22
+
+# The scenarios that build a grid per refinement instead of one of 'cells'.
+_REFINED = ("normequiv", "counterexamples")
 
 _SCENARIO_DEFAULTS: dict[str, dict] = {
     "lemmas": {"cells": 32, "cube_family": "full"},
@@ -181,6 +190,11 @@ def parse_grid(grid_raw, default_cells: int) -> tuple[int, int, tuple[float, ...
     return dim, cells, box_origin, box_side
 
 
+def cube_cells(dim: int, n: int, mode: CubeFamilyMode) -> int:
+    """Cells of every cube of the family on a dim-D grid of N = n cells per axis."""
+    return sum((n - k + 1) ** dim * k**dim for k in family_sides(n, mode))
+
+
 def parse_beta(raw: dict) -> float:
     """The smoothness order 'beta' of a config object, in (0, 1), default 0.5."""
     beta = config_number(raw.get("beta", 0.5), "beta")
@@ -247,6 +261,14 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
             raise ConfigError(f"refinement cell counts must be integers >= 2, got {n!r}")
     if any(b <= a for a, b in zip(refinements, refinements[1:])):
         raise ConfigError("'refinements' must be strictly increasing")
+
+    for n in refinements if scenario in _REFINED else [cells]:
+        count = cube_cells(dim, n, cube_family)
+        if count > MAX_CUBE_CELLS:
+            raise ConfigError(
+                f"grid too large: {scenario} would sweep the {cube_family.value} cube family of "
+                f"a {dim}-D grid with N = {n}, {count} cube cells, above the limit of "
+                f"{MAX_CUBE_CELLS}")
 
     return ScenarioConfig(
         scenario=scenario,

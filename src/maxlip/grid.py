@@ -37,6 +37,7 @@ __all__ = [
     "indicator",
     "enumerate_cubes",
     "cubes_by_side",
+    "side_runs",
     "cubes_containing",
     "window_sums",
     "cube_rows",
@@ -318,6 +319,15 @@ def cubes_by_side(grid: Grid, mode: CubeFamilyMode = CubeFamilyMode.FULL):
     counts = [(grid.cells_per_axis - k + 1) ** grid.dim for k in sides]
     return [(k, cubes[end - count:end])
             for k, count, end in zip(sides, counts, itertools.accumulate(counts))]
+
+
+def side_runs(cubes):
+    """(rows, run) for each run of consecutive cubes of one side: run = cubes[rows]."""
+    lo = 0
+    for _, run in itertools.groupby(cubes, key=lambda cube: cube.side_cells):
+        run = tuple(run)
+        yield slice(lo, lo + len(run)), run
+        lo += len(run)
 
 
 def cubes_containing(grid: Grid, cell, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> tuple[Cube, ...]:

@@ -13,10 +13,10 @@ can be reproduced.  The sweeps run on cube rows (grid.cube_rows): b and q
 on every side-k cube, one row per cube in enumeration order, so centers,
 norm solves and the worst case are whole-array passes and enumerate_cubes
 decodes the witness; cube_ratios turns such rows into the normalized norm
-ratios.  A row keeps its cube's cell order, so every value equals the
-per-cube one bit for bit.  The pairwise beta-Holder seminorm is one score of the
-cell-pair sweep in ``sweep``: exact on small grids, a flagged sample on
-large ones.
+ratios, one Luxemburg solve for the whole family.  A row keeps its cube's
+cell order, so every value equals the per-cube one bit for bit.  The
+pairwise beta-Holder seminorm is one score of the cell-pair sweep in
+``sweep``: exact on small grids, a flagged sample on large ones.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from .grid import (
     CubeFamilyMode,
     GridFunction,
     cube_rows,
-    cubes_by_side,
     enumerate_cubes,
     family_sides,
     indicator,
 )
-from .luxemburg import _lux_solve_batch, lux_norm
+from .luxemburg import _chi_rows, _lux_solve_batch, _newton_solve, lux_norm
 from .operators import (
     OperatorTag,
     _chunks,
@@ -99,20 +98,37 @@ def cube_ratios(row_sets: list, beta: float, q: VariableExponent,
     """|Q|^{-beta/dim} ||r chi_Q||_q / ||chi_Q||_q of every family cube, one array per row set.
 
     A row set yields per side k of the family the (cubes, k^dim) rows r >= 0
-    on the side-k cubes in enumeration order.  Per side, all sets and the
-    chi_Q rows take one batched solve, each row bit for bit its own solve."""
+    on the side-k cubes in enumeration order; a set short of a side, or
+    long, raises ValueError.  The family takes one solve, drawn side by
+    side: a side's block holds the rows of every set and the chi_Q rows (one
+    row for constant q, its value repeated), and each row is bit for bit
+    its own solve."""
     _check_beta(beta)
     grid = q.grid
+    n, dim = grid.cells_per_axis, grid.dim
+    sides = family_sides(n, mode)
+    sets = len(row_sets)
+
+    def blocks():
+        for k, *rows in zip(sides, *row_sets, strict=True):
+            chi = _chi_rows(q, k)
+            q_rows = np.broadcast_to(chi, ((n - k + 1) ** dim, k**dim))
+            yield (np.concatenate(rows + [np.ones_like(chi)]),
+                   np.concatenate([q_rows] * sets + [chi]))
+
+    values = _newton_solve(blocks(), grid.cell_measure)[0]
     out = [[] for _ in row_sets]
-    for k, *rows in zip(family_sides(grid.cells_per_axis, mode), *row_sets):
-        q_rows = cube_rows(q.values.values, k)
-        *nums, den = _lux_solve_batch(np.concatenate(rows + [np.ones_like(q_rows)]),
-                                      np.tile(q_rows, (len(rows) + 1, 1)),
-                                      grid.cell_measure).reshape(len(rows) + 1, -1)
+    at = 0
+    for k in sides:
+        cubes = (n - k + 1) ** dim
+        nums = values[at:at + sets * cubes].reshape(sets, cubes)
+        at += sets * cubes
+        den = values[at:at + (1 if q.is_constant else cubes)]
+        at += den.size
         scale = (k * grid.spacing) ** (-beta)
-        for values, num in zip(out, nums):
-            values.append(scale * num / den)
-    return [np.concatenate(values) for values in out]
+        for ratios, num in zip(out, nums):
+            ratios.append(scale * num / den)
+    return [np.concatenate(ratios) for ratios in out]
 
 
 def _oscillation_values(
@@ -124,19 +140,22 @@ def _oscillation_values(
         raise ValueError("function and exponent live on different grids")
     if center not in ("average", "local_max", "sharp_double"):
         raise ValueError(f"unknown center {center!r}")
-    runs = cubes_by_side(grid, mode)
-    local = local_max_sweep(b, [k for k, _ in runs]) if center == "local_max" else None
+    sides = family_sides(grid.cells_per_axis, mode)
 
     def centered():
-        for k, side in runs:
+        if center == "average":
+            for k in sides:
+                blocks = cube_rows(b.values, k)
+                yield np.abs(blocks - (blocks.sum(axis=1) / blocks.shape[1])[:, None])
+            return
+        if center == "local_max":
+            refs = (level for _, level in local_max_sweep(b, sides))
+        else:
+            refs = (2.0 * on_q for on_q in on_cubes(OperatorTag.sharp(), grid,
+                                                    enumerate_cubes(grid, mode), b.values, mode))
+        for k, ref in zip(sides, refs, strict=True):
             blocks = cube_rows(b.values, k)
-            if local is not None:
-                ref = next(local)[1].reshape(blocks.shape)
-            elif center == "sharp_double":
-                ref = 2.0 * on_cubes(OperatorTag.sharp(), grid, side, b.values, mode)
-            else:
-                ref = (blocks.sum(axis=1) / blocks.shape[1])[:, None]
-            yield np.abs(blocks - ref)
+            yield np.abs(blocks - ref.reshape(blocks.shape))
 
     return cube_ratios([centered()], beta, q, mode)[0]
 

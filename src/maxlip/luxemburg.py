@@ -1,9 +1,16 @@
 """Modulars and Luxemburg norms for variable exponents on a grid.
 
 The modular of f is sum over cells of |f(c)|^p(c) * h^dim, and the norm is
-the unique lambda > 0 with modular(f/lambda) = 1.  One solver finds it, for
-a single support or for a batch of supports of equal size solved in
-lockstep: a safeguarded Newton iteration on t = log lambda.
+the unique lambda > 0 with modular(f/lambda) = 1.  One solver finds it: a
+safeguarded Newton iteration on t = log lambda.  It takes a sequence of
+blocks, each a batch of supports of one size k, and packs consecutive
+blocks into groups of at most operators.STACK_BYTES_MAX bytes of abs and
+p rows, drawn one group at a time.  A group's rows iterate in lockstep on
+flat cell arrays, and each block's row sums are taken on its own (rows, k)
+view, so every row equals its solve alone bit for bit; a single support is
+the one-row case.  A cube family's indicator norms are one such solve, a block
+per side, and for a constant exponent a block is one row, as every chi_Q
+of a side has the same norm.
 
 In t the log-modular g(t) = log modular(f e^{-t}) is a log-sum-exp of
 affine functions, so it is convex and decreasing: Newton's method started
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .exponents import ExponentPair, VariableExponent, conjugate
 from .grid import Cube, CubeFamilyMode, GridFunction, check_cube, cube_rows, family_sides
 
@@ -91,37 +99,103 @@ def modular(f: GridFunction, p: VariableExponent) -> float:
     return total * f.grid.cell_measure
 
 
-def _newton_solve(
-    abs_rows: np.ndarray, p_rows: np.ndarray, cell_measure: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Norm of every row: values, bracket ends lo and hi, modular evaluations.
+def _packed(blocks):
+    """Consecutive blocks in groups of at most STACK_BYTES_MAX bytes of values.
 
-    Rows are independent supports of equal size; an all-zero row has norm 0
-    and costs no evaluation.
+    A block's values are its abs rows and its p rows.  A block larger than
+    the cap on its own is a group alone.  Blocks are drawn as the groups are
+    taken, so one group is alive at a time.
     """
-    rows = abs_rows.shape[0]
+    group, size = [], 0
+    for block in blocks:
+        block_size = block[0].nbytes + block[1].nbytes
+        if group and size + block_size > operators.STACK_BYTES_MAX:
+            yield group
+            group, size = [], 0
+        group.append(block)
+        size += block_size
+    if group:
+        yield group
+
+
+def _segments(counts: list[int], ks: list[int]) -> list[tuple[int, int, int, int, int]]:
+    """(first row, end row, first cell, end cell, k) of each block with rows left.
+
+    counts[b] is the number of rows block b has left, of k = ks[b] cells each.
+    """
+    segments, row, cell = [], 0, 0
+    for count, k in zip(counts, ks):
+        if count:
+            segments.append((row, row + count, cell, cell + count * k, k))
+            row, cell = row + count, cell + count * k
+    return segments
+
+
+def _row_reduce(ufunc, flat: np.ndarray, segments) -> np.ndarray:
+    """ufunc reduced along each row of the flat cells, on its block's (rows, k) view."""
+    if len(segments) == 1:
+        (lo, hi, c0, c1, k), = segments
+        return ufunc.reduce(flat.reshape(hi - lo, k), axis=1)
+    return np.concatenate([ufunc.reduce(flat[c0:c1].reshape(hi - lo, k), axis=1)
+                           for lo, hi, c0, c1, k in segments] or [np.zeros(0)])
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays flattened and joined end to end."""
+    if len(arrays) == 1:
+        return arrays[0].reshape(-1)
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
+def _newton_solve(blocks, cell_measure: float):
+    """Norm of every row of every block: values, bracket ends lo and hi, modular evaluations.
+
+    blocks yields (abs_rows, p_rows) pairs of shape (rows, k), k the block's
+    own support size; the results run over the rows of all blocks in order.
+    Consecutive blocks are solved in lockstep, grouped by _packed, with the
+    cells of a group in flat arrays.  A row's sums are taken on its block's
+    (rows, k) view, so every row equals its solve alone bit for bit.  An
+    all-zero row has norm 0 and costs no evaluation.
+    """
+    results = [_solve_group(group, cell_measure) for group in _packed(blocks)]
+    if not results:
+        return np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64)
+    return tuple(np.concatenate(column) for column in zip(*results))
+
+
+def _solve_group(group: list, cell_measure: float):
+    """_newton_solve of the blocks of one group, in lockstep."""
+    ks = [a.shape[1] for a, _ in group]
+    owner = np.repeat(np.arange(len(group)), [len(a) for a, _ in group])
+    width = np.take(ks, owner)
+    rows = width.size
     value = np.zeros(rows)
     lo_out = np.zeros(rows)
     hi_out = np.zeros(rows)
     evals = np.zeros(rows, dtype=np.int64)
-    idx = np.flatnonzero(abs_rows.max(axis=1, initial=0.0) > 0.0)
-    vals = abs_rows[idx]
-    pows = p_rows[idx]
-    lam = np.max(vals * cell_measure ** (1.0 / pows), axis=1)
+    nonzero = _joined([np.max(a, axis=1, initial=0.0) > 0.0 for a, _ in group])
+    idx = np.flatnonzero(nonzero)
+    vals = _joined([a for a, _ in group])
+    pows = _joined([p for _, p in group])
+    if idx.size < rows:
+        cells = np.repeat(nonzero, width)
+        vals, pows, owner, width = vals[cells], pows[cells], owner[idx], width[idx]
+    segments = _segments(np.bincount(owner, minlength=len(group)).tolist(), ks)
+    lam = _row_reduce(np.maximum, vals * cell_measure ** (1.0 / pows), segments)
     lo = np.zeros(idx.size)
     hi = np.full(idx.size, np.inf)
     for _ in range(MAX_ITERATIONS):
         if idx.size == 0:
             break
-        terms = np.power(vals / lam[:, None], pows)
-        total = terms.sum(axis=1)
+        terms = np.power(vals / np.repeat(lam, width), pows)
+        total = _row_reduce(np.add, terms, segments)
         phi = total * cell_measure
         evals[idx] += 1
         above = phi >= 1.0
         lo = np.where(above, lam, lo)
         hi = np.where(above, hi, lam)
         # g(t) = log phi has slope -(p weighted by the terms) in t = log lambda.
-        est = lam * np.exp(np.log(phi) * total / (terms * pows).sum(axis=1))
+        est = lam * np.exp(np.log(phi) * total / _row_reduce(np.add, terms * pows, segments))
         done = lo >= hi * (1.0 - BRACKET_REL_TOL)
         if done.any():
             rows_done = idx[done]
@@ -129,8 +203,12 @@ def _newton_solve(
             lo_out[rows_done] = lo[done]
             hi_out[rows_done] = hi[done]
             keep = ~done
-            idx, vals, pows = idx[keep], vals[keep], pows[keep]
-            lo, hi, est = lo[keep], hi[keep], est[keep]
+            idx, lo, hi, est = idx[keep], lo[keep], hi[keep], est[keep]
+            if idx.size == 0:
+                break
+            cells = np.repeat(keep, width)
+            vals, pows, owner, width = vals[cells], pows[cells], owner[keep], width[keep]
+            segments = _segments(np.bincount(owner, minlength=len(group)).tolist(), ks)
         # A Newton step that would land within half the tolerance of a
         # bracket end, or beyond it, evaluates there instead and so either
         # closes the bracket or moves that end.
@@ -138,7 +216,8 @@ def _newton_solve(
     if idx.size == 0:
         return value, lo_out, hi_out, evals
     # Every cell at most 1/(cells * h^dim) makes the modular at most 1.
-    cap = np.max(vals * (vals.shape[1] * cell_measure) ** (1.0 / pows), axis=1)
+    cap = _row_reduce(np.maximum, vals * (np.repeat(width, width) * cell_measure) ** (1.0 / pows),
+                      segments)
     hi = np.where(np.isfinite(hi), hi, cap)
     raise ConvergenceError("Newton budget exhausted", (float(lo.min()), float(hi.max())))
 
@@ -146,14 +225,14 @@ def _newton_solve(
 def _lux_solve(abs_vals: np.ndarray, p_vals: np.ndarray, cell_measure: float) -> NormResult:
     """Norm of one support, which may be a cube slice of the grid."""
     value, lo, hi, evals = _newton_solve(
-        abs_vals.reshape(1, -1), p_vals.reshape(1, -1), cell_measure
+        [(abs_vals.reshape(1, -1), p_vals.reshape(1, -1))], cell_measure
     )
     return NormResult(float(value[0]), int(evals[0]), (float(lo[0]), float(hi[0])), True)
 
 
 def _lux_solve_batch(abs_rows: np.ndarray, p_rows: np.ndarray, cell_measure: float) -> np.ndarray:
-    """Norms of many independent supports at once, one row each."""
-    return _newton_solve(abs_rows, p_rows, cell_measure)[0]
+    """Norms of many independent supports of one size at once, one row each."""
+    return _newton_solve([(abs_rows, p_rows)], cell_measure)[0]
 
 
 def lux_norm(f: GridFunction, p: VariableExponent) -> NormResult:
@@ -198,11 +277,26 @@ def check_s_norm(f: GridFunction, p: VariableExponent, s: float) -> float:
     return abs(lhs - rhs)
 
 
+def _chi_rows(q: VariableExponent, k: int) -> np.ndarray:
+    """q on the side-k cubes for their chi_Q solves: cube_rows, or a single row
+    when q is constant, since then every row is that row."""
+    if q.is_constant:
+        return np.full((1, k**q.grid.dim), q.p_minus)
+    return cube_rows(q.values.values, k)
+
+
 def indicator_norms(q: VariableExponent, mode: CubeFamilyMode) -> np.ndarray:
-    """||chi_Q||_q of every family cube in enumeration order, solved by side."""
+    """||chi_Q||_q of every family cube in enumeration order.
+
+    One solve takes the family a side per block; for constant q it solves one
+    row per side and repeats its value over the side's cubes."""
     grid = q.grid
-    rows = (cube_rows(q.values.values, k) for k in family_sides(grid.cells_per_axis, mode))
-    return np.concatenate([_lux_solve_batch(np.ones_like(r), r, grid.cell_measure) for r in rows])
+    sides = family_sides(grid.cells_per_axis, mode)
+    blocks = ((np.ones_like(r), r) for r in (_chi_rows(q, k) for k in sides))
+    norms = _newton_solve(blocks, grid.cell_measure)[0]
+    if q.is_constant:
+        norms = np.repeat(norms, [(grid.cells_per_axis - k + 1) ** grid.dim for k in sides])
+    return norms
 
 
 def _indicator_norms_on_cube(cube: Cube, *exponents: VariableExponent) -> list[float]:

@@ -29,10 +29,12 @@ table with a cell axis and a start-range mask.  The temporaries a kernel
 builds (prefix tables, window differences, the commutator's cell tables)
 stay within STACK_BYTES_MAX bytes: a stack is split over rows, and the
 commutator's tables over cells too.  indicator_stacks builds the cube
-indicators of a family as stacks within the same cap, and cube_blocks
-reads each row on its own cube; on_cubes joins the two for lambda_sharp,
-theorem2's mean recovery, theorem3's M_b(chi_Q) rows and identities'
-local-on-cube check.  identities' indicator check and the test bank of
+indicators of a family as stacks within the same cap, cut by the cap only,
+so a stack may straddle sides; cube_blocks reads the rows of one side on
+their own cubes.  on_cubes joins the two over a whole family and yields one
+block per side; lambda_sharp, theorem2's mean recovery, theorem3's
+M_b(chi_Q) rows and identities' local-on-cube check each make one call per
+family.  identities' indicator check and the test bank of
 opnorm_lower_stacked use the stacks.  The naive oracles, one pass per side,
 are outside the cap.
 """
@@ -53,6 +55,7 @@ from .grid import (
     check_cube,
     family_sides,
     prefix_table,
+    side_runs,
     table_window_sums,
     window_sums,
 )
@@ -80,10 +83,11 @@ __all__ = [
 ORACLE_MAX_CELLS_DIM1 = 64
 ORACLE_MAX_CELLS_DIM2 = 16
 
-# Bytes any one batched temporary may take: a stack of cube indicators, or
-# what a kernel builds from a stack.  Stacks are split over rows to stay
-# below it (the maximal commutator also over cells); a single row larger
-# than this on its own is still computed whole.
+# Bytes any one batched temporary may take: a stack of cube indicators, what
+# a kernel builds from a stack, or the values of a group of blocks that the
+# Luxemburg solver iterates in lockstep (luxemburg._packed).  Stacks are
+# split over rows to stay below it (the maximal commutator also over cells);
+# a single row, or solver block, larger than this is still computed whole.
 STACK_BYTES_MAX = 1 << 18
 
 
@@ -98,18 +102,17 @@ def indicator_stacks(grid: Grid, cubes):
     """The indicators of the cubes as stacks of at most STACK_BYTES_MAX bytes.
 
     Yields (group, stack) in the order of the cubes: group is a run of
-    consecutive cubes of one side and stack[r] is the indicator of group[r],
-    shape (len(group),) + grid.shape.
+    consecutive cubes, of one side or of several, and stack[r] is the
+    indicator of group[r], shape (len(group),) + grid.shape.
     """
-    for _, run in itertools.groupby(cubes, key=lambda cube: cube.side_cells):
-        run = tuple(run)
-        for part in _chunks(len(run), 8 * grid.cell_count):
-            group = run[part]
-            stack = np.zeros((len(group),) + grid.shape)
-            for r, cube in enumerate(group):
-                check_cube(grid, cube)
-                stack[(r,) + cube.slices()] = 1.0
-            yield group, stack
+    cubes = tuple(cubes)
+    for part in _chunks(len(cubes), 8 * grid.cell_count):
+        group = cubes[part]
+        stack = np.zeros((len(group),) + grid.shape)
+        for r, cube in enumerate(group):
+            check_cube(grid, cube)
+            stack[(r,) + cube.slices()] = 1.0
+        yield group, stack
 
 
 def cube_blocks(stack: np.ndarray, cubes) -> np.ndarray:
@@ -458,13 +461,26 @@ def apply_stack(
 
 
 def on_cubes(tag: OperatorTag, grid: Grid, cubes, weight,
-             mode: CubeFamilyMode = CubeFamilyMode.FULL) -> np.ndarray:
-    """Row r: the operator on weight * chi_Q, Q = cubes[r], read on the cells of Q.
+             mode: CubeFamilyMode = CubeFamilyMode.FULL):
+    """The operator on weight * chi_Q for every cube Q, read on the cells of Q.
 
-    weight is a grid array or a scalar.  The cubes share one side k; the result,
-    shape (len(cubes), k^dim), equals one call per cube bit for bit."""
-    return np.concatenate([cube_blocks(apply_stack(tag, grid, weight * chis, mode), group)
-                           for group, chis in indicator_stacks(grid, cubes)])
+    weight is a grid array or a scalar.  cubes run in enumeration order, a
+    whole family or a run of its sides; one array of shape (cubes_k, k^dim)
+    is yielded per side k, its row r the r-th of the side-k cubes.  The
+    indicators go through apply_stack in stacks that may straddle sides, and
+    every row equals one call per cube bit for bit.
+    """
+    side, blocks = None, []
+    for group, chis in indicator_stacks(grid, cubes):
+        out = apply_stack(tag, grid, weight * chis, mode)
+        for rows, run in side_runs(group):
+            if blocks and run[0].side_cells != side:
+                yield np.concatenate(blocks)
+                blocks = []
+            side = run[0].side_cells
+            blocks.append(cube_blocks(out[rows], run))
+    if blocks:
+        yield np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

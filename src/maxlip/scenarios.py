@@ -43,6 +43,7 @@ from .grid import (
     cubes_by_side,
     enumerate_cubes,
     family_sides,
+    side_runs,
     window_sums,
 )
 from .lipschitz import (
@@ -169,12 +170,14 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
     tags = (OperatorTag.hl(), OperatorTag.sharp(), OperatorTag.fractional(beta))
     stats = []
     for group, chis in indicator_stacks(grid, cubes):
-        target = group[0].side_length(grid) ** beta
         outs = [apply_stack(tag, grid, chis, mode) for tag in tags]
-        top_m, top_s, top_fr = (out.reshape(len(group), -1).max(axis=1) for out in outs)
-        on_m, on_s, on_fr = (cube_blocks(out, group) for out in outs)
-        stats.append((np.abs(on_m - 1.0).max(axis=1), top_m, np.abs(on_s - 0.5).max(axis=1),
-                      top_s, np.abs(on_fr - target).max(axis=1), top_fr - target))
+        tops = [out.reshape(len(group), -1).max(axis=1) for out in outs]
+        for part, run in side_runs(group):
+            target = run[0].side_length(grid) ** beta
+            on_m, on_s, on_fr = (cube_blocks(out[part], run) for out in outs)
+            top_m, top_s, top_fr = (top[part] for top in tops)
+            stats.append((np.abs(on_m - 1.0).max(axis=1), top_m, np.abs(on_s - 0.5).max(axis=1),
+                          top_s, np.abs(on_fr - target).max(axis=1), top_fr - target))
     dev_m, top_m, dev_s, top_s, dev_fr, excess_fr = (
         np.concatenate(column) for column in zip(*stats))
     dev_hl, top_hl, top_sharp, dev_frac, excess_frac = (
@@ -205,12 +208,13 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
                  excess_frac.value, 0.0, tol, {"cube": excess_frac.witness}),
     ]
 
-    runs = cubes_by_side(grid, mode)
+    sides = family_sides(grid.cells_per_axis, mode)
     for label, b in bs:
         local = worst_of(np.concatenate([
-            np.abs(on_cubes(OperatorTag.hl(), grid, side, b.values, CubeFamilyMode.FULL)
-                   - levels.reshape(len(side), -1)).max(axis=1)
-            for (_, side), (_, levels) in zip(runs, local_max_sweep(b, [k for k, _ in runs]))
+            np.abs(on_q - levels.reshape(on_q.shape)).max(axis=1)
+            for on_q, (_, levels) in zip(
+                on_cubes(OperatorTag.hl(), grid, cubes, b.values, CubeFamilyMode.FULL),
+                local_max_sweep(b, sides), strict=True)
         ]), cubes)
         rows.append(check_eq(
             f"identities/local-on-cube/{label}",
@@ -219,7 +223,7 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
         ))
 
         gaps = []
-        for k, _ in runs:
+        for k in sides:
             blocks = cube_rows(b.values, k)
             bq = _cube_averages(b, k)[:, None]
             below = np.where(blocks <= bq, bq - blocks, 0.0).sum(axis=1)
@@ -496,7 +500,8 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
                 {"b": lb, "f": smooth.witness, "lip": lip.value, "lip_exact": lip.exact},
             ))
         dom, half, neg = [], [], []
-        for (k, _), (_, levels) in zip(runs, local_max_sweep(b, [k for k, _ in runs])):
+        for (k, _), (_, levels) in zip(runs, local_max_sweep(b, [k for k, _ in runs]),
+                                       strict=True):
             blocks = cube_rows(b.values, k)
             diff = levels.reshape(blocks.shape) - blocks
             spread = np.abs(diff).mean(axis=1)
@@ -548,11 +553,13 @@ def _theorem2(cfg: ScenarioConfig) -> list[Check]:
     held = [(k, side, (m / k) ** grid.dim) for (k, side), (m, _) in zip(runs, runs[1:])]
     ratios = np.concatenate([np.full(len(side), t) for _, side, t in held] + [np.empty(0)])
 
+    held_cubes = cubes[:len(cubes) - len(runs[-1][1])]
+
     def own_rows(lb: str, b: GridFunction, lip: LipResult, *bank) -> list[Check]:
         gaps = [np.empty(0)]
-        for k, side, t in held:
-            floor = on_cubes(OperatorTag.sharp(), grid, side, b.values, mode).min(axis=1)
-            gaps.append(np.abs(_cube_averages(b, k)) - t * t / (2.0 * (t - 1.0)) * floor)
+        floors = on_cubes(OperatorTag.sharp(), grid, held_cubes, b.values, mode)
+        for (k, _, t), on_q in zip(held, floors, strict=True):
+            gaps.append(np.abs(_cube_averages(b, k)) - t * t / (2.0 * (t - 1.0)) * on_q.min(axis=1))
         recovered = Worst()
         recovered.offer_all(np.concatenate(gaps),
                             lambda i: {"cube": cubes[i], "ratio": float(ratios[i])})
@@ -600,11 +607,11 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
     for i, (lb, b) in enumerate(bs):
         # Per side, the rows of M_b(chi_Q) and of b, on each cube's own cells.
         tag = OperatorTag.max_commutator(b)
-        mb_rows = [on_cubes(tag, grid, side, 1.0, mode) for _, side in runs]
+        mb_rows = list(on_cubes(tag, grid, cubes, 1.0, mode))
         b_rows = [cube_rows(b.values, k) for k, _ in runs]
         lower = worst_of(np.concatenate([
             (mb - np.abs(b_k - _cube_averages(b, k)[:, None])).min(axis=1)
-            for (k, _), b_k, mb in zip(runs, b_rows, mb_rows)
+            for (k, _), b_k, mb in zip(runs, b_rows, mb_rows, strict=True)
         ]), cubes, lowest=True)
         rows.append(check_ge(
             f"theorem3/pointwise-lower/{lb}",

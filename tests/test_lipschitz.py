@@ -346,6 +346,43 @@ def test_cube_ratios_of_joint_sets_equal_one_set_at_a_time(dim, n, mode, sets):
         assert not joint[-1][-len(row_sets[-1][-1]):].any()
 
 
+def test_cube_ratios_rejects_a_row_set_short_or_long_of_a_side():
+    g = make_grid(1, 8)
+    q = affine_exponent(g, 2.0, 1.0)
+    b = seeded_function(g, 7)
+    rows = [np.abs(cube_rows(b.values, k)) for k in family_sides(8, CubeFamilyMode.FULL)]
+    for bad in (rows[:-1], rows + rows[-1:]):
+        with pytest.raises(ValueError, match="zip"):
+            cube_ratios([rows, iter(bad)], 0.5, q)
+
+
+@pytest.mark.parametrize("dim, n", SWEEP_GRIDS)
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_constant_q_solves_one_chi_row_per_side(monkeypatch, dim, n, mode):
+    import maxlip.luxemburg
+
+    g = make_grid(dim, n)
+    sides = family_sides(n, mode)
+    cubes = len(enumerate_cubes(g, mode))
+    solved = []
+    solve = maxlip.luxemburg._newton_solve
+
+    def counting(blocks, cm):
+        blocks = list(blocks)
+        solved.append(sum(len(a) for a, _ in blocks))
+        return solve(blocks, cm)
+
+    monkeypatch.setattr(maxlip.luxemburg, "_newton_solve", counting)
+    monkeypatch.setattr(maxlip.lipschitz, "_newton_solve", counting)
+    b = seeded_function(g, 12)
+    for q, chi_rows in ((const_exponent(g, 2.5), len(sides)),
+                        (affine_exponent(g, 2.0, 1.0), cubes)):
+        solved.clear()
+        maxlip.luxemburg.indicator_norms(q, mode)
+        lambda_var(b, 0.5, q, mode)
+        assert solved == [chi_rows, cubes + chi_rows]
+
+
 @pytest.mark.parametrize("dim, n", SWEEP_GRIDS + [(2, 9)])
 @pytest.mark.parametrize("mode", SWEEP_MODES)
 def test_osc_norm_q_equals_the_per_cube_loop(dim, n, mode):

@@ -211,6 +211,71 @@ def test_convergence_error_carries_a_real_bracket(monkeypatch):
     assert 0.0 < lo <= want <= hi < np.inf
 
 
+def _mixed_blocks():
+    """Blocks of widths 1 to 9 with all-zero rows, a one-row block and a width-1 block."""
+    rng = np.random.default_rng(5150)
+    blocks = []
+    for rows, k in ((7, 3), (1, 9), (12, 1), (5, 4), (9, 9), (3, 2), (6, 5)):
+        vals = rng.uniform(0.0, 3.0, (rows, k)) * (rng.random((rows, k)) < 0.8)
+        vals[rows // 2] = 0.0
+        blocks.append((vals, rng.uniform(1.1, 6.0, (rows, k))))
+    return blocks
+
+
+@pytest.mark.parametrize("cap", [None, 8 * 10, 8 * 60], ids=["one-group", "tiny-cap", "small-cap"])
+def test_newton_solve_of_mixed_widths_equals_each_block_alone(monkeypatch, cap):
+    import maxlip.operators
+
+    blocks = _mixed_blocks()
+    cm = 1.0 / 81.0
+    alone = [luxemburg._newton_solve([block], cm) for block in blocks]
+    if cap is not None:
+        monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
+    # Blocks are drawn lazily: a group is solved before the block after it is drawn.
+    drawn, groups = [], []
+    solve_group = luxemburg._solve_group
+    monkeypatch.setattr(luxemburg, "_solve_group", lambda group, measure: (
+        groups.append((len(drawn), len(group))) or solve_group(group, measure)))
+
+    def lazily():
+        for block in blocks:
+            drawn.append(1)
+            yield block
+
+    got = luxemburg._newton_solve(lazily(), cm)
+    for column, parts in zip(got, zip(*alone)):
+        assert np.array_equal(column, np.concatenate(parts))
+    assert sum(size for _, size in groups) == len(blocks)
+    solved = 0
+    for seen, size in groups:
+        solved += size
+        assert seen <= solved + 1
+    if cap == 8 * 10:
+        assert len(groups) > 2
+    value, _, _, evals = got
+    zero = np.concatenate([~a.any(axis=1) for a, _ in blocks])
+    assert not value[zero].any() and not evals[zero].any() and value[~zero].all()
+    rows = [(a[r], p[r]) for a, p in blocks for r in range(len(a))]
+    assert value.tolist() == [_lux_solve(a, p, cm).value for a, p in rows]
+
+
+def test_newton_solve_of_no_blocks_is_empty():
+    assert [c.size for c in luxemburg._newton_solve(iter(()), 0.5)] == [0, 0, 0, 0]
+
+
+def test_grouped_solve_out_of_budget_raises_with_a_finite_bracket(monkeypatch):
+    import maxlip.operators
+
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 8 * 60)
+    monkeypatch.setattr(luxemburg, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError) as err:
+        luxemburg._newton_solve(_mixed_blocks(), 1.0 / 81.0)
+    # After one evaluation most rows have only a lower end; the upper end is
+    # then the cap at which every cell alone keeps the modular at most 1.
+    lo, hi = err.value.bracket
+    assert 0.0 <= lo <= hi < np.inf
+
+
 def test_holder_defect_nonnegative():
     g = make_grid(1, 14)
     p = affine_exponent(g, 1.6, 1.1)

@@ -373,17 +373,22 @@ def test_stacked_call_equals_per_function_calls(monkeypatch, kind, dim, n, mode,
     assert np.array_equal(apply_stack(tag, g, stack, mode), expected)
 
 
-def test_indicator_stacks_split_by_side_and_cap(monkeypatch):
+def test_indicator_stacks_cross_sides_under_the_cap_in_order(monkeypatch):
     g = make_grid(2, 5)
     cubes = enumerate_cubes(g, CubeFamilyMode.FULL)
-    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 3 * 8 * g.cell_count)
-    seen = []
+    cap = 3 * 8 * g.cell_count
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
+    seen, straddling = [], 0
     for group, stack in indicator_stacks(g, cubes):
-        assert 1 <= len(group) <= 3 and len({c.side_cells for c in group}) == 1
+        assert stack.nbytes <= cap and stack.shape == (len(group),) + g.shape
+        # Every stack is full but the last: a side's end does not cut it.
+        assert len(group) == 3 or len(seen) + len(group) == len(cubes)
+        straddling += len({c.side_cells for c in group}) > 1
         for cube, chi in zip(group, stack):
             assert np.array_equal(chi, indicator(g, cube).values)
         seen.extend(group)
     assert tuple(seen) == cubes
+    assert straddling  # 25 side-1 cubes leave a stack that takes side-2 cubes too
 
 
 @pytest.mark.parametrize("kind", ("hl", "sharp", "max_commutator", "comm_sharp"))
@@ -393,22 +398,33 @@ def test_on_cubes_equals_the_per_cube_calls(monkeypatch, kind, dim, n, mode):
     g = make_grid(dim, n)
     tag = _stack_tag(kind, seeded_function(g, 95, -1.0, 1.0))
     w = seeded_function(g, 96, -1.0, 2.0)
-    # Two indicators per stack, and every kernel splits its stack as well.
+    cubes = enumerate_cubes(g, mode)
+    # Two indicators per stack, and every kernel splits its stack as well;
+    # the first side has an odd number of cubes, so a stack straddles sides.
     monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 2 * 8 * g.cell_count)
-    for _, side in cubes_by_side(g, mode):
-        for weight, f in ((w.values, w), (1.0, 1.0)):
+    assert any(len({c.side_cells for c in group}) > 1 for group, _ in indicator_stacks(g, cubes))
+    runs = cubes_by_side(g, mode)
+    for weight, f in ((w.values, w), (1.0, 1.0)):
+        blocks = list(on_cubes(tag, g, cubes, weight, mode))
+        assert len(blocks) == len(runs)
+        for (_, side), block in zip(runs, blocks):
             expected = np.stack([
                 apply_operator(tag, indicator(g, cube) * f, mode).values[cube.slices()].reshape(-1)
                 for cube in side])
-            assert np.array_equal(on_cubes(tag, g, side, weight, mode), expected)
+            assert np.array_equal(block, expected)
 
 
-def test_on_cubes_takes_one_side():
-    g = make_grid(1, 6)
-    with pytest.raises(ValueError):
-        on_cubes(OperatorTag.hl(), g, enumerate_cubes(g), 1.0)
-    with pytest.raises(ValueError):
-        on_cubes(OperatorTag.hl(), g, (), 1.0)
+def test_on_cubes_yields_one_block_per_side_of_a_run_of_sides(monkeypatch):
+    g = make_grid(1, 7)
+    runs = cubes_by_side(g)
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 4 * 8 * g.cell_count)
+    middle = [cube for _, side in runs[1:4] for cube in side]
+    blocks = list(on_cubes(OperatorTag.hl(), g, middle, 1.0))
+    assert [b.shape for b in blocks] == [(len(side), k) for k, side in runs[1:4]]
+    for (_, side), block in zip(runs[1:4], blocks):
+        (alone,) = on_cubes(OperatorTag.hl(), g, side, 1.0)
+        assert np.array_equal(block, alone)
+    assert list(on_cubes(OperatorTag.hl(), g, (), 1.0)) == []
 
 
 def test_pointwise_commutator_bound_nonneg_symbol():

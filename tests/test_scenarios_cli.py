@@ -16,6 +16,7 @@ from maxlip import (
     KNOWN_SCENARIOS,
     ConfigError,
     ConvergenceError,
+    CubeFamilyMode,
     make_grid,
     parse_config,
     read_gridfunction_csv,
@@ -277,6 +278,49 @@ def test_zero_operand_is_refused_before_any_operator_runs(tmp_path, monkeypatch,
     monkeypatch.undo()
     # lemmas has no operator-norm row and skips a zero f.
     assert main(["verify", "lemmas", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("scenario, n", [("counterexamples", 128), ("normequiv", 64),
+                                         ("all", 64), ("identities", 64)])
+def test_a_grid_over_the_cube_cell_limit_is_refused_before_computing(
+        tmp_path, monkeypatch, capsys, scenario, n):
+    import time
+
+    import maxlip.scenarios
+
+    def no_work(cfg):
+        raise AssertionError("computed a grid over the limit")
+
+    for name in maxlip.scenarios.SCENARIO_ORDER:
+        monkeypatch.setitem(maxlip.scenarios._BUILDERS, name, no_work)
+    cfg = tmp_path / "cfg.json"
+    # Default refinements up to N=256 (counterexamples) and 128 (normequiv).
+    raw = {"grid": {"dim": 2}} if scenario != "identities" else {"grid": {"dim": 2, "cells": 64}}
+    cfg.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code = main(["verify", scenario, "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: grid too large: ") and f"N = {n}," in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_every_default_grid_is_under_the_cube_cell_limit():
+    from maxlip.config import MAX_CUBE_CELLS, cube_cells
+
+    assert cube_cells(1, 4, CubeFamilyMode.FULL) == 4 * 1 + 3 * 2 + 2 * 3 + 1 * 4
+    assert cube_cells(2, 4, CubeFamilyMode.DYADIC_SIDES) == 16 * 1 + 9 * 4 + 1 * 16
+    largest = 0
+    for name in KNOWN_SCENARIOS:
+        cfg = parse_config(name, None)
+        grids = cfg.refinements if name in ("normequiv", "counterexamples") else [cfg.cells]
+        largest = max(largest, *(cube_cells(cfg.dim, n, cfg.cube_family) for n in grids))
+    assert largest == 357760 < MAX_CUBE_CELLS  # normequiv, 1-D N=128, full family
+    parse_config("normequiv", {"refinements": [256]})  # 2,829,056 cube cells
+    with pytest.raises(ConfigError, match="grid too large"):
+        parse_config("normequiv", {"refinements": [512]})
 
 
 @pytest.mark.parametrize("error", [
