@@ -7,6 +7,7 @@ seed so that every run is reproducible from its config echo.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -44,20 +45,31 @@ def _require_keys(spec, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
 
 
+def _sampled(grid: Grid, formula, what: str) -> GridFunction:
+    """sample(grid, formula); a non-finite value is a config error, so numpy's
+    warnings on the way to it are silenced."""
+    with np.errstate(all="ignore"):
+        try:
+            return sample(grid, formula)
+        except ValueError as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
+
+
 def build_function(grid: Grid, spec: dict) -> GridFunction:
     """Build a grid function from a catalog spec."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"function spec must be a dict with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
+    what = f"{kind} function"
     if kind == "const":
         _require_keys(spec, {"kind", "value"}, "const function spec")
         value = _param(spec, "value", 1.0, "const function spec")
-        return sample(grid, (lambda x, y=None: np.full_like(x, value)))
+        return _sampled(grid, (lambda x, y=None: np.full_like(x, value)), what)
     if kind == "affine":
         _require_keys(spec, {"kind", "a", "b"}, "affine function spec")
         a = _param(spec, "a", 0.0, "affine function spec")
         b = _param(spec, "b", 1.0, "affine function spec")
-        return sample(grid, (lambda x, y=None: a + b * x))
+        return _sampled(grid, (lambda x, y=None: a + b * x), what)
     if kind == "power":
         _require_keys(spec, {"kind", "center", "gamma"}, "power function spec")
         gamma = _param(spec, "gamma", 0.5, "power function spec")
@@ -68,22 +80,20 @@ def build_function(grid: Grid, spec: dict) -> GridFunction:
             raise ConfigError(f"power function center needs {grid.dim} coordinates, got {center!r}")
         center = [config_number(c, "power function center") for c in center]
         if grid.dim == 1:
-            return sample(grid, lambda x: np.abs(x - center[0]) ** gamma)
-        return sample(
-            grid, lambda x, y: (np.hypot(x - center[0], y - center[1])) ** gamma
-        )
+            return _sampled(grid, lambda x: np.abs(x - center[0]) ** gamma, what)
+        return _sampled(grid, lambda x, y: np.hypot(x - center[0], y - center[1]) ** gamma, what)
     if kind == "step":
         _require_keys(spec, {"kind", "left", "right", "split"}, "step function spec")
         left = _param(spec, "left", 0.0, "step function spec")
         right = _param(spec, "right", 1.0, "step function spec")
         split = _param(spec, "split", 0.5, "step function spec")
-        return sample(grid, (lambda x, y=None: np.where(x < split, left, right)))
+        return _sampled(grid, (lambda x, y=None: np.where(x < split, left, right)), what)
     if kind == "sine":
         _require_keys(spec, {"kind", "amplitude", "frequency", "offset"}, "sine function spec")
         amp = _param(spec, "amplitude", 1.0, "sine function spec")
         freq = _param(spec, "frequency", 1.0, "sine function spec")
         off = _param(spec, "offset", 0.0, "sine function spec")
-        return sample(grid, (lambda x, y=None: off + amp * np.sin(2.0 * np.pi * freq * x)))
+        return _sampled(grid, lambda x, y=None: off + amp * np.sin(2.0 * np.pi * freq * x), what)
     if kind == "random":
         _require_keys(spec, {"kind", "seed", "low", "high"}, "random function spec")
         if "seed" not in spec:
@@ -94,6 +104,9 @@ def build_function(grid: Grid, spec: dict) -> GridFunction:
         rng = np.random.default_rng(seed)
         low = _param(spec, "low", 0.0, "random function spec")
         high = _param(spec, "high", 1.0, "random function spec")
+        if not 0.0 <= high - low < math.inf:
+            raise ConfigError(f"random function needs low <= high with high - low finite, "
+                              f"got [{low:g}, {high:g}]")
         return GridFunction(grid, rng.uniform(low, high, size=grid.shape))
     raise ConfigError(f"unknown function kind {kind!r}")
 
@@ -122,18 +135,19 @@ def build_exponent(grid: Grid, spec: dict) -> VariableExponent:
     ((key, payload),) = spec.items()
     if key == "const":
         value = config_number(payload, "const exponent")
-        field = sample(grid, (lambda x, y=None: np.full_like(x, value)))
+        field = _sampled(grid, (lambda x, y=None: np.full_like(x, value)), "const exponent")
     elif key == "affine":
         _require_keys(payload, {"a", "b"}, "affine exponent spec")
         a = _param(payload, "a", 2.0, "affine exponent spec")
         b = _param(payload, "b", 0.0, "affine exponent spec")
-        field = sample(grid, (lambda x, y=None: a + b * x))
+        field = _sampled(grid, (lambda x, y=None: a + b * x), "affine exponent")
     elif key == "step":
         _require_keys(payload, {"left", "right", "split"}, "step exponent spec")
         left = _param(payload, "left", 2.0, "step exponent spec")
         right = _param(payload, "right", 4.0, "step exponent spec")
         split = _param(payload, "split", 0.5, "step exponent spec")
-        field = sample(grid, (lambda x, y=None: np.where(x < split, left, right)))
+        field = _sampled(grid, (lambda x, y=None: np.where(x < split, left, right)),
+                         "step exponent")
     elif key == "csv":
         if not isinstance(payload, str):
             raise ConfigError(f"csv exponent spec needs a file path, got {payload!r}")
@@ -141,6 +155,8 @@ def build_exponent(grid: Grid, spec: dict) -> VariableExponent:
             field = read_gridfunction_csv(payload, grid)
         except OSError as exc:
             raise ConfigError(f"cannot read exponent csv {payload!r}: {exc}") from exc
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(f"bad exponent csv {payload!r}: {exc}") from exc
     else:
         raise ConfigError(f"unknown exponent spec key {key!r}")
     try:

@@ -3,9 +3,11 @@
 ``maxlip verify`` runs a named scenario and emits its report; ``maxlip
 compute`` evaluates a single operator or functional.  Exit codes: 0 all
 hard checks passed, 1 at least one failed, 2 malformed or inadmissible
-configuration, 3 output could not be written, 4 internal error (the norm
-solver did not converge, or memory ran out); an unwritable output path
-is found before any computing starts.  Codes 2 to 4 come with one line on
+configuration, 3 output could not be written, 4 internal error (any
+other exception: the norm solver did not converge, memory ran out, or a
+fault in the program); an unwritable output path is found before any
+computing starts.  Only a ConfigError is a bad configuration: everything
+a config can get wrong raises one.  Codes 2 to 4 come with one line on
 stderr.  An output is written to a temporary file beside its target and
 then moved into place, so a write that fails leaves the old file as it
 was.  ``python -m maxlip`` runs the same entry point.
@@ -23,7 +25,7 @@ from .config import KNOWN_SCENARIOS, load_config, parse_beta, parse_grid
 from .grid import (Cube, CubeFamilyMode, GridFunction, check_cube, make_grid, write_cells_csv,
                    write_gridfunction_csv)
 from .lipschitz import lambda_star, lambda_var, lip_seminorm
-from .luxemburg import ConvergenceError, lux_norm
+from .luxemburg import lux_norm
 from .operators import OperatorTag, apply_operator, local_max
 from .scenarios import run_scenario
 
@@ -181,18 +183,18 @@ def main(argv: list[str] | None = None) -> int:
         _run_compute(args.op, raw, args.out)
         return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
+        print(f"cannot write output: {_one_line(exc)}", file=sys.stderr)
         return 3
-    except (ConvergenceError, MemoryError) as exc:
-        detail = " ".join(str(exc).split()) or "out of memory"
-        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return 4
+
+
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).split()) or "no message"
 
 
 def entry() -> None:

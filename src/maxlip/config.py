@@ -169,6 +169,11 @@ def _check_keys(raw: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; a bool is an int in Python but not one here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_grid(grid_raw, default_cells: int) -> tuple[int, int, tuple[float, ...], float]:
     """Validate a 'grid' object; returns dim, cells, box_origin and box_side."""
     if not isinstance(grid_raw, dict):
@@ -176,8 +181,8 @@ def parse_grid(grid_raw, default_cells: int) -> tuple[int, int, tuple[float, ...
     _check_keys(grid_raw, _GRID_KEYS, "grid config")
     dim = grid_raw.get("dim", 1)
     cells = grid_raw.get("cells", default_cells)
-    if not isinstance(dim, int) or not isinstance(cells, int):
-        raise ConfigError("grid dim and cells must be integers")
+    if not _is_int(dim) or not _is_int(cells):
+        raise ConfigError(f"grid dim and cells must be integers, got {dim!r} and {cells!r}")
     box_side = config_number(grid_raw.get("box_side", 1.0), "grid box_side")
     origin_raw = grid_raw.get("box_origin", [0.0, 0.0])
     if not isinstance(origin_raw, list):
@@ -257,7 +262,7 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     if not isinstance(refinements, list) or not refinements:
         raise ConfigError("'refinements' must be a nonempty list of cell counts")
     for n in refinements:
-        if not isinstance(n, int) or n < 2:
+        if not _is_int(n) or n < 2:
             raise ConfigError(f"refinement cell counts must be integers >= 2, got {n!r}")
     if any(b <= a for a, b in zip(refinements, refinements[1:])):
         raise ConfigError("'refinements' must be strictly increasing")

@@ -409,7 +409,10 @@ def write_cells_csv(values: np.ndarray, path, start: Sequence[int] = (0, 0)) -> 
 
 
 def read_gridfunction_csv(path, grid: Grid) -> GridFunction:
-    """Read a CSV produced by write_gridfunction_csv; every cell must appear."""
+    """Read a CSV produced by write_gridfunction_csv; every cell must appear.
+
+    A malformed row, or one naming a cell off the grid, raises ValueError.
+    """
     vals = np.full(grid.shape, np.nan)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -420,10 +423,10 @@ def read_gridfunction_csv(path, grid: Grid) -> GridFunction:
         for row in reader:
             if not row:
                 continue
-            if grid.dim == 1:
-                vals[int(row[0])] = float(row[1])
-            else:
-                vals[int(row[0]), int(row[1])] = float(row[2])
+            cell = tuple(int(i) for i in row[:-1])
+            if len(cell) != grid.dim or not all(0 <= i < grid.cells_per_axis for i in cell):
+                raise ValueError(f"row {row!r} in {path} names no cell of the grid")
+            vals[cell] = float(row[-1])
     if np.isnan(vals).any():
         missing = np.argwhere(np.isnan(vals))[0]
         raise ValueError(f"cell {tuple(int(i) for i in missing)} missing from {path}")

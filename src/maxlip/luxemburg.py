@@ -5,12 +5,12 @@ the unique lambda > 0 with modular(f/lambda) = 1.  One solver finds it: a
 safeguarded Newton iteration on t = log lambda.  It takes a sequence of
 blocks, each a batch of supports of one size k, and packs consecutive
 blocks into groups of at most operators.STACK_BYTES_MAX bytes of abs and
-p rows, drawn one group at a time.  A group's rows iterate in lockstep on
-flat cell arrays, and each block's row sums are taken on its own (rows, k)
-view, so every row equals its solve alone bit for bit; a single support is
-the one-row case.  A cube family's indicator norms are one such solve, a block
-per side, and for a constant exponent a block is one row, as every chi_Q
-of a side has the same norm.
+p rows, drawn one group at a time.  A group's rows iterate in lockstep:
+each block keeps its own (rows, k) arrays and takes its row sums there, so
+every row equals its solve alone bit for bit, and drops its rows as they
+finish; a single support is the one-row case.  A cube family's indicator
+norms are one such solve, a block per side, and for a constant exponent a
+block is one row, as every chi_Q of a side has the same norm.
 
 In t the log-modular g(t) = log modular(f e^{-t}) is a log-sum-exp of
 affine functions, so it is convex and decreasing: Newton's method started
@@ -118,44 +118,16 @@ def _packed(blocks):
         yield group
 
 
-def _segments(counts: list[int], ks: list[int]) -> list[tuple[int, int, int, int, int]]:
-    """(first row, end row, first cell, end cell, k) of each block with rows left.
-
-    counts[b] is the number of rows block b has left, of k = ks[b] cells each.
-    """
-    segments, row, cell = [], 0, 0
-    for count, k in zip(counts, ks):
-        if count:
-            segments.append((row, row + count, cell, cell + count * k, k))
-            row, cell = row + count, cell + count * k
-    return segments
-
-
-def _row_reduce(ufunc, flat: np.ndarray, segments) -> np.ndarray:
-    """ufunc reduced along each row of the flat cells, on its block's (rows, k) view."""
-    if len(segments) == 1:
-        (lo, hi, c0, c1, k), = segments
-        return ufunc.reduce(flat.reshape(hi - lo, k), axis=1)
-    return np.concatenate([ufunc.reduce(flat[c0:c1].reshape(hi - lo, k), axis=1)
-                           for lo, hi, c0, c1, k in segments] or [np.zeros(0)])
-
-
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays flattened and joined end to end."""
-    if len(arrays) == 1:
-        return arrays[0].reshape(-1)
-    return np.concatenate([a.reshape(-1) for a in arrays])
-
-
 def _newton_solve(blocks, cell_measure: float):
     """Norm of every row of every block: values, bracket ends lo and hi, modular evaluations.
 
     blocks yields (abs_rows, p_rows) pairs of shape (rows, k), k the block's
     own support size; the results run over the rows of all blocks in order.
-    Consecutive blocks are solved in lockstep, grouped by _packed, with the
-    cells of a group in flat arrays.  A row's sums are taken on its block's
-    (rows, k) view, so every row equals its solve alone bit for bit.  An
-    all-zero row has norm 0 and costs no evaluation.
+    Consecutive blocks are solved in lockstep, grouped by _packed: each block
+    takes its row sums on its own (rows, k) arrays, so every row equals its
+    solve alone bit for bit, and the Newton update runs once per group on
+    the blocks' row vectors joined.  An all-zero row has norm 0 and costs no
+    evaluation.
     """
     results = [_solve_group(group, cell_measure) for group in _packed(blocks)]
     if not results:
@@ -165,61 +137,64 @@ def _newton_solve(blocks, cell_measure: float):
 
 def _solve_group(group: list, cell_measure: float):
     """_newton_solve of the blocks of one group, in lockstep."""
-    ks = [a.shape[1] for a, _ in group]
-    owner = np.repeat(np.arange(len(group)), [len(a) for a, _ in group])
-    width = np.take(ks, owner)
-    rows = width.size
-    value = np.zeros(rows)
-    lo_out = np.zeros(rows)
-    hi_out = np.zeros(rows)
-    evals = np.zeros(rows, dtype=np.int64)
-    nonzero = _joined([np.max(a, axis=1, initial=0.0) > 0.0 for a, _ in group])
+    count = sum(len(a) for a, _ in group)
+    value, lo_out, hi_out = np.zeros(count), np.zeros(count), np.zeros(count)
+    evals = np.zeros(count, dtype=np.int64)
+    nonzero = np.concatenate([np.max(a, axis=1, initial=0.0) > 0.0 for a, _ in group])
     idx = np.flatnonzero(nonzero)
-    vals = _joined([a for a, _ in group])
-    pows = _joined([p for _, p in group])
-    if idx.size < rows:
-        cells = np.repeat(nonzero, width)
-        vals, pows, owner, width = vals[cells], pows[cells], owner[idx], width[idx]
-    segments = _segments(np.bincount(owner, minlength=len(group)).tolist(), ks)
-    lam = _row_reduce(np.maximum, vals * cell_measure ** (1.0 / pows), segments)
-    lo = np.zeros(idx.size)
-    hi = np.full(idx.size, np.inf)
+    blocks = _kept(group, nonzero)
+    lam = np.concatenate([np.max(a * cell_measure ** (1.0 / p), axis=1) for a, p in blocks]
+                         or [np.zeros(0)])
+    lo, hi = np.zeros(idx.size), np.full(idx.size, np.inf)
     for _ in range(MAX_ITERATIONS):
-        if idx.size == 0:
+        if not blocks:
             break
-        terms = np.power(vals / np.repeat(lam, width), pows)
-        total = _row_reduce(np.add, terms, segments)
+        sums, at = [], 0
+        for a, p in blocks:
+            terms = np.power(a / lam[at:at + len(a), None], p)
+            sums.append((terms.sum(axis=1), (terms * p).sum(axis=1)))
+            at += len(a)
+        total, weighted = (np.concatenate(column) for column in zip(*sums))
         phi = total * cell_measure
         evals[idx] += 1
         above = phi >= 1.0
         lo = np.where(above, lam, lo)
         hi = np.where(above, hi, lam)
         # g(t) = log phi has slope -(p weighted by the terms) in t = log lambda.
-        est = lam * np.exp(np.log(phi) * total / _row_reduce(np.add, terms * pows, segments))
+        est = lam * np.exp(np.log(phi) * total / weighted)
         done = lo >= hi * (1.0 - BRACKET_REL_TOL)
         if done.any():
             rows_done = idx[done]
-            value[rows_done] = np.clip(est[done], lo[done], hi[done])
-            lo_out[rows_done] = lo[done]
-            hi_out[rows_done] = hi[done]
+            value[rows_done], lo_out[rows_done], hi_out[rows_done] = (
+                np.clip(est[done], lo[done], hi[done]), lo[done], hi[done])
             keep = ~done
             idx, lo, hi, est = idx[keep], lo[keep], hi[keep], est[keep]
-            if idx.size == 0:
-                break
-            cells = np.repeat(keep, width)
-            vals, pows, owner, width = vals[cells], pows[cells], owner[keep], width[keep]
-            segments = _segments(np.bincount(owner, minlength=len(group)).tolist(), ks)
+            blocks = _kept(blocks, keep)
         # A Newton step that would land within half the tolerance of a
         # bracket end, or beyond it, evaluates there instead and so either
         # closes the bracket or moves that end.
         lam = np.clip(est, lo * (1.0 + 0.5 * BRACKET_REL_TOL), hi * (1.0 - 0.5 * BRACKET_REL_TOL))
-    if idx.size == 0:
+    if not blocks:
         return value, lo_out, hi_out, evals
     # Every cell at most 1/(cells * h^dim) makes the modular at most 1.
-    cap = _row_reduce(np.maximum, vals * (np.repeat(width, width) * cell_measure) ** (1.0 / pows),
-                      segments)
+    cap = np.concatenate([np.max(a * (a.shape[1] * cell_measure) ** (1.0 / p), axis=1)
+                          for a, p in blocks])
     hi = np.where(np.isfinite(hi), hi, cap)
     raise ConvergenceError("Newton budget exhausted", (float(lo.min()), float(hi.max())))
+
+
+def _kept(blocks: list, keep: np.ndarray) -> list:
+    """The blocks with the rows that keep marks, one entry per row of the blocks
+    in order; a block keeping every row is not copied, and one keeping none is dropped."""
+    out, at = [], 0
+    for a, p in blocks:
+        mask = keep[at:at + len(a)]
+        at += len(a)
+        if mask.all():
+            out.append((a, p))
+        elif mask.any():
+            out.append((a[mask], p[mask]))
+    return out
 
 
 def _lux_solve(abs_vals: np.ndarray, p_vals: np.ndarray, cell_measure: float) -> NormResult:

@@ -719,6 +719,23 @@ def _normequiv(cfg: ScenarioConfig) -> list[Check]:
 # counterexamples: functionals that blow up under refinement.
 
 
+def _positive_const_sharp(row_id: str, sharp: LipResult, target: float, box_is_a_cube: bool,
+                          tol: float) -> Check:
+    """lambda_sharp of a constant c > 0 in dim 1 against c |box|^{-beta}.
+
+    That is the ratio on the whole box, where the sharp function of c chi_Q
+    vanishes.  When the box is a family cube it attains the sweep (so in
+    every case probed: N = 2 to 40, full and dyadic, constant and affine q)
+    and the row is a hard check; in a dyadic family with N not a power of 2
+    it is no family cube, the sweep misses it, and the row is monitored.
+    """
+    if box_is_a_cube:
+        return check_eq(row_id, "lambda_sharp(const c > 0) = c |box|^{-beta} in dim 1",
+                        sharp.value, target, tol * (1.0 + target), {"cube": sharp.witness})
+    return report_row(row_id, "lambda_sharp(const c > 0), the box not a family cube, in dim 1",
+                      sharp.value, target, {"cube": sharp.witness})
+
+
 def _counterexamples(cfg: ScenarioConfig) -> list[Check]:
     beta = cfg.beta
     tol = cfg.identity_tol
@@ -744,8 +761,8 @@ def _counterexamples(cfg: ScenarioConfig) -> list[Check]:
             stars[n] = star.value
             lip = lip_seminorm(b, beta)
             if is_const:
-                c = abs(float(b.values.reshape(-1)[0]))
-                target = 2.0 * c * h ** (-beta)
+                c = float(b.values.reshape(-1)[0])
+                target = 2.0 * abs(c) * h ** (-beta)
                 rows.append(check_eq(
                     f"counterexamples/lambda-var-const/{lb}/{lq}/N{n}",
                     "lambda_var(const) = 0",
@@ -756,7 +773,7 @@ def _counterexamples(cfg: ScenarioConfig) -> list[Check]:
                     "Lip_beta(const) = 0",
                     lip.value, 0.0, tol, None,
                 ))
-                if c > 0.0:
+                if c < 0.0:
                     rows.append(check_eq(
                         f"counterexamples/lambda-star-const/{lb}/{lq}/N{n}",
                         "lambda_star(const c) = 2|c| h^{-beta}, attained at single cells",
@@ -770,6 +787,18 @@ def _counterexamples(cfg: ScenarioConfig) -> list[Check]:
                             sharp.value, target, tol * (1.0 + target),
                             {"cube": sharp.witness},
                         ))
+                elif c > 0.0:
+                    # M_Q c = c on every cube, so b - M_Q b vanishes.
+                    rows.append(check_eq(
+                        f"counterexamples/lambda-star-const/{lb}/{lq}/N{n}",
+                        "lambda_star(const c > 0) = 0",
+                        star.value, 0.0, tol, {"cube": star.witness},
+                    ))
+                    if grid_n.dim == 1 and n <= _SHARP_SWEEP_MAX[1]:
+                        rows.append(_positive_const_sharp(
+                            f"counterexamples/lambda-sharp-const/{lb}/{lq}/N{n}",
+                            lambda_sharp(b, beta, q, mode), c * (n * h) ** (-beta),
+                            n in family_sides(n, mode), tol))
                 else:
                     rows.append(check_eq(
                         f"counterexamples/lambda-star-zero/{lb}/{lq}/N{n}",

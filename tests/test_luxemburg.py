@@ -212,13 +212,15 @@ def test_convergence_error_carries_a_real_bracket(monkeypatch):
 
 
 def _mixed_blocks():
-    """Blocks of widths 1 to 9 with all-zero rows, a one-row block and a width-1 block."""
+    """Blocks of widths 1 to 9 with all-zero rows, a one-row block and a width-1 block,
+    and before the widest a block of one-cell rows, whose solves end after two evaluations."""
     rng = np.random.default_rng(5150)
     blocks = []
     for rows, k in ((7, 3), (1, 9), (12, 1), (5, 4), (9, 9), (3, 2), (6, 5)):
         vals = rng.uniform(0.0, 3.0, (rows, k)) * (rng.random((rows, k)) < 0.8)
         vals[rows // 2] = 0.0
         blocks.append((vals, rng.uniform(1.1, 6.0, (rows, k))))
+    blocks.insert(4, (np.eye(4, 6) * [[0.5], [1.0], [2.0], [3.0]], rng.uniform(1.1, 6.0, (4, 6))))
     return blocks
 
 
@@ -253,6 +255,9 @@ def test_newton_solve_of_mixed_widths_equals_each_block_alone(monkeypatch, cap):
     if cap == 8 * 10:
         assert len(groups) > 2
     value, _, _, evals = got
+    # The one-cell block empties while the wider block after it iterates on.
+    early, wide = np.split(evals, np.cumsum([len(a) for a, _ in blocks]))[4:6]
+    assert (early == 2).all() and wide.max() > 2
     zero = np.concatenate([~a.any(axis=1) for a, _ in blocks])
     assert not value[zero].any() and not evals[zero].any() and value[~zero].all()
     rows = [(a[r], p[r]) for a, p in blocks for r in range(len(a))]

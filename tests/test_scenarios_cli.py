@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,9 @@ def test_empty_banks_emit_no_vacuous_row(tmp_path, scenario, count):
     ({"functions": {"b": [{"kind": "const", "value": "2"}], "f": [{"kind": "const", "value": "2"}]}},
      "'value' must be a number"),
     ({"functions": {"b": [7], "f": []}}, "function spec must be a dict"),
+    ({"functions": {"b": [{"kind": "random", "seed": 1, "low": 2.0, "high": 1.0}],
+                    "f": [{"kind": "random", "seed": 1, "low": 2.0, "high": 1.0}]}},
+     "random function needs low <= high"),
 ])
 def test_malformed_config_is_a_one_line_error(tmp_path, capsys, raw, message):
     cfg = tmp_path / "cfg.json"
@@ -253,6 +257,84 @@ def test_malformed_config_is_a_one_line_error(tmp_path, capsys, raw, message):
         assert err.startswith("config error: ") and message in err
         assert err.count("\n") == 1
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("grid", [{"dim": True}, {"cells": True}, {"dim": False, "cells": 8}],
+                         ids=["dim-true", "cells-true", "dim-false"])
+def test_a_bool_grid_dim_or_cells_is_a_config_error(tmp_path, capsys, grid):
+    cfg, compute_cfg = tmp_path / "cfg.json", tmp_path / "compute.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    compute_cfg.write_text(json.dumps({"grid": grid, "function": {"kind": "const", "value": 1.0}}))
+    runs = [["verify", scenario, "--config", str(cfg)] for scenario in KNOWN_SCENARIOS]
+    runs.append(["compute", "hl", "--config", str(compute_cfg), "--out", str(tmp_path / "hl.csv")])
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid dim and cells must be integers")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "hl.csv").exists()
+
+
+@pytest.mark.parametrize("raw, label", [
+    ({"functions": {"b": [{"kind": "const", "value": 1.0}]}, "refinements": [4, 8]}, "const1"),
+    # The default step symbol (1 right of x = 0.5) is the constant 1 on this box.
+    ({"grid": {"box_origin": 0.75}}, "step"),
+    # Dyadic sides of N = 6 stop at 4, so the box is no family cube there.
+    ({"grid": {"box_side": 2.0}, "functions": {"b": [{"kind": "const", "value": 2.0}]},
+      "refinements": [6, 8]}, "const2"),
+], ids=["const-plus-one", "step-off-its-jump", "box-not-a-cube"])
+def test_counterexamples_of_a_positive_constant_pass(tmp_path, capsys, raw, label):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", "counterexamples", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = report_from_json(out.read_text())
+    mine = [c for c in report.checks if c.check_id.split("/")[2] == label]
+    stars = [c for c in mine if c.check_id.split("/")[1] == "lambda-star-const"]
+    sharps = [c for c in mine if c.check_id.split("/")[1] == "lambda-sharp-const"]
+    assert stars and all(c.lhs == 0.0 and c.status == "pass" for c in stars)
+    assert sharps
+    box = report.config["grid"]["box_side"]
+    c_value = 2.0 if label == "const2" else 1.0
+    for check in sharps:
+        n = int(check.check_id.rsplit("/N", 1)[1])
+        assert check.rhs == pytest.approx(c_value * box ** -report.config["beta"], rel=1e-12)
+        assert check.status == ("pass" if n & (n - 1) == 0 else "monitored")
+        if check.status == "pass":
+            assert check.lhs == pytest.approx(check.rhs, rel=1e-9)
+    assert not [c for c in mine if c.check_id.split("/")[1] == "star-growth"]
+
+
+@pytest.mark.parametrize("text", ["idx,value\n0,2\n1,2\n", "index,value\n0,2\n",
+                                  "index,value\nx,2\n1,2\n", "index,value\n0,2\n5,2\n"],
+                         ids=["bad-header", "missing-cell", "x-index", "cell-off-the-grid"])
+def test_a_malformed_exponent_csv_is_a_config_error(tmp_path, capsys, text):
+    table = tmp_path / "p.csv"
+    table.write_text(text)
+    scenario_cfg, compute_cfg = tmp_path / "scenario.json", tmp_path / "compute.json"
+    scenario_cfg.write_text(json.dumps({"grid": {"cells": 2}, "exponents": [{"csv": str(table)}]}))
+    compute_cfg.write_text(json.dumps({"grid": {"cells": 2}, "exponent": {"csv": str(table)},
+                                       "function": {"kind": "const", "value": 1.0}}))
+    for argv in (["verify", "lemmas", "--config", str(scenario_cfg)],
+                 ["compute", "lux", "--config", str(compute_cfg), "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad exponent csv {str(table)!r}: ")
+        assert err.count("\n") == 1
+
+
+def test_a_non_finite_sampled_function_is_a_config_error_without_warnings(tmp_path, capsys):
+    # gamma -1 centred on the centre of cell 4 of 9 divides by zero there.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid": {"cells": 9}, "refinements": [9],
+        "functions": {"b": [{"kind": "power", "gamma": -1.0, "center": 0.5}], "f": []}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scenario in ("counterexamples", "normequiv"):
+            assert main(["verify", scenario, "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: power function: non-finite value at cell (4,)\n")
 
 
 def test_zero_operand_is_refused_before_any_operator_runs(tmp_path, monkeypatch, capsys):
@@ -326,6 +408,8 @@ def test_every_default_grid_is_under_the_cube_cell_limit():
 @pytest.mark.parametrize("error", [
     ConvergenceError("Newton budget exhausted", (1.0, 2.0)),
     MemoryError(),
+    # A ValueError from inside the program is no config error.
+    ValueError("operands could not be broadcast together"),
 ])
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys, error):
     def fail(*args, **kwargs):
