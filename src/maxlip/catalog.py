@@ -45,14 +45,25 @@ def _require_keys(spec, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
 
 
+def _finite_range(field: GridFunction, what: str) -> GridFunction:
+    """field, unless max - min overflows: every pair difference taken later
+    (sweeps, oscillations) would then warn and read inf, so it is a config
+    error."""
+    low, high = float(field.values.min()), float(field.values.max())
+    if not math.isfinite(high - low):
+        raise ConfigError(f"{what}: value range [{low:g}, {high:g}] overflows a float")
+    return field
+
+
 def _sampled(grid: Grid, formula, what: str) -> GridFunction:
-    """sample(grid, formula); a non-finite value is a config error, so numpy's
-    warnings on the way to it are silenced."""
+    """sample(grid, formula); a non-finite value or range is a config error,
+    so numpy's warnings on the way to it are silenced."""
     with np.errstate(all="ignore"):
         try:
-            return sample(grid, formula)
+            field = sample(grid, formula)
         except ValueError as exc:
             raise ConfigError(f"{what}: {exc}") from exc
+    return _finite_range(field, what)
 
 
 def build_function(grid: Grid, spec: dict) -> GridFunction:
@@ -157,6 +168,7 @@ def build_exponent(grid: Grid, spec: dict) -> VariableExponent:
             raise ConfigError(f"cannot read exponent csv {payload!r}: {exc}") from exc
         except (ValueError, csv.Error) as exc:
             raise ConfigError(f"bad exponent csv {payload!r}: {exc}") from exc
+        _finite_range(field, f"exponent csv {payload!r}")
     else:
         raise ConfigError(f"unknown exponent spec key {key!r}")
     try:

@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .catalog import ConfigError, build_exponent, build_function
-from .config import KNOWN_SCENARIOS, load_config, parse_beta, parse_grid
+from .config import KNOWN_SCENARIOS, _is_int, load_config, parse_beta, parse_grid
 from .grid import (Cube, CubeFamilyMode, GridFunction, check_cube, make_grid, write_cells_csv,
                    write_gridfunction_csv)
 from .lipschitz import lambda_star, lambda_var, lip_seminorm
@@ -80,8 +80,12 @@ def _compute_grid(raw: dict):
 def _parse_cube(spec, grid) -> Cube:
     if not isinstance(spec, dict) or set(spec) != {"start", "side_cells"}:
         raise ConfigError("'cube' must be an object with keys 'start' and 'side_cells'")
+    start, side = spec["start"], spec["side_cells"]
+    if not isinstance(start, list) or not all(map(_is_int, start)) or not _is_int(side):
+        raise ConfigError(f"cube start must be a list of integers and side_cells an integer, "
+                          f"got {start!r} and {side!r}")
     try:
-        cube = Cube(tuple(int(s) for s in spec["start"]), int(spec["side_cells"]))
+        cube = Cube(tuple(start), side)
         check_cube(grid, cube)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

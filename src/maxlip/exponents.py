@@ -5,7 +5,12 @@ the cell centers.  A discrete log-Holder modulus is reported alongside as a
 diagnostic: max over cell-center pairs of |p(x) - p(y)| * log(e + 1/|x-y|).
 It is one score of the cell-pair sweep in ``sweep``: exact on small grids,
 from a seeded pair sample on large ones, with the choice flagged; a constant
-field has modulus 0 exactly and skips the sweep.
+field has modulus 0 exactly and skips the sweep.  The score is increasing in
+the difference, as the sweep requires: it bounds each offset by the score of
+min(range, sum of |o_a| times the largest step along axis a) and evaluates
+offsets in descending order of that bound only until the bound falls below
+the best modulus found.  A smooth exponent (affine, say) stops after a few
+offsets.
 """
 
 from __future__ import annotations

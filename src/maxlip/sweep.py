@@ -6,6 +6,16 @@ bank functions, cell pairs) together with the member attaining it.
 cell-center pairs of a score of |f(x) - f(y)| and |x - y|: the Lip_beta
 seminorm of a symbol and the log-Holder modulus of an exponent are two
 scores of the same sweep.
+
+The sweep groups pairs by their offset and scores each offset on its
+largest difference, so a score must be nondecreasing in the difference.
+An offset o cannot score more than score(min(R, sum_a |o_a| L_a), |o| h),
+with R the range of f and L_a its largest step along axis a.  Offsets are
+evaluated in descending order of that bound until it falls below the best
+score found, and the evaluated ones are then offered in offset order: the
+result is bit for bit that of evaluating every offset, witness included.
+A smooth f stops the walk after a few offsets; a field on which every
+offset ties (|x - x0|^beta under the Lip_beta score) evaluates them all.
 """
 
 from __future__ import annotations
@@ -22,6 +32,9 @@ from .grid import GridFunction
 _EXACT_PAIRS = {1: 4096, 2: 64}
 _SAMPLE_PAIRS = 4096
 _SAMPLE_SEED = 0
+# Lifts a path sum above the at most five roundings (of 2**-53 each) between
+# the exact axis steps and a computed difference: a rounding margin.
+_SLACK = 1.0 + 2.0**-40
 
 
 class Worst:
@@ -77,16 +90,45 @@ def worst_of(values, witnesses, lowest: bool = False) -> Worst:
     return worst
 
 
+def _diff_bounds(v: np.ndarray, offsets: list) -> np.ndarray:
+    """An upper bound on the computed |v[x] - v[y]| of each offset's pairs.
+
+    Along axis a no step exceeds L_a = max |diff of v along a|, so a pair at
+    offset o differs by at most sum_a |o_a| L_a (triangle inequality along
+    an axis-parallel path inside the grid), and never by more than the
+    range.  _SLACK covers the rounding of the steps, the path sum and the
+    difference itself; fl(max - min) needs none, since rounding is
+    monotone.  An overflowing step or range gives an infinite bound.
+    """
+    dim = v.ndim
+    spread = float(v.max()) - float(v.min())
+    steps = [float(np.abs(np.diff(v, axis=a)).max()) for a in range(dim)]
+    reach = np.abs(np.fromiter(itertools.chain.from_iterable(offsets), np.int64,
+                               len(offsets) * dim).reshape(-1, dim).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # An axis the offset does not move along adds 0, even for L_a = inf.
+        path = sum(np.where(r == 0, 0.0, r * step) for r, step in zip(reach, steps)) * _SLACK
+    return np.minimum(path, spread)
+
+
 def pair_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:
     """Supremum over cell-center pairs of score(|f(x) - f(y)|, |x - y|).
 
     Returns the value, the attaining pair of cells and whether every pair
-    was seen.  Up to N = 4096 (dim 1) or N = 64 (dim 2) every offset is
-    swept and only its largest difference is scored, so score must be
-    nondecreasing in the difference; it then gets Python floats.  Larger
-    grids score the adjacent offsets the same way, then a seeded sample of
-    pairs as numpy arrays, and return a lower bound.  The supremum starts
-    at 0 with no witness, which is what a constant f returns.
+    was seen.  Up to N = 4096 (dim 1) or N = 64 (dim 2) every offset is a
+    candidate; larger grids take the adjacent offsets, then score a seeded
+    sample of pairs as numpy arrays, and return a lower bound.
+
+    A candidate offset scores its largest difference, and its bound is the
+    score of a difference no smaller (``_diff_bounds``), both called with
+    Python floats; so score must be nondecreasing in the difference.
+    Candidates are evaluated in descending order of bound, and the walk
+    stops at the first bound below the best score so far, or at most 0: no
+    offset after it can win or tie.  The evaluated scores are then offered
+    in offset order, so value and witness are bit for bit those of
+    evaluating every candidate in turn, and ties keep the lexicographically
+    first offset.  The supremum starts at 0 with no witness, which is what
+    a constant f returns.
     """
     grid = f.grid
     v = f.values
@@ -105,13 +147,24 @@ def pair_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:
 
     def diffs(o: tuple[int, ...]) -> np.ndarray:
         x, y = zip(*map(cut.get, o))
-        return np.abs(v[x] - v[y])
+        d = v[x] - v[y]
+        return np.abs(d, out=d)
 
+    bounds = [score(d, h * math.hypot(*o))
+              for d, o in zip(_diff_bounds(v, offsets).tolist(), offsets)]
+    # An offset left unevaluated keeps -inf, which the initial 0 beats.
+    top, scores = 0.0, np.full(len(offsets), -np.inf)
+    for i in sorted(range(len(offsets)), key=bounds.__getitem__, reverse=True):
+        bound = bounds[i]
+        if bound < top or bound <= 0.0:
+            break
+        o = offsets[i]
+        d = diffs(o).reshape(-1)
+        scores[i] = value = score(float(d[d.argmax()]), h * math.hypot(*o))
+        top = value if value > top else top
     best = Worst()
     best.offer(0.0)
-    for o in offsets:
-        d = diffs(o).reshape(-1)
-        best.offer(score(float(d[d.argmax()]), h * math.hypot(*o)), o)
+    best.offer_all(scores, offsets.__getitem__)
     if best.witness is not None:
         o = best.witness
         start = np.unravel_index(int(diffs(o).argmax()), tuple(n - abs(c) for c in o))

@@ -337,6 +337,31 @@ def test_a_non_finite_sampled_function_is_a_config_error_without_warnings(tmp_pa
                 "config error: power function: non-finite value at cell (4,)\n")
 
 
+def test_an_overflowing_value_range_is_a_config_error_without_warnings(tmp_path, capsys):
+    # Every pair difference of such a field overflows: the sweeps used to
+    # print numpy's RuntimeWarning and report inf.
+    table = tmp_path / "p.csv"
+    table.write_text("index,value\n0,-1e308\n1,1e308\n")
+    step = {"kind": "step", "left": -1e308, "right": 1e308}
+    cases = [(["compute", "lip"], {"grid": {"cells": 8}, "symbol": step}, "step function"),
+             (["verify", "counterexamples"],
+              {"grid": {"cells": 8}, "refinements": [8], "functions": {"b": [step], "f": []}},
+              "step function"),
+             (["compute", "lux"], {"grid": {"cells": 2}, "exponent": {"csv": str(table)},
+                                   "function": {"kind": "const", "value": 1.0}},
+              f"exponent csv {str(table)!r}")]
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command, raw, what in cases:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+            assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {what}: value range [-1e+308, 1e+308] overflows a float\n")
+            assert not out.exists()
+
+
 def test_zero_operand_is_refused_before_any_operator_runs(tmp_path, monkeypatch, capsys):
     # theorem1-3 divide by ||f||_p in their operator-norm rows, so a zero f
     # is a config error found when the f bank is built, not after the sweeps.
@@ -548,3 +573,22 @@ def test_theorem3_ratio_rows_equal_the_per_cube_lux_norm_loop(grid, family):
             dominated = rows[f"theorem3/ratio-dominated/{labels}"]
             assert dominated.lhs == pytest.approx(max(osc[c] - mb[c] for c in osc),
                                                   rel=0.0, abs=1e-12 * top)
+
+
+@pytest.mark.parametrize("cube", [
+    {"start": [True], "side_cells": 2.9}, {"start": [1], "side_cells": 2.9},
+    {"start": [True], "side_cells": 2}, {"start": ["1"], "side_cells": "2"},
+    {"start": [1.0], "side_cells": 2}, {"start": [1], "side_cells": True},
+    {"start": 1, "side_cells": 2}, {"start": [1], "side_cells": None},
+])
+def test_a_cube_of_non_integers_is_a_config_error(tmp_path, capsys, cube):
+    # int() used to take these: [true] with side 2.9 wrote the side-2 cube at 1.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"cells": 8}, "cube": cube,
+                               "symbol": {"kind": "random", "seed": 5}}))
+    out = tmp_path / "local.csv"
+    assert main(["compute", "local", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cube start must be a list of integers and side_cells an integer, "
+        f"got {cube['start']!r} and {cube['side_cells']!r}\n")
+    assert not out.exists()

@@ -1,13 +1,18 @@
 """The cell-pair sweep behind Lip_beta and the log-Holder modulus, against
-brute force over every pair, and the worst-case accumulator."""
+brute force over every pair and against the per-offset loop it replaced,
+and the worst-case accumulator."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maxlip import GridFunction, lip_seminorm, make_grid, sample, validate_p
-from maxlip.sweep import Worst
+from maxlip.exponents import _log_holder_score
+from maxlip.sweep import _EXACT_PAIRS, _SAMPLE_PAIRS, _SAMPLE_SEED, Worst, pair_sweep
 
 from conftest import seeded_function
 
@@ -158,3 +163,115 @@ def test_offer_all_in_parts_equals_one_pass():
         for lo in range(0, 60, 7):
             parts.offer_all(values[lo:lo + 7], lambda i, lo=lo: lo + i)
         assert (parts.value, parts.witness, parts.count) == offered_one_by_one(values, lowest)
+
+
+def per_offset_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:
+    """The pair sweep as it was before offsets were bounded: every offset of
+    the exact range (or each adjacent offset past it) is evaluated and
+    offered in lexicographic order, then the seeded sample on large grids."""
+    grid = f.grid
+    v = f.values
+    n, dim, h = grid.cells_per_axis, grid.dim, grid.spacing
+    exact = n <= _EXACT_PAIRS[dim]
+    if exact:
+        ranges = [range(n)] + [range(1 - n, n)] * (dim - 1)
+        offsets = [o for o in itertools.product(*ranges) if o > (0,) * dim]
+    else:
+        offsets = [tuple(int(a == b) for b in range(dim)) for a in range(dim)]
+    cut = {c: (slice(c, n), slice(0, n - c)) if c >= 0 else (slice(0, n + c), slice(-c, n))
+           for c in {c for o in offsets for c in o}}
+
+    def diffs(o: tuple[int, ...]) -> np.ndarray:
+        x, y = zip(*map(cut.get, o))
+        return np.abs(v[x] - v[y])
+
+    best = Worst()
+    best.offer(0.0)
+    for o in offsets:
+        d = diffs(o).reshape(-1)
+        best.offer(score(float(d[d.argmax()]), h * math.hypot(*o)), o)
+    if best.witness is not None:
+        o = best.witness
+        start = np.unravel_index(int(diffs(o).argmax()), tuple(n - abs(c) for c in o))
+        x = tuple(int(s) + max(c, 0) for s, c in zip(start, o))
+        y = tuple(int(s) + max(-c, 0) for s, c in zip(start, o))
+        best.witness = (y, x) if dim == 1 else (x, y)
+    if not exact:
+        flat = v.reshape(-1)
+        coords = np.indices(v.shape).reshape(dim, -1).T
+        rng = np.random.default_rng(_SAMPLE_SEED)
+        a = rng.integers(0, flat.size, size=_SAMPLE_PAIRS)
+        c = rng.integers(0, flat.size, size=_SAMPLE_PAIRS)
+        keep = a != c
+        a, c = a[keep], c[keep]
+        dist = h * np.sqrt(((coords[a] - coords[c]) ** 2).sum(axis=1))
+        scores = score(np.abs(flat[a] - flat[c]), dist)
+        i = int(np.argmax(scores))
+        pair = tuple(tuple(int(t) for t in coords[j]) for j in (a[i], c[i]))
+        best.offer(float(scores[i]), pair)
+    return best.value, best.witness, exact
+
+
+FIELD_KINDS = ("uniform", "integer", "affine", "constant", "step", "ties", "quarter", "huge",
+               "tiny")
+
+
+def drawn_field(kind: str, dim: int, n: int, seed: int, beta: float) -> GridFunction:
+    """A field of the given kind.  Scores tie on integer values and equal
+    steps; on "ties", |x - x0|^beta, every offset scores 1 under the Lip_beta
+    score in exact arithmetic, so the walk evaluates them all.  On "quarter"
+    (2-D, N >= 5, beta = 1/2) the supremum 2 / sqrt(h) is attained at offset
+    (1, 0), which has the larger bound and is evaluated first, and at
+    (0, 4), whose bound equals its score and which comes first in offset
+    order: a walk that stops at a bound equal to the best, or keeps the
+    first evaluated maximum, picks (1, 0)."""
+    grid = make_grid(dim, n)
+    rng = np.random.default_rng(seed)
+    index = np.indices(grid.shape)
+    axis = int(rng.integers(dim))
+    if kind == "uniform":
+        values = rng.uniform(-1.0, 1.0, grid.shape)
+    elif kind == "integer":
+        values = rng.integers(-2, 3, grid.shape).astype(float)
+    elif kind == "affine":
+        values = rng.uniform(-2.0, 2.0) + rng.uniform(-3.0, 3.0) * index[axis] * grid.spacing
+    elif kind == "constant":
+        values = np.full(grid.shape, rng.choice([0.0, -0.0, 2.5, -1e308]))
+    elif kind == "step":
+        split = int(rng.integers(n))
+        values = np.where(index[axis] < split, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    elif kind == "ties":
+        center = rng.integers(n, size=dim).reshape((dim,) + (1,) * dim)
+        values = (grid.spacing * np.sqrt(((index - center) ** 2).sum(axis=0))) ** beta
+    elif kind == "quarter":
+        values = np.minimum(index[-1], 4).astype(float)
+        if dim == 2:
+            values[1:, 0] = 2.0
+    elif kind == "huge":
+        values = rng.choice([-1e308, 1e308, 0.0, 1.7e308], size=grid.shape)
+    else:
+        values = rng.uniform(-1.0, 1.0, grid.shape) * rng.choice([1e-300, 1e-320])
+    return GridFunction(grid, values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(FIELD_KINDS),
+    size=st.one_of(st.tuples(st.just(1), st.integers(2, 48)),
+                   st.tuples(st.just(2), st.integers(2, 12))),
+    seed=st.integers(min_value=0, max_value=2**16),
+    beta=st.sampled_from((0.25, 0.5, 0.6, 0.9)),
+)
+@example(kind="uniform", size=(1, _EXACT_PAIRS[1] + 1), seed=1, beta=0.5)
+@example(kind="affine", size=(2, _EXACT_PAIRS[2] + 1), seed=2, beta=0.5)
+@example(kind="ties", size=(1, 64), seed=3, beta=0.5)
+@example(kind="quarter", size=(2, 5), seed=0, beta=0.5)
+def test_pair_sweep_equals_the_per_offset_loop(kind, size, seed, beta):
+    """Bit for bit the same value, witness and exactness as evaluating every
+    offset, for both scores the program sweeps with."""
+    f = drawn_field(kind, *size, seed, beta)
+    for score in (lambda diff, dist: diff / dist**beta, _log_holder_score):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = pair_sweep(f, score), per_offset_sweep(f, score)
+        assert got == want
+
