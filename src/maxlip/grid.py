@@ -10,7 +10,8 @@ asymptotic in the continuum hold exactly on the grid.
 Cube enumeration is deterministic (ascending side length, then
 lexicographic start index), which keeps every reported supremum witness
 reproducible.  cube_rows lays a grid array out on every cube of one side,
-one row per cube in that order, so a sweep over a family is array passes.
+one row per cube in that order, so a sweep over a family is array passes;
+window_view is the strided view of those windows that it copies.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "CubeFamilyMode",
@@ -382,6 +382,23 @@ def window_sums(f: GridFunction, k: int) -> np.ndarray:
     return table_window_sums(f.prefix, k, f.grid.dim)
 
 
+def window_view(values: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """The side-k windows of the last dim axes of values, as a read-only view.
+
+    Shape values.shape[:-dim] + (N-k+1,)^dim + (k,)^dim, leading axes kept:
+    the window start axes, then the cell axes of the window.  Shape and
+    strides are those of numpy's sliding_window_view over the same axes, but
+    the view is one np.ndarray call on the buffer of values, a small part of
+    sliding_window_view's cost per call.  An array that is not C-contiguous
+    is read through a contiguous copy.
+    """
+    values = np.ascontiguousarray(values)
+    shape = values.shape[:-dim] + tuple(m - k + 1 for m in values.shape[-dim:]) + (k,) * dim
+    view = np.ndarray(shape, values.dtype, values, 0, values.strides + values.strides[-dim:])
+    view.flags.writeable = False
+    return view
+
+
 def cube_rows(values: np.ndarray, k: int) -> np.ndarray:
     """Row r: the cells of the r-th side-k cube of enumerate_cubes, row-major.
 
@@ -390,7 +407,7 @@ def cube_rows(values: np.ndarray, k: int) -> np.ndarray:
     cube's slice, bit for bit.
     """
     dim = values.ndim
-    return np.ascontiguousarray(sliding_window_view(values, (k,) * dim)).reshape(-1, k**dim)
+    return np.ascontiguousarray(window_view(values, k, dim)).reshape(-1, k**dim)
 
 
 def write_gridfunction_csv(f: GridFunction, path) -> None:

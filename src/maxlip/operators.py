@@ -9,34 +9,42 @@ dimensional constants.
 
 Each operator has two routes: a fast path built on per-side window
 statistics (prefix-sum queries, or one window view per side for the sharp
-function) plus per-side sliding maxima, and a naive oracle that sums each
-cube's gathered cells directly and scatter-maxes the result into them.  The
-sliding max is a log-step running max (van Herk; Gil and Werman): doubling
-maxima m_2p[i] = max(m_p[i], m_p[i+p]) up to the largest power of two p <= k,
-then max(m_p[i], m_p[i+k-p]) covers the window [i, i+k); a square window is
-one axis after the other.  Max returns one of its arguments, so this equals
-the direct max over each window.  oracle_check compares the two routes and
-is wired into the test suite.  The sweeps over every cube of a family take
-the local maximal function from local_max_sweep, one pass per symbol; the
-single-cube local_max is its reference.
+function) plus one nested pass over the sides, and a naive oracle that sums
+each cube's gathered cells directly and scatter-maxes the result into them.
+The nested pass visits the sides in descending order: a side-k window lies
+in a larger window of the family exactly when it lies in one of the windows
+of the next larger side k' that do, so the running max carried down is
+max(window values of side k, sliding max of width k' - k + 1 of the carried
+max), and one last sliding max of the smallest side spreads it onto the
+cells.  In a full family every step has width 2.  The sliding max is a
+log-step running max (van Herk; Gil and Werman): doubling maxima
+m_2p[i] = max(m_p[i], m_p[i+p]) up to the largest power of two p <= k, then
+max(m_p[i], m_p[i+k-p]) covers the window [i, i+k); a square window is one
+axis after the other.  Max returns one of its arguments, so this equals the
+direct max over the windows holding each cell, bit for bit.  oracle_check
+compares the two routes and is wired into the test suite.  The sweeps over
+every cube of a family take the local maximal function from
+local_max_sweep, one pass per symbol; the single-cube local_max is its
+reference.
 
 The fast paths carry a leading batch axis: apply_stack applies an operator
 to a stack of grid arrays, shape (rows,) + grid.shape, in one call, and
 hl_max, sharp_max, frac_max, max_commutator, comm_m and comm_sharp are that
 call on a stack of one.  A stacked row equals its single call bit for bit.
 The maximal commutator computes every cell at once from a float64 prefix
-table with a cell axis and a start-range mask.  The temporaries a kernel
-builds (prefix tables, window differences, the commutator's cell tables)
-stay within STACK_BYTES_MAX bytes: a stack is split over rows, and the
-commutator's tables over cells too.  indicator_stacks builds the cube
-indicators of a family as stacks within the same cap, cut by the cap only,
-so a stack may straddle sides; cube_blocks reads the rows of one side on
-their own cubes.  on_cubes joins the two over a whole family and yields one
-block per side; lambda_sharp, theorem2's mean recovery, theorem3's
-M_b(chi_Q) rows and identities' local-on-cube check each make one call per
-family.  identities' indicator check and the test bank of
-opnorm_lower_stacked use the stacks.  The naive oracles, one pass per side,
-are outside the cap.
+table with cell axes; which windows hold a cell is read off one boolean
+template of x - s per axis and side, and the max over window starts skips
+the others.  The temporaries a kernel builds (prefix tables, window
+differences, the commutator's cell tables) stay within STACK_BYTES_MAX
+bytes: a stack is split over rows, and the commutator's tables over
+rectangles of cells too.  indicator_stacks builds the cube indicators of a
+family as stacks within the same cap, cut by the cap only, so a stack may
+straddle sides; cube_blocks reads the rows of one side on their own cubes.
+on_cubes joins the two over a whole family and yields one block per side;
+lambda_sharp, theorem2's mean recovery, theorem3's M_b(chi_Q) rows and
+identities' local-on-cube check each make one call per family.
+identities' indicator check and the test bank of opnorm_lower_stacked use
+the stacks.  The naive oracles, one pass per side, are outside the cap.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
     Cube,
@@ -58,6 +65,7 @@ from .grid import (
     side_runs,
     table_window_sums,
     window_sums,
+    window_view,
 )
 
 __all__ = [
@@ -122,7 +130,7 @@ def cube_blocks(stack: np.ndarray, cubes) -> np.ndarray:
     """
     dim = stack.ndim - 1
     k = cubes[0].side_cells
-    windows = sliding_window_view(stack, (k,) * dim, axis=tuple(range(1, dim + 1)))
+    windows = window_view(stack, k, dim)
     starts = tuple(np.array([cube.start for cube in cubes]).T)
     return windows[(np.arange(len(cubes)),) + starts].reshape(len(cubes), -1)
 
@@ -162,7 +170,30 @@ def _running_max(a: np.ndarray, k: int, from_end: int, length: int) -> np.ndarra
         size = a.shape[-from_end] - p
         a = np.maximum(a[cut(0, size)], a[cut(p, size)])
         p *= 2
+    if p == k:
+        return a[cut(0, length)]
     return np.maximum(a[cut(0, length)], a[cut(k - p, length)])
+
+
+def _nested_cell_max(side_vals, dim: int) -> np.ndarray:
+    """Per cell, the max of every side's window values over the windows holding the cell.
+
+    side_vals yields (k, values of the side-k windows indexed by start) in
+    descending order of k; each values array is the caller's own and is
+    overwritten.  A side-k window lies in a window of a larger side exactly
+    when it lies in one of the windows of the next larger side k' that do:
+    those start at most k' - k before it.  So one running max is carried
+    down the sides, max(vals_k, sliding max of width k' - k + 1 of the
+    carried max), and spread onto the cells by the smallest side at the end.
+    Max returns one of its arguments, so the result is the direct max over
+    every window holding the cell, bit for bit.
+    """
+    carried, above = None, None
+    for k, vals in side_vals:
+        if carried is not None:
+            np.maximum(vals, _windowed_cell_max(carried, above - k + 1, dim), out=vals)
+        carried, above = vals, k
+    return _windowed_cell_max(carried, above, dim)
 
 
 def _check_stack(grid: Grid, stack: np.ndarray) -> None:
@@ -179,16 +210,18 @@ def _average_max(
     _check_stack(grid, stack)
     dim, n, h = grid.dim, grid.cells_per_axis, grid.spacing
     absf = np.abs(stack)
-    out = np.full(stack.shape, -np.inf)
+    sides = family_sides(n, mode)[::-1]
+    out = np.empty(stack.shape)
+
+    def averages(table, k):
+        sums = table_window_sums(table, k, dim)
+        return sums / k**dim if alpha is None else (k * h) ** alpha * sums / k**dim
+
     # The long-double table is the largest per-row temporary, with the padding
     # of _windowed_cell_max; both fit in 16 (2N)^dim bytes.
     for rows in _chunks(len(stack), 16 * (2 * n) ** dim):
         table = prefix_table(absf[rows], dim)
-        part = out[rows]
-        for k in family_sides(n, mode):
-            sums = table_window_sums(table, k, dim)
-            vals = sums / k**dim if alpha is None else (k * h) ** alpha * sums / k**dim
-            np.maximum(part, _windowed_cell_max(vals, k, dim), out=part)
+        out[rows] = _nested_cell_max(((k, averages(table, k)) for k in sides), dim)
     return out
 
 
@@ -196,66 +229,93 @@ def _sharp_rows(grid: Grid, stack: np.ndarray, mode: CubeFamilyMode) -> np.ndarr
     """Rows of the sharp maximal function.
 
     One window view per side yields the mean and the mean absolute
-    deviation of every side-k cube at once; the per-cell sliding max then
-    spreads them over the cells.  Memory per row and side is (N-k+1)^dim k^dim.
+    deviation of every side-k cube at once; the nested pass over the sides
+    then spreads them over the cells.  Memory per row and side is
+    (N-k+1)^dim k^dim, and a chunk of rows is sized by the largest side's.
     """
     _check_stack(grid, stack)
     dim, n = grid.dim, grid.cells_per_axis
-    grid_axes = tuple(range(1, dim + 1))
     count_axes = tuple(range(dim + 1, 2 * dim + 1))
-    out = np.full(stack.shape, -np.inf)
-    for k in family_sides(n, mode):
-        count = k**dim
-        for rows in _chunks(len(stack), 8 * ((n - k + 1) * k) ** dim):
-            windows = sliding_window_view(stack[rows], (k,) * dim, axis=grid_axes)
-            means = windows.sum(axis=count_axes, keepdims=True) / count
-            osc = np.abs(windows - means).sum(axis=count_axes) / count
-            part = out[rows]
-            np.maximum(part, _windowed_cell_max(osc, k, dim), out=part)
+    sides = family_sides(n, mode)[::-1]
+    out = np.empty(stack.shape)
+
+    def oscillations(rows_of_stack, k):
+        windows = window_view(rows_of_stack, k, dim)
+        means = windows.sum(axis=count_axes, keepdims=True) / k**dim
+        dev = windows - means
+        return np.abs(dev, out=dev).sum(axis=count_axes) / k**dim
+
+    row_bytes = 8 * max(((n - k + 1) * k) ** dim for k in sides)
+    for rows in _chunks(len(stack), row_bytes):
+        part = stack[rows]
+        out[rows] = _nested_cell_max(((k, oscillations(part, k)) for k in sides), dim)
     return out
 
 
-def _start_mask(cells: np.ndarray, k: int, n: int) -> np.ndarray:
-    """mask[c, s] is true when the side-k window starting at s holds cell c.
+def _holding(n: int, k: int, cells: slice, starts: slice) -> np.ndarray:
+    """held[i, j] is true when the side-k window at starts.start + j holds cell cells.start + i.
 
-    cells has one row of coordinates per axis; s runs over the window starts.
+    Window s holds cell x exactly when 0 <= x - s < k.  One boolean
+    template over x - s in [1 - N, N - 1] is read as a view whose strides
+    are (1, -1): shape (cells, starts), read-only, nothing else computed.
     """
-    starts = np.arange(n - k + 1)
-    per_axis = [(starts <= x[:, None]) & (starts > x[:, None] - k) for x in cells]
-    if len(per_axis) == 1:
-        return per_axis[0]
-    return per_axis[0][:, :, None] & per_axis[1][:, None, :]
+    template = np.zeros(2 * n - 1, dtype=bool)
+    template[n - 1:n - 1 + k] = True
+    held = np.ndarray((cells.stop - cells.start, starts.stop - starts.start), bool, template,
+                      cells.start - starts.start + n - 1, (1, -1))
+    held.flags.writeable = False
+    return held
+
+
+def _cell_blocks(n: int, dim: int, cell_bytes: int):
+    """Blocks of grid cells, a slice per axis, whose cells take at most STACK_BYTES_MAX bytes.
+
+    The last axis is cut first, and the blocks of a wider cap take whole
+    lines, so a block is a rectangle of cells in dim 2.
+    """
+    last = list(_chunks(n, cell_bytes))
+    width = last[0].stop - last[0].start
+    return itertools.product(*[_chunks(n, cell_bytes * width)] * (dim - 1), last)
 
 
 def _max_comm_rows(b: GridFunction, stack: np.ndarray, mode: CubeFamilyMode) -> np.ndarray:
     """Rows of the maximal commutator M_b, every cell at once.
 
-    For a cell x, the float64 prefix table of |b(x) - b(y)| |f(y)| over y
-    gives the sum of every window; the start-range mask keeps the windows
-    that hold x.  The table carries a row axis and a cell axis, so its
-    chunks are split over cells as well as rows.
+    For a block of cells x, the float64 prefix table of |b(x) - b(y)| |f(y)|
+    over y gives the sum of every window.  Only the windows that start
+    within k - 1 cells before the block, or inside it, are summed; the ones
+    among them that hold x are read off one boolean template of x - s per
+    axis (_holding; the two axes ANDed in dim 2), and the max over the
+    window starts skips the others (np.max with where and an initial -inf).
+    The table carries a row axis and the block's cell axes, so its chunks
+    are split over rows and over rectangles of cells.
     """
     grid = b.grid
     _check_stack(grid, stack)
     dim, n = grid.dim, grid.cells_per_axis
     sides = family_sides(n, mode)
-    flat_b = b.values.reshape(-1)
-    coords = np.indices(grid.shape).reshape(dim, -1)
-    absf = np.abs(stack)[:, None]
-    out = np.zeros((len(stack), grid.cell_count))
+    start_axes = tuple(range(-dim, 0))
+    absf = np.abs(stack).reshape((len(stack),) + (1,) * dim + grid.shape)
+    out = np.zeros(stack.shape)
     cell_bytes = 8 * (n + 1) ** dim
-    for cols in _chunks(grid.cell_count, cell_bytes):
-        dist = np.abs(b.values[None] - flat_b[cols].reshape((-1,) + (1,) * dim))
-        for rows in _chunks(len(stack), cell_bytes * len(dist)):
+    for block in _cell_blocks(n, dim, cell_bytes):
+        here = b.values[block]
+        dist = np.abs(b.values - here.reshape(here.shape + (1,) * dim))
+        for rows in _chunks(len(stack), cell_bytes * here.size):
             table = prefix_table(dist * absf[rows], dim, dtype=float)
-            best = np.zeros(table.shape[:2])
+            best = np.zeros(table.shape[:dim + 1])
             for k in sides:
-                sums = table_window_sums(table, k, dim)
-                np.copyto(sums, -np.inf, where=~_start_mask(coords[:, cols], k, n))
-                top = sums.reshape(sums.shape[:2] + (-1,)).max(axis=2)
+                # Only the starts max(0, x - k + 1) .. min(x, N - k) of a cell x hold it.
+                starts = [slice(max(0, c.start - k + 1), min(c.stop, n - k + 1)) for c in block]
+                axes = [_holding(n, k, c, s) for c, s in zip(block, starts)]
+                held = axes[0] if dim == 1 else (axes[0][:, None, :, None]
+                                                 & axes[1][None, :, None, :])
+                part = table[(Ellipsis,) + tuple(slice(s.start, s.stop + k) for s in starts)]
+                top = np.max(table_window_sums(part, k, dim), axis=start_axes,
+                             where=held, initial=-np.inf)
                 np.maximum(best, top / k**dim, out=best)
-            out[rows, cols] = best
-    return out.reshape(stack.shape)
+            out[(rows,) + block] = best
+    return out
 
 
 def _commutator_rows(kernel, b: GridFunction, stack: np.ndarray, mode: CubeFamilyMode):
@@ -292,14 +352,15 @@ def local_max(b: GridFunction, q0: Cube) -> np.ndarray:
     """
     grid = b.grid
     check_cube(grid, q0)
-    absb = abs(b)
     m = q0.side_cells
-    out = np.full((m,) * grid.dim, -np.inf)
-    for k in range(1, m + 1):
-        all_avgs = window_sums(absb, k) / k**grid.dim
-        sub = all_avgs[tuple(slice(s, s + m - k + 1) for s in q0.start)]
-        np.maximum(out, _windowed_cell_max(sub, k, grid.dim), out=out)
-    return out
+    # The prefix table of |b| cut to q0: its window sums are those of the
+    # windows inside q0, indexed relative to q0.start.
+    table = abs(b).prefix[tuple(slice(s, s + m + 1) for s in q0.start)]
+
+    def averages(k):
+        return table_window_sums(table, k, grid.dim) / k**grid.dim
+
+    return _nested_cell_max(((k, averages(k)) for k in range(m, 0, -1)), grid.dim)
 
 
 def local_max_sweep(b: GridFunction, sides):
@@ -486,8 +547,9 @@ def on_cubes(tag: OperatorTag, grid: Grid, cubes, weight,
 # ---------------------------------------------------------------------------
 # Naive oracles: direct sums per cube, scatter-maxed into its cells.  To stay
 # independent of the fast paths, no _naive_* function may call window_sums,
-# prefix_table, table_window_sums, GridFunction.prefix, _windowed_cell_max or
-# sliding_window_view (test_naive_oracles_use_no_fast_primitive).
+# prefix_table, table_window_sums, GridFunction.prefix, window_view,
+# _windowed_cell_max, _nested_cell_max or _holding
+# (test_naive_oracles_use_no_fast_primitive).
 
 
 def _cube_cells(n: int, dim: int, k: int) -> np.ndarray:

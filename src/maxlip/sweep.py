@@ -14,6 +14,8 @@ with R the range of f and L_a its largest step along axis a.  Offsets are
 evaluated in descending order of that bound until it falls below the best
 score found, and the evaluated ones are then offered in offset order: the
 result is bit for bit that of evaluating every offset, witness included.
+The bound is scored once per distinct (|o_0|, ..., |o_dim-1|), and the
+slices of an offset are made only when it is evaluated.
 A smooth f stops the walk after a few offsets; a field on which every
 offset ties (|x - x0|^beta under the Lip_beta score) evaluates them all.
 """
@@ -90,25 +92,49 @@ def worst_of(values, witnesses, lowest: bool = False) -> Worst:
     return worst
 
 
-def _diff_bounds(v: np.ndarray, offsets: list) -> np.ndarray:
-    """An upper bound on the computed |v[x] - v[y]| of each offset's pairs.
+def _diff_bounds(v: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """An upper bound on the computed |v[x] - v[y]| of the pairs at each offset reach.
 
-    Along axis a no step exceeds L_a = max |diff of v along a|, so a pair at
-    offset o differs by at most sum_a |o_a| L_a (triangle inequality along
-    an axis-parallel path inside the grid), and never by more than the
-    range.  _SLACK covers the rounding of the steps, the path sum and the
-    difference itself; fl(max - min) needs none, since rounding is
-    monotone.  An overflowing step or range gives an infinite bound.
+    reach holds one row (|o_0|, ..., |o_dim-1|) per offset o.  Along axis a
+    no step exceeds L_a = max |diff of v along a|, so a pair at offset o
+    differs by at most sum_a |o_a| L_a (triangle inequality along an
+    axis-parallel path inside the grid), and never by more than the range.
+    _SLACK covers the rounding of the steps, the path sum and the difference
+    itself; fl(max - min) needs none, since rounding is monotone.  An
+    overflowing step or range gives an infinite bound.
     """
     dim = v.ndim
     spread = float(v.max()) - float(v.min())
     steps = [float(np.abs(np.diff(v, axis=a)).max()) for a in range(dim)]
-    reach = np.abs(np.fromiter(itertools.chain.from_iterable(offsets), np.int64,
-                               len(offsets) * dim).reshape(-1, dim).T)
     with np.errstate(over="ignore", invalid="ignore"):
         # An axis the offset does not move along adds 0, even for L_a = inf.
-        path = sum(np.where(r == 0, 0.0, r * step) for r, step in zip(reach, steps)) * _SLACK
+        path = sum(np.where(r == 0, 0.0, r * step) for r, step in zip(reach.T, steps)) * _SLACK
     return np.minimum(path, spread)
+
+
+def _offset_bounds(v: np.ndarray, offsets: list, score, h: float) -> list:
+    """score(_diff_bounds, h |o|) of each offset o, one score call per distinct reach.
+
+    A bound depends on o only through its reach (|o_0|, ..., |o_dim-1|), and
+    math.hypot ignores signs, so in dim 2 the offsets (a, b) and (a, -b)
+    share one call.  The reaches are found by a table over their values,
+    without a sort, and the scores kept in a float64 array, which holds a
+    Python float exactly.
+    """
+    dim = v.ndim
+    reach = np.abs(np.fromiter(itertools.chain.from_iterable(offsets), np.int64,
+                               len(offsets) * dim).reshape(-1, dim))
+    shape = (int(reach.max()) + 1,) * dim
+    key = np.ravel_multi_index(tuple(reach.T), shape)
+    seen = np.zeros(math.prod(shape), dtype=bool)
+    seen[key] = True
+    distinct = np.flatnonzero(seen)
+    reaches = np.unravel_index(distinct, shape)
+    scored = np.zeros(len(seen))
+    scored[distinct] = [score(d, h * math.hypot(*r)) for d, r in
+                        zip(_diff_bounds(v, np.stack(reaches, axis=1)).tolist(),
+                            zip(*(a.tolist() for a in reaches)))]
+    return scored[key].tolist()
 
 
 def pair_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:
@@ -140,18 +166,16 @@ def pair_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:
         offsets = [o for o in itertools.product(*ranges) if o > (0,) * dim]
     else:
         offsets = [tuple(int(a == b) for b in range(dim)) for a in range(dim)]
-    # Along an axis, offset component c pairs the cells x of the first slice
-    # with the cells y = x - c of the second.
-    cut = {c: (slice(c, n), slice(0, n - c)) if c >= 0 else (slice(0, n + c), slice(-c, n))
-           for c in {c for o in offsets for c in o}}
 
     def diffs(o: tuple[int, ...]) -> np.ndarray:
-        x, y = zip(*map(cut.get, o))
+        # Along an axis, offset component c pairs the cells x of the first
+        # slice with the cells y = x - c of the second.
+        x = tuple(slice(c, n) if c >= 0 else slice(0, n + c) for c in o)
+        y = tuple(slice(0, n - c) if c >= 0 else slice(-c, n) for c in o)
         d = v[x] - v[y]
         return np.abs(d, out=d)
 
-    bounds = [score(d, h * math.hypot(*o))
-              for d, o in zip(_diff_bounds(v, offsets).tolist(), offsets)]
+    bounds = _offset_bounds(v, offsets, score, h)
     # An offset left unevaluated keeps -inf, which the initial 0 beats.
     top, scores = 0.0, np.full(len(offsets), -np.inf)
     for i in sorted(range(len(offsets)), key=bounds.__getitem__, reverse=True):

@@ -4,7 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+import maxlip.grid
 import maxlip.operators
 from maxlip import (
     Cube,
@@ -100,8 +104,8 @@ def test_naive_oracles_use_no_fast_primitive(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a naive oracle reached a fast-path primitive")
 
-    for name in ("window_sums", "prefix_table", "table_window_sums", "sliding_window_view",
-                 "_windowed_cell_max"):
+    for name in ("window_sums", "prefix_table", "table_window_sums", "window_view",
+                 "_windowed_cell_max", "_nested_cell_max", "_holding"):
         monkeypatch.setattr(maxlip.operators, name, refuse)
     monkeypatch.setattr(GridFunction, "prefix", property(refuse))
     for dim, n in ((1, 9), (2, 5)):
@@ -325,7 +329,7 @@ def test_max_commutator_at_cells_matches_full():
 
 
 def test_max_commutator_dyadic_against_cube_loop():
-    # oracle_check only runs the full family; hold the start-range mask of
+    # oracle_check only runs the full family; hold the holding template of
     # the all-cells kernel against the dyadic cubes holding each cell.
     for dim, n in ((1, 13), (2, 7)):
         g = make_grid(dim, n)
@@ -459,8 +463,6 @@ def test_mismatched_grids_rejected():
 
 def sliding_cell_max(window_vals: np.ndarray, k: int, dim: int) -> np.ndarray:
     """The per-cell max as one window view over the -inf padded starts."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
     starts = window_vals.shape[-1]
     padded = np.full(window_vals.shape[:-dim] + (starts + 2 * (k - 1),) * dim, -np.inf,
                      dtype=window_vals.dtype)
@@ -501,3 +503,183 @@ def test_windowed_cell_max_at_the_boundary():
         edge = np.minimum(np.arange(n), n - k)
         got2 = maxlip.operators._windowed_cell_max(plane, k, 2)
         assert np.array_equal(got2, edge[:, None] * 100.0 + edge[None, :])
+
+
+# ---------------------------------------------------------------------------
+# The per-side kernels that the nested pass over the sides replaced, kept as
+# references: one padded sliding max of width k per side, numpy's window
+# views, and the commutator's start-range mask.
+
+
+def per_side_average_max(grid, stack, mode, alpha=None):
+    dim, n, h = grid.dim, grid.cells_per_axis, grid.spacing
+    absf = np.abs(stack)
+    out = np.full(stack.shape, -np.inf)
+    for rows in maxlip.operators._chunks(len(stack), 16 * (2 * n) ** dim):
+        table = maxlip.grid.prefix_table(absf[rows], dim)
+        part = out[rows]
+        for k in family_sides(n, mode):
+            sums = maxlip.grid.table_window_sums(table, k, dim)
+            vals = sums / k**dim if alpha is None else (k * h) ** alpha * sums / k**dim
+            np.maximum(part, maxlip.operators._windowed_cell_max(vals, k, dim), out=part)
+    return out
+
+
+def per_side_sharp_rows(grid, stack, mode):
+    dim, n = grid.dim, grid.cells_per_axis
+    grid_axes = tuple(range(1, dim + 1))
+    count_axes = tuple(range(dim + 1, 2 * dim + 1))
+    out = np.full(stack.shape, -np.inf)
+    for k in family_sides(n, mode):
+        count = k**dim
+        for rows in maxlip.operators._chunks(len(stack), 8 * ((n - k + 1) * k) ** dim):
+            windows = sliding_window_view(stack[rows], (k,) * dim, axis=grid_axes)
+            means = windows.sum(axis=count_axes, keepdims=True) / count
+            osc = np.abs(windows - means).sum(axis=count_axes) / count
+            part = out[rows]
+            np.maximum(part, maxlip.operators._windowed_cell_max(osc, k, dim), out=part)
+    return out
+
+
+def start_mask(cells, k, n):
+    """mask[c, s] is true when the side-k window starting at s holds cell c."""
+    starts = np.arange(n - k + 1)
+    per_axis = [(starts <= x[:, None]) & (starts > x[:, None] - k) for x in cells]
+    if len(per_axis) == 1:
+        return per_axis[0]
+    return per_axis[0][:, :, None] & per_axis[1][:, None, :]
+
+
+def masked_max_comm_rows(b, stack, mode):
+    grid = b.grid
+    dim, n = grid.dim, grid.cells_per_axis
+    sides = family_sides(n, mode)
+    flat_b = b.values.reshape(-1)
+    coords = np.indices(grid.shape).reshape(dim, -1)
+    absf = np.abs(stack)[:, None]
+    out = np.zeros((len(stack), grid.cell_count))
+    cell_bytes = 8 * (n + 1) ** dim
+    for cols in maxlip.operators._chunks(grid.cell_count, cell_bytes):
+        dist = np.abs(b.values[None] - flat_b[cols].reshape((-1,) + (1,) * dim))
+        for rows in maxlip.operators._chunks(len(stack), cell_bytes * len(dist)):
+            table = maxlip.grid.prefix_table(dist * absf[rows], dim, dtype=float)
+            best = np.zeros(table.shape[:2])
+            for k in sides:
+                sums = maxlip.grid.table_window_sums(table, k, dim)
+                np.copyto(sums, -np.inf, where=~start_mask(coords[:, cols], k, n))
+                top = sums.reshape(sums.shape[:2] + (-1,)).max(axis=2)
+                np.maximum(best, top / k**dim, out=best)
+            out[rows, cols] = best
+    return out.reshape(stack.shape)
+
+
+def per_side_local_max(b, q0):
+    absb = abs(b)
+    m = q0.side_cells
+    out = np.full((m,) * b.grid.dim, -np.inf)
+    for k in range(1, m + 1):
+        all_avgs = maxlip.grid.window_sums(absb, k) / k**b.grid.dim
+        sub = all_avgs[tuple(slice(s, s + m - k + 1) for s in q0.start)]
+        np.maximum(out, maxlip.operators._windowed_cell_max(sub, k, b.grid.dim), out=out)
+    return out
+
+
+def per_side_apply(kind, grid, stack, mode, b, alpha):
+    if kind == "hl":
+        return per_side_average_max(grid, stack, mode)
+    if kind == "frac":
+        return per_side_average_max(grid, stack, mode, alpha)
+    if kind == "sharp":
+        return per_side_sharp_rows(grid, stack, mode)
+    if kind == "max_commutator":
+        return masked_max_comm_rows(b, stack, mode)
+    kernel = per_side_average_max if kind == "comm_m" else per_side_sharp_rows
+    return b.values * kernel(grid, stack, mode) - kernel(grid, b.values * stack, mode)
+
+
+def drawn_values(kind: str, rng, shape) -> np.ndarray:
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, shape)
+    if kind == "integer":  # maxima tie
+        return rng.integers(-2, 3, shape).astype(float)
+    assert kind == "indicator"
+    return (rng.uniform(size=shape) < 0.3).astype(float)
+
+
+VALUE_KINDS = ("uniform", "integer", "indicator")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    size=st.one_of(st.tuples(st.just(1), st.integers(2, 50)),
+                   st.tuples(st.just(2), st.integers(2, 11))),
+    mode=st.sampled_from((CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES)),
+    rows=st.integers(1, 4),
+    kinds=st.tuples(*[st.sampled_from(VALUE_KINDS)] * 2),
+    seed=st.integers(0, 2**16),
+    cap=st.sampled_from((None, 512)),
+)
+@example(size=(1, 300), mode=CubeFamilyMode.FULL, rows=1, kinds=("uniform", "integer"),
+         seed=1, cap=None)
+@example(size=(2, 32), mode=CubeFamilyMode.FULL, rows=1, kinds=("integer", "uniform"),
+         seed=2, cap=None)
+@example(size=(2, 13), mode=CubeFamilyMode.DYADIC_SIDES, rows=2,
+         kinds=("indicator", "uniform"), seed=3, cap=None)
+@example(size=(2, 17), mode=CubeFamilyMode.FULL, rows=3, kinds=("integer", "indicator"),
+         seed=4, cap=4096)
+def test_stacked_kernels_equal_the_per_side_references(size, mode, rows, kinds, seed, cap):
+    # Bit for bit: the nested pass takes its max over the same window values,
+    # and the holding template picks the windows the start-range mask kept.
+    # A cap of 512 bytes splits every stack over rows and the commutator's
+    # cells into blocks of one cell.  At the real cap the commutator takes
+    # 2-D N=13 in a rectangle of 12 lines and one of 1, and cuts the lines of
+    # 2-D N=32 into 30 cells and 2.
+    dim, n = size
+    g = make_grid(dim, n)
+    rng = np.random.default_rng(seed)
+    stack = np.stack([drawn_values(kinds[r % 2], rng, g.shape) for r in range(rows)])
+    b = GridFunction(g, drawn_values(kinds[1], rng, g.shape))
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
+        for kind in STACK_KINDS:
+            got = apply_stack(_stack_tag(kind, b), g, stack, mode)
+            want = per_side_apply(kind, g, stack, mode, b, 0.5)
+            assert got.tobytes() == want.tobytes(), kind
+    k = int(rng.integers(1, n + 1))
+    q0 = Cube(tuple(int(rng.integers(0, n - k + 1)) for _ in range(dim)), k)
+    f = GridFunction(g, stack[0])
+    assert local_max(f, q0).tobytes() == per_side_local_max(f, q0).tobytes()
+
+
+@pytest.mark.parametrize("shape, k, dim", [((9,), 1, 1), ((9,), 4, 1), ((9,), 9, 1),
+                                           ((3, 9), 4, 1), ((7, 7), 3, 2), ((2, 6, 6), 6, 2),
+                                           ((2, 6, 6), 1, 2)])
+def test_window_view_is_the_sliding_window_view(shape, k, dim):
+    values = np.arange(float(np.prod(shape))).reshape(shape)
+    axes = tuple(range(len(shape) - dim, len(shape)))
+    for vals in (values, values.astype(np.longdouble)):
+        want = sliding_window_view(vals, (k,) * dim, axis=axes)
+        got = maxlip.grid.window_view(vals, k, dim)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.dtype == vals.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[(0,) * got.ndim] = 1.0
+    # A non-contiguous array is read through a contiguous copy: same values.
+    for strided in (values[..., ::2], values[..., ::-1]):
+        kk = min(k, strided.shape[-1])
+        got = maxlip.grid.window_view(strided, kk, dim)
+        assert np.array_equal(got, sliding_window_view(strided, (kk,) * dim, axis=axes))
+
+
+def test_holding_template_reads_the_windows_that_hold_each_cell():
+    n = 9
+    for k in range(1, n + 1):
+        for cells, starts in ((slice(0, n), slice(0, n - k + 1)), (slice(3, 7), slice(1, 5)),
+                              (slice(8, 9), slice(n - k, n - k + 1))):
+            held = maxlip.operators._holding(n, k, cells, starts)
+            x = np.arange(cells.start, cells.stop)[:, None]
+            s = np.arange(starts.start, starts.stop)[None, :]
+            assert np.array_equal(held, (s <= x) & (x < s + k)), (k, cells, starts)
+            assert not held.flags.writeable
