@@ -416,13 +416,18 @@ def write_gridfunction_csv(f: GridFunction, path) -> None:
 
 
 def write_cells_csv(values: np.ndarray, path, start: Sequence[int] = (0, 0)) -> None:
-    """write_gridfunction_csv of a block of cell values whose first cell is start."""
-    cells = itertools.product(*(range(s, s + m) for s, m in zip(start, values.shape)))
+    """write_gridfunction_csv of a block of cell values whose first cell is start.
+
+    The text is what csv.writer makes of the rows [*cell, f"{v:.17g}"]: no
+    field needs quoting, and lines end in \r\n.  One format call makes it.
+    """
+    index = np.indices(values.shape).reshape(values.ndim, -1)
+    index += np.reshape(start[:values.ndim], (-1, 1))
+    fields = itertools.chain.from_iterable(zip(*index.tolist(), values.reshape(-1).tolist()))
+    line = "{}," * values.ndim + "{:.17g}\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"] if values.ndim == 1 else ["i", "j", "value"])
-        writer.writerows([*cell, f"{v:.17g}"]
-                         for cell, v in zip(cells, values.reshape(-1).tolist()))
+        fh.write(("index,value\r\n" if values.ndim == 1 else "i,j,value\r\n")
+                 + (line * values.size).format(*fields))
 
 
 def read_gridfunction_csv(path, grid: Grid) -> GridFunction:

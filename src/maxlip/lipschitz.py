@@ -17,6 +17,23 @@ ratios, one Luxemburg solve for the whole family.  A row keeps its cube's
 cell order, so every value equals the per-cube one bit for bit.  The
 pairwise beta-Holder seminorm is one score of the cell-pair sweep in
 ``sweep``: exact on small grids, a flagged sample on large ones.
+
+The three functionals need only the largest ratio, so they solve only the
+cubes that can attain it (a bounded exact sweep).  With r = |b - ref| on a
+cube Q, m = max r and a, c the least and largest q on Q, the ratio is
+(k h)^{-beta} m t with t between S^{1/a} and S^{1/c}, S the modular of r/m
+weighted by h^dim ||chi_Q||^{-q}; those weights sum to 1 and lie within
+|Q|^{|c - a|/a} of their mean, which bounds S by avg_Q (r/m)^q.  For a
+constant q the two bounds meet at the closed form (avg_Q r^q)^{1/q}.  The
+bounds, widened by a rounding margin of 2^-30 (the solver is good to
+1e-12), cost one power per cell.  A side's cubes are bounded as its rows
+are made; the largest lower bound is a ratio some cube reaches, so every
+cube whose upper bound falls short of it is dropped.  The rest are solved,
+highest upper bound first, and each solved ratio drops more.  Solved
+ratios go in enumeration order, with -inf for the dropped cubes, to the
+one worst_of: a dropped cube is strictly below the maximum, every solved
+row is bit for bit its solo solve, so value and witness are those of
+solving every cube (cube_oscillation_rows still does, for its rows).
 """
 
 from __future__ import annotations
@@ -26,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .exponents import VariableExponent
 from .grid import (
     Cube,
@@ -35,6 +53,7 @@ from .grid import (
     enumerate_cubes,
     family_sides,
     indicator,
+    window_view,
 )
 from .luxemburg import _chi_rows, _lux_solve_batch, _newton_solve, lux_norm
 from .operators import (
@@ -63,6 +82,14 @@ __all__ = [
     "cube_oscillation_rows",
     "cube_ratios",
 ]
+
+# Widens the ratio bounds of a cube away from its computed ratio: the solver brackets
+# each norm to a relative width of 1e-12, and the bounds themselves round
+# by a few ulps, both far inside this rounding margin.
+_BOUND_SLACK = 1.0 + 2.0**-30
+# Cubes of highest bound in a bounded sweep's first solve.
+_SEED_CUBES = 8
+
 
 @dataclass
 class LipResult:
@@ -131,10 +158,10 @@ def cube_ratios(row_sets: list, beta: float, q: VariableExponent,
     return [np.concatenate(ratios) for ratios in out]
 
 
-def _oscillation_values(
-    b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode, center: str
-) -> np.ndarray:
-    """The row value of cube_oscillation_rows for every cube, in enumeration order."""
+def _centered_rows(b: GridFunction, q: VariableExponent, mode: CubeFamilyMode, center: str):
+    """(k, r) per side k of the family, r >= 0 the (cubes, k^dim) rows |b - ref| on the
+    side-k cubes in enumeration order; the arguments are checked at the call, and
+    one side's rows are made at a time."""
     grid = b.grid
     if q.grid != grid:
         raise ValueError("function and exponent live on different grids")
@@ -142,11 +169,11 @@ def _oscillation_values(
         raise ValueError(f"unknown center {center!r}")
     sides = family_sides(grid.cells_per_axis, mode)
 
-    def centered():
+    def rows():
         if center == "average":
             for k in sides:
                 blocks = cube_rows(b.values, k)
-                yield np.abs(blocks - (blocks.sum(axis=1) / blocks.shape[1])[:, None])
+                yield k, np.abs(blocks - (blocks.sum(axis=1) / blocks.shape[1])[:, None])
             return
         if center == "local_max":
             refs = (level for _, level in local_max_sweep(b, sides))
@@ -155,9 +182,17 @@ def _oscillation_values(
                                                     enumerate_cubes(grid, mode), b.values, mode))
         for k, ref in zip(sides, refs, strict=True):
             blocks = cube_rows(b.values, k)
-            yield np.abs(blocks - ref.reshape(blocks.shape))
+            yield k, np.abs(blocks - ref.reshape(blocks.shape))
 
-    return cube_ratios([centered()], beta, q, mode)[0]
+    return rows()
+
+
+def _oscillation_values(
+    b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode, center: str
+) -> np.ndarray:
+    """The row value of cube_oscillation_rows for every cube, in enumeration order."""
+    rows = (r for _, r in _centered_rows(b, q, mode, center))
+    return cube_ratios([rows], beta, q, mode)[0]
 
 
 def cube_oscillation_rows(
@@ -180,8 +215,164 @@ def cube_oscillation_rows(
 
 def _sweep_result(b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode,
                   center: str) -> LipResult:
-    best = worst_of(_oscillation_values(b, beta, q, mode, center), enumerate_cubes(b.grid, mode))
+    sides = _centered_rows(b, q, mode, center)
+    _check_beta(beta)
+    cubes = enumerate_cubes(b.grid, mode)
+    walk = _BoundedWalk(beta, q, len(cubes))
+    for k, rows in sides:
+        walk.add(k, rows)
+    best = worst_of(walk.finish(), cubes)
     return LipResult(best.value, best.witness, True)
+
+
+class _BoundedWalk:
+    """The ratios of cube_ratios that can attain their maximum, -inf for the rest.
+
+    add(k, rows) takes a side's centred rows and bounds each cube's ratio
+    from below and above.  The best ratio known is the largest lower bound
+    or solved ratio so far; a cube whose upper bound is below it is dropped,
+    and the others wait with their rows.  While the waiting rows take more
+    than 4 STACK_BYTES_MAX bytes, and at finish until none wait, waiting
+    cubes are solved, highest upper bound first: the _SEED_CUBES highest,
+    then parts of at most STACK_BYTES_MAX bytes of rows.  Each solve raises
+    the best ratio and drops the cubes that no longer reach it.
+    """
+
+    def __init__(self, beta: float, q: VariableExponent, cubes: int):
+        self.beta, self.q = beta, q
+        self.ratios = np.full(cubes, -np.inf)
+        self.best = -np.inf  # a ratio that some cube's computed ratio reaches
+        self.waiting = []  # (k, first index of side k, local indices, rows, upper bounds)
+        self.first = 0
+        self.chi = {}  # constant q: side k -> its ||chi_Q||_q, solved once
+
+    def add(self, k: int, rows: np.ndarray) -> None:
+        first, self.first = self.first, self.first + len(rows)
+        lower, upper = self._bounds(k, rows)
+        self._raise(lower)
+        local = np.flatnonzero(~(upper < self.best))
+        if local.size:
+            if local.size < len(rows):
+                rows, upper = rows[local], upper[local]
+            self.waiting.append((k, first, local, rows, upper))
+        self._drain(4 * operators.STACK_BYTES_MAX)
+
+    def finish(self) -> np.ndarray:
+        self._drain(0)
+        return self.ratios
+
+    def _drain(self, limit: int) -> None:
+        """Solve waiting cubes, highest upper bounds first, until their rows take
+        at most limit bytes."""
+        if self._bytes() > limit:
+            self._solve_top(_SEED_CUBES)
+        while self._bytes() > limit:
+            self._solve_top(None)
+
+    def _bytes(self) -> int:
+        return sum(w[3].nbytes for w in self.waiting)
+
+    def _bounds(self, k: int, rows: np.ndarray):
+        """A lower and an upper bound on each row's computed ratio, NaN for a row
+        that is not finite.
+
+        With m = max r, g = r / m and a, c the least and largest q on Q, the
+        ratio is (k h)^{-beta} m t, where t lies in [S^{1/a}, S^{1/c}] for
+        S = sum_Q w g^q, w = h^dim ||chi_Q||^{-q}.  The weights w sum to 1 and
+        lie within a factor L = |Q|^{|c - a| / a} of their mean, so S lies
+        within L of A = avg_Q g^q.  For constant q, L = 1 and the bounds meet
+        at the closed form (avg_Q r^q)^{1/q}.
+        """
+        grid, q = self.q.grid, self.q
+        top = rows.max(axis=1)
+        if q.is_constant:
+            a = c = exponent = q.p_minus
+        else:
+            exponent = cube_rows(q.values.values, k)
+            a, c = exponent.min(axis=1), exponent.max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            mean = np.power(rows / top[:, None], exponent).sum(axis=1) / rows.shape[1]
+            spread = np.exp((c - a) / a * abs(grid.dim * np.log(k * grid.spacing)))
+            scale = (k * grid.spacing) ** (-self.beta) * top
+            lower = np.where(top > 0.0, scale * (mean / spread) ** (1.0 / a), top)
+            upper = np.where(top > 0.0, scale * np.minimum(mean * spread, 1.0) ** (1.0 / c), top)
+        return lower / _BOUND_SLACK, upper * _BOUND_SLACK
+
+    def _solve_top(self, count) -> None:
+        """Solve the count waiting cubes of highest upper bound, or for count None
+        those whose rows fill STACK_BYTES_MAX bytes (at least one cube)."""
+        bounds = np.concatenate([w[4] for w in self.waiting])
+        order = np.argsort(-bounds, kind="stable")
+        if count is None:
+            size = np.concatenate([np.full(len(w[4]), w[3].itemsize * w[3].shape[1])
+                                   for w in self.waiting])
+            part = operators.STACK_BYTES_MAX
+            count = max(1, int(np.searchsorted(np.cumsum(size[order]), part, "right")))
+        chosen = np.zeros(bounds.size, dtype=bool)
+        chosen[order[:count]] = True
+        parts, waiting, at = [], [], 0
+        for k, first, local, rows, side_bounds in self.waiting:
+            mine = chosen[at:at + len(local)]
+            at += len(local)
+            if mine.any():
+                parts.append((k, first, local[mine], rows[mine]))
+            if not mine.all():
+                waiting.append((k, first, local[~mine], rows[~mine], side_bounds[~mine]))
+        self.waiting = waiting
+        self._raise(self._solve(parts))
+
+    def _raise(self, reached: np.ndarray) -> None:
+        """Take the largest of the ratios reached as the best if it is larger, and
+        then keep waiting only the cubes whose upper bound reaches it."""
+        known = reached[~np.isnan(reached)]
+        if not known.size or not known.max() > self.best:
+            return
+        self.best = float(known.max())
+        waiting = []
+        for k, first, local, rows, upper in self.waiting:
+            keep = ~(upper < self.best)
+            if keep.all():
+                waiting.append((k, first, local, rows, upper))
+            elif keep.any():
+                waiting.append((k, first, local[keep], rows[keep], upper[keep]))
+        self.waiting = waiting
+
+    def _solve(self, parts: list) -> np.ndarray:
+        """Ratios of the (k, first, local, rows) parts in one solve, a block per part
+        holding its rows and their chi_Q rows, as cube_ratios solves a side."""
+        q, grid = self.q, self.q.grid
+        n, dim = grid.cells_per_axis, grid.dim
+        blocks = []
+        for k, _, local, rows in parts:
+            if q.is_constant:
+                # The exponent rows are a full array, as in cube_ratios: numpy
+                # takes a stride-0 exponent as a scalar, whose power may round
+                # differently.
+                chi = [] if k in self.chi else [np.ones((1, k**dim))]
+                a = np.concatenate([rows] + chi)
+                blocks.append((a, np.full(a.shape, q.p_minus)))
+            else:
+                windows = window_view(q.values.values, k, dim)
+                q_rows = windows[np.unravel_index(local, (n - k + 1,) * dim)].reshape(len(local), -1)
+                blocks.append((np.concatenate([rows, np.ones_like(rows)]),
+                               np.concatenate([q_rows, q_rows])))
+        values = _newton_solve(blocks, grid.cell_measure)[0]
+        solved, at = [], 0
+        for k, first, local, rows in parts:
+            num = values[at:at + len(rows)]
+            at += len(rows)
+            if not q.is_constant:
+                den = values[at:at + len(rows)]
+                at += len(rows)
+            elif k in self.chi:
+                den = self.chi[k]
+            else:
+                den = self.chi[k] = values[at:at + 1]
+                at += 1
+            ratios = (k * grid.spacing) ** (-self.beta) * num / den
+            self.ratios[first + local] = ratios
+            solved.append(ratios)
+        return np.concatenate(solved)
 
 
 def _pow_like_scalar(values: np.ndarray, exponent: float) -> np.ndarray:

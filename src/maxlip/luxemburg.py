@@ -49,9 +49,12 @@ __all__ = [
     "ConvergenceError",
     "modular",
     "lux_norm",
+    "lux_norms",
     "holder_constant",
     "holder_defect",
+    "holder_defects",
     "check_s_norm",
+    "check_s_norms",
     "indicator_norms",
     "cube_duality_product",
     "cube_embedding_ratio",
@@ -216,6 +219,17 @@ def lux_norm(f: GridFunction, p: VariableExponent) -> NormResult:
     return _lux_solve(np.abs(f.values), p.values.values, f.grid.cell_measure)
 
 
+def lux_norms(fs: list[GridFunction], ps: list[VariableExponent]) -> np.ndarray:
+    """lux_norm(f, p).value of each f with its p, bit for bit, in one batched solve."""
+    for f, p in zip(fs, ps, strict=True):
+        _check_same_grid(f, p)
+    if not fs:
+        return np.zeros(0)
+    return _lux_solve_batch(np.stack([np.abs(f.values).reshape(-1) for f in fs]),
+                            np.stack([p.values.values.reshape(-1) for p in ps]),
+                            fs[0].grid.cell_measure)
+
+
 def holder_constant(p: VariableExponent) -> float:
     """Explicit constant r_p = 1 + 1/p_- - 1/p_+ of the generalized Holder bound."""
     return 1.0 + 1.0 / p.p_minus - 1.0 / p.p_plus
@@ -223,11 +237,18 @@ def holder_constant(p: VariableExponent) -> float:
 
 def holder_defect(f: GridFunction, g: GridFunction, p: VariableExponent) -> float:
     """r_p ||f||_p ||g||_p' minus the integral of |f g|; nonnegative up to rounding."""
-    _check_same_grid(f, p)
-    _check_same_grid(g, p)
+    return float(holder_defects([(f, g)], p)[0])
+
+
+def holder_defects(pairs: list[tuple[GridFunction, GridFunction]],
+                   p: VariableExponent) -> np.ndarray:
+    """holder_defect(f, g, p) of each pair (f, g), its norms solved in one batch."""
     pc = conjugate(p)
-    product = float(np.sum(np.abs(f.values * g.values))) * f.grid.cell_measure
-    return holder_constant(p) * lux_norm(f, p).value * lux_norm(g, pc).value - product
+    norms = lux_norms([f for f, _ in pairs] + [g for _, g in pairs],
+                      [p] * len(pairs) + [pc] * len(pairs))
+    products = np.array([float(np.sum(np.abs(f.values * g.values))) * f.grid.cell_measure
+                         for f, g in pairs])
+    return holder_constant(p) * norms[:len(pairs)] * norms[len(pairs):] - products
 
 
 def check_s_norm(f: GridFunction, p: VariableExponent, s: float) -> float:
@@ -236,7 +257,13 @@ def check_s_norm(f: GridFunction, p: VariableExponent, s: float) -> float:
     The scaled exponent only needs (s p)_- >= 1, weaker than admissibility,
     so it is taken on raw values here instead of through validate_p.
     """
-    _check_same_grid(f, p)
+    return check_s_norms([f], p, s)[0]
+
+
+def check_s_norms(fs: list[GridFunction], p: VariableExponent, s: float) -> list[float]:
+    """check_s_norm(f, p, s) of each f, its norms solved in one batch."""
+    for f in fs:
+        _check_same_grid(f, p)
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
     p_vals = p.values.values
@@ -245,11 +272,13 @@ def check_s_norm(f: GridFunction, p: VariableExponent, s: float) -> float:
         raise ValueError(
             f"scaled exponent leaves the admissible range: (s p)_- = {scaled.min():g} < 1"
         )
-    abs_vals = np.abs(f.values)
-    cm = f.grid.cell_measure
-    lhs = _lux_solve(abs_vals**s, p_vals, cm).value
-    rhs = _lux_solve(abs_vals, scaled, cm).value ** s
-    return abs(lhs - rhs)
+    if not fs:
+        return []
+    abs_vals = [np.abs(f.values) for f in fs]
+    rows = np.stack([a**s for a in abs_vals] + abs_vals).reshape(2 * len(fs), -1)
+    exps = np.stack([p_vals] * len(fs) + [scaled] * len(fs)).reshape(rows.shape)
+    norms = _lux_solve_batch(rows, exps, fs[0].grid.cell_measure).tolist()
+    return [abs(lhs - rhs**s) for lhs, rhs in zip(norms[:len(fs)], norms[len(fs):])]
 
 
 def _chi_rows(q: VariableExponent, k: int) -> np.ndarray:

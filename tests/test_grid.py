@@ -1,5 +1,7 @@
 """Grid, cube family, and integration tests against hand-counted oracles."""
 
+import csv
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ from maxlip import (
     window_sums,
     write_gridfunction_csv,
 )
+from maxlip.grid import write_cells_csv
 
 from conftest import fsum_integral, seeded_function
 
@@ -186,6 +189,34 @@ def test_csv_round_trip(tmp_path):
         write_gridfunction_csv(f, path)
         back = read_gridfunction_csv(path, g)
         assert np.array_equal(back.values, f.values)
+
+
+def reference_cells_csv(values: np.ndarray, path, start=(0, 0)) -> None:
+    """The csv.writer form of a cell dump: one row [*cell, f"{v:.17g}"] per cell."""
+    cells = itertools.product(*(range(s, s + m) for s, m in zip(start, values.shape)))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "value"] if values.ndim == 1 else ["i", "j", "value"])
+        writer.writerows([*cell, f"{v:.17g}"]
+                         for cell, v in zip(cells, values.reshape(-1).tolist()))
+
+
+def test_cells_csv_bytes_equal_the_csv_writer(tmp_path):
+    odd = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1.0 / 3.0, 0.1, 7.0]
+    cases = [
+        (np.array(odd), (0, 0)),
+        (np.array(odd), (5, 0)),
+        (np.random.default_rng(3).standard_normal(64), (0, 0)),
+        (np.array(odd).reshape(3, 3), (0, 0)),
+        (np.array(odd).reshape(3, 3), (2, 7)),
+        (np.random.default_rng(4).uniform(-1e300, 1e300, (4, 6)), (1, 0)),
+    ]
+    for i, (values, start) in enumerate(cases):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        write_cells_csv(values, got, start)
+        reference_cells_csv(values, want, start)
+        assert got.read_bytes() == want.read_bytes(), (values.shape, start)
+    assert b"\r\n" in got.read_bytes()
 
 
 def test_csv_missing_cell_rejected(tmp_path):

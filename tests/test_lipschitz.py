@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxlip.lipschitz
+import maxlip.luxemburg
 import maxlip.operators
 from maxlip import (
     Cube,
@@ -31,9 +34,11 @@ from maxlip import (
     osc_norm_q,
     sample,
     sharp_max,
+    validate_p,
 )
+from maxlip.lipschitz import _oscillation_values
 from maxlip.luxemburg import _lux_solve_batch
-from maxlip.sweep import Worst
+from maxlip.sweep import Worst, worst_of
 
 from conftest import affine_exponent, const_exponent, seeded_function
 
@@ -356,20 +361,90 @@ def test_cube_ratios_rejects_a_row_set_short_or_long_of_a_side():
             cube_ratios([rows, iter(bad)], 0.5, q)
 
 
-@pytest.mark.parametrize("dim, n", SWEEP_GRIDS)
-@pytest.mark.parametrize("mode", SWEEP_MODES)
-def test_constant_q_solves_one_chi_row_per_side(monkeypatch, dim, n, mode):
-    import maxlip.luxemburg
+CENTERS = {"average": lambda_var, "local_max": lambda_star, "sharp_double": lambda_sharp}
 
+
+@st.composite
+def oscillation_cases(draw):
+    """A symbol, an exponent, a family, beta and a center for the bounded sweeps.
+
+    Symbols: tied (period-2 values, so many cubes share the worst ratio),
+    constant, step, affine, random, and random scaled by 10^e for e up to
+    +-250, so that powers of the centred values overflow or underflow.
+    Exponents: constant, step, affine and random."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 70 if dim == 1 else 12))
     g = make_grid(dim, n)
-    sides = family_sides(n, mode)
-    cubes = len(enumerate_cubes(g, mode))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = np.indices(g.shape).sum(axis=0).astype(float)
+    kind = draw(st.sampled_from(["tied", "constant", "step", "affine", "random", "scaled"]))
+    values = {
+        "tied": lambda: np.where(x % 2, 1.0, -0.5),
+        "constant": lambda: np.full(g.shape, rng.uniform(-2.0, 2.0)),
+        "step": lambda: np.where(x < rng.integers(1, dim * n), 0.0, rng.uniform(0.5, 3.0)),
+        "affine": lambda: rng.uniform(-2.0, 2.0) * x + rng.uniform(-1.0, 1.0),
+        "random": lambda: rng.uniform(-1.0, 1.0, g.shape),
+        "scaled": lambda: rng.uniform(-1.0, 1.0, g.shape) * 10.0 ** rng.integers(-250, 251),
+    }[kind]()
+    q_kind = draw(st.sampled_from(["constant", "step", "affine", "random"]))
+    q_values = {
+        "constant": lambda: np.full(g.shape, rng.uniform(1.1, 5.0)),
+        "step": lambda: np.where(x < rng.integers(1, dim * n), 2.0, rng.uniform(1.2, 4.0)),
+        "affine": lambda: 1.5 + rng.uniform(0.0, 2.0) * x / (dim * n),
+        "random": lambda: rng.uniform(1.1, 4.0, g.shape),
+    }[q_kind]()
+    mode = draw(st.sampled_from(SWEEP_MODES))
+    beta = draw(st.floats(0.05, 0.95))
+    center = draw(st.sampled_from(sorted(CENTERS)))
+    return GridFunction(g, values), validate_p(GridFunction(g, q_values)), mode, beta, center
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=oscillation_cases())
+def test_bounded_sweeps_equal_the_full_sweep(case):
+    """lambda_var, lambda_star and lambda_sharp solve only the cubes that can win,
+    yet give the value and witness of the sweep that solves every cube."""
+    b, q, mode, beta, center = case
+    res = CENTERS[center](b, beta, q, mode)
+    full = worst_of(_oscillation_values(b, beta, q, mode, center), enumerate_cubes(b.grid, mode))
+    assert (res.value, res.witness, res.exact) == (full.value, full.witness, True)
+
+
+def test_bounded_sweep_skips_cubes(monkeypatch):
+    g = make_grid(1, 64)
+    cubes = len(enumerate_cubes(g))
+    b = seeded_function(g, 5)
     solved = []
     solve = maxlip.luxemburg._newton_solve
 
     def counting(blocks, cm):
         blocks = list(blocks)
+        solved.extend(len(a) for a, _ in blocks)
+        return solve(blocks, cm)
+
+    monkeypatch.setattr(maxlip.lipschitz, "_newton_solve", counting)
+    for q in (const_exponent(g, 2.5), affine_exponent(g, 2.0, 1.0)):
+        for functional in CENTERS.values():
+            solved.clear()
+            res = functional(b, 0.5, q)
+            # Numerator rows, plus one chi_Q row per side (constant q) or per cube.
+            assert 0 < sum(solved) < cubes / 4, (functional, q.is_constant)
+            assert res.witness in enumerate_cubes(g)
+
+
+@pytest.mark.parametrize("dim, n", SWEEP_GRIDS)
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_constant_q_solves_one_chi_row_per_side(monkeypatch, dim, n, mode):
+    g = make_grid(dim, n)
+    sides = family_sides(n, mode)
+    cubes = len(enumerate_cubes(g, mode))
+    solved, blocks_seen = [], []
+    solve = maxlip.luxemburg._newton_solve
+
+    def counting(blocks, cm):
+        blocks = list(blocks)
         solved.append(sum(len(a) for a, _ in blocks))
+        blocks_seen.extend(blocks)
         return solve(blocks, cm)
 
     monkeypatch.setattr(maxlip.luxemburg, "_newton_solve", counting)
@@ -379,8 +454,23 @@ def test_constant_q_solves_one_chi_row_per_side(monkeypatch, dim, n, mode):
                         (affine_exponent(g, 2.0, 1.0), cubes)):
         solved.clear()
         maxlip.luxemburg.indicator_norms(q, mode)
+        assert solved == [chi_rows]
+        blocks_seen.clear()
         lambda_var(b, 0.5, q, mode)
-        assert solved == [chi_rows, cubes + chi_rows]
+        # A block is one side's rows: the centred rows |b - b_Q| of the cubes
+        # solved, then their chi_Q rows, all ones.
+        chi = {}
+        nums = 0
+        for a, _ in blocks_seen:
+            ones = int(np.all(a == 1.0, axis=1).sum())
+            chi[a.shape[1]] = chi.get(a.shape[1], 0) + ones
+            nums += len(a) - ones
+            if not q.is_constant:
+                assert ones == len(a) - ones
+        assert nums < cubes
+        if q.is_constant:
+            # One chi_Q row per side touched: every cube of a side has its norm.
+            assert set(chi.values()) == {1}
 
 
 @pytest.mark.parametrize("dim, n", SWEEP_GRIDS + [(2, 9)])

@@ -368,3 +368,32 @@ def test_indicator_norms_equal_the_per_cube_solves(dim, n, mode):
             dual = _lux_solve(np.ones((cube.side_cells,) * dim),
                               conjugate(q).values.values[cube.slices()], g.cell_measure).value
             assert cube_duality_product(cube, q) == norm * dual / cube.measure(g)
+
+
+def test_batched_norms_equal_one_solve_each():
+    """lux_norms, holder_defects and check_s_norms solve a batch of rows at once;
+    each value is the one-function solve bit for bit."""
+    for g in (make_grid(1, 32), make_grid(2, 6)):
+        fs = [seeded_function(g, s, -2.0, 3.0) for s in range(4)] + [sample(g, lambda *x: 0.0)]
+        qs = [const_exponent(g, 2.0), affine_exponent(g, 1.5, 1.0)]
+        ps = [qs[i % 2] for i in range(len(fs))]
+        got = luxemburg.lux_norms(fs, ps)
+        assert got.tolist() == [lux_norm(f, p).value for f, p in zip(fs, ps)]
+        for q in qs:
+            pc = conjugate(q)
+            pairs = [(f, h) for f in fs[:3] for h in fs[1:4]]
+            expected = [holder_constant(q) * lux_norm(f, q).value * lux_norm(h, pc).value
+                        - float(np.sum(np.abs(f.values * h.values))) * g.cell_measure
+                        for f, h in pairs]
+            assert luxemburg.holder_defects(pairs, q).tolist() == expected
+            for s in (0.5, 1.0, 2.0):
+                if s * q.p_minus < 1.0:
+                    continue
+                cm, p_vals = g.cell_measure, q.values.values
+                expected = [abs(_lux_solve(np.abs(f.values) ** s, p_vals, cm).value
+                                - _lux_solve(np.abs(f.values), s * p_vals, cm).value ** s)
+                            for f in fs[:4]]
+                assert luxemburg.check_s_norms(fs[:4], q, s) == expected
+    assert luxemburg.lux_norms([], []).size == 0
+    with pytest.raises(ValueError, match="zip"):
+        luxemburg.lux_norms(fs, qs[:1])
