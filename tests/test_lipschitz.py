@@ -410,6 +410,25 @@ def test_bounded_sweeps_equal_the_full_sweep(case):
     assert (res.value, res.witness, res.exact) == (full.value, full.witness, True)
 
 
+@pytest.mark.parametrize("cap", [256, 4096])
+def test_bounded_sweeps_under_a_small_cap(monkeypatch, cap):
+    """A cap this small makes the walk solve waiting cubes as the sides come in,
+    not only at the end; the result is still the full sweep's.  The walk does
+    not depend on the center, so two cheap centers stand for all three."""
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
+    for g in (make_grid(1, 40), make_grid(2, 8)):
+        x = np.indices(g.shape).sum(axis=0)
+        fields = [seeded_function(g, 31), GridFunction(g, np.where(x % 2, 1.0, -0.5)),
+                  GridFunction(g, 0.7 * x + 0.1)]
+        exponents = [const_exponent(g, 2.5), affine_exponent(g, 2.0, 1.0),
+                     validate_p(GridFunction(g, np.where(x < g.cells_per_axis, 2.0, 3.5)))]
+        for b, q, mode, center in itertools.product(fields, exponents, SWEEP_MODES,
+                                                    ["average", "local_max"]):
+            res = CENTERS[center](b, 0.4, q, mode)
+            full = worst_of(_oscillation_values(b, 0.4, q, mode, center), enumerate_cubes(g, mode))
+            assert (res.value, res.witness) == (full.value, full.witness), (center, mode)
+
+
 def test_bounded_sweep_skips_cubes(monkeypatch):
     g = make_grid(1, 64)
     cubes = len(enumerate_cubes(g))
