@@ -399,7 +399,7 @@ def oscillation_cases(draw):
     return GridFunction(g, values), validate_p(GridFunction(g, q_values)), mode, beta, center
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=oscillation_cases())
 def test_bounded_sweeps_equal_the_full_sweep(case):
     """lambda_var, lambda_star and lambda_sharp solve only the cubes that can win,
@@ -410,12 +410,11 @@ def test_bounded_sweeps_equal_the_full_sweep(case):
     assert (res.value, res.witness, res.exact) == (full.value, full.witness, True)
 
 
-@pytest.mark.parametrize("cap", [256, 4096])
-def test_bounded_sweeps_under_a_small_cap(monkeypatch, cap):
+def test_bounded_sweeps_under_a_small_cap(monkeypatch):
     """A cap this small makes the walk solve waiting cubes as the sides come in,
     not only at the end; the result is still the full sweep's.  The walk does
     not depend on the center, so two cheap centers stand for all three."""
-    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 256)
     for g in (make_grid(1, 40), make_grid(2, 8)):
         x = np.indices(g.shape).sum(axis=0)
         fields = [seeded_function(g, 31), GridFunction(g, np.where(x % 2, 1.0, -0.5)),
@@ -430,7 +429,7 @@ def test_bounded_sweeps_under_a_small_cap(monkeypatch, cap):
 
 
 def test_bounded_sweep_skips_cubes(monkeypatch):
-    g = make_grid(1, 64)
+    g = make_grid(1, 40)
     cubes = len(enumerate_cubes(g))
     b = seeded_function(g, 5)
     solved = []
