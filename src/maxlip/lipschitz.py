@@ -301,23 +301,23 @@ class _BoundedWalk:
     def _solve_top(self, count) -> None:
         """Solve the count waiting cubes of highest upper bound, or for count None
         those whose rows fill STACK_BYTES_MAX bytes (at least one cube)."""
-        bounds = np.concatenate([w[4] for w in self.waiting])
-        order = np.argsort(-bounds, kind="stable")
+        upper = np.concatenate([w[4] for w in self.waiting])
+        order = np.argsort(-upper, kind="stable")
         if count is None:
             size = np.concatenate([np.full(len(w[4]), w[3].itemsize * w[3].shape[1])
                                    for w in self.waiting])
             part = operators.STACK_BYTES_MAX
             count = max(1, int(np.searchsorted(np.cumsum(size[order]), part, "right")))
-        chosen = np.zeros(bounds.size, dtype=bool)
+        chosen = np.zeros(upper.size, dtype=bool)
         chosen[order[:count]] = True
         parts, waiting, at = [], [], 0
-        for k, first, local, rows, side_bounds in self.waiting:
+        for k, first, local, rows, side_upper in self.waiting:
             mine = chosen[at:at + len(local)]
             at += len(local)
             if mine.any():
                 parts.append((k, first, local[mine], rows[mine]))
             if not mine.all():
-                waiting.append((k, first, local[~mine], rows[~mine], side_bounds[~mine]))
+                waiting.append((k, first, local[~mine], rows[~mine], side_upper[~mine]))
         self.waiting = waiting
         self._raise(self._solve(parts))
 
