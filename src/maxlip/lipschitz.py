@@ -48,6 +48,7 @@ from .exponents import VariableExponent
 from .grid import (
     Cube,
     CubeFamilyMode,
+    Grid,
     GridFunction,
     cube_rows,
     enumerate_cubes,
@@ -55,7 +56,7 @@ from .grid import (
     indicator,
     window_view,
 )
-from .luxemburg import _chi_rows, _lux_solve_batch, _newton_solve, lux_norm
+from .luxemburg import _chi_rows, _newton_solve, _stack_norms, lux_norm
 from .operators import (
     OperatorTag,
     _chunks,
@@ -158,10 +159,13 @@ def cube_ratios(row_sets: list, beta: float, q: VariableExponent,
     return [np.concatenate(ratios) for ratios in out]
 
 
-def _centered_rows(b: GridFunction, q: VariableExponent, mode: CubeFamilyMode, center: str):
+def _centered_rows(b: GridFunction, q: VariableExponent, mode: CubeFamilyMode, center: str,
+                   sharp=None):
     """(k, r) per side k of the family, r >= 0 the (cubes, k^dim) rows |b - ref| on the
     side-k cubes in enumeration order; the arguments are checked at the call, and
-    one side's rows are made at a time."""
+    one side's rows are made at a time.  For center sharp_double, sharp may hold
+    on_cubes(OperatorTag.sharp(), grid, cubes, b.values, mode) of the family,
+    already computed."""
     grid = b.grid
     if q.grid != grid:
         raise ValueError("function and exponent live on different grids")
@@ -178,8 +182,9 @@ def _centered_rows(b: GridFunction, q: VariableExponent, mode: CubeFamilyMode, c
         if center == "local_max":
             refs = (level for _, level in local_max_sweep(b, sides))
         else:
-            refs = (2.0 * on_q for on_q in on_cubes(OperatorTag.sharp(), grid,
-                                                    enumerate_cubes(grid, mode), b.values, mode))
+            ons = sharp if sharp is not None else on_cubes(
+                OperatorTag.sharp(), grid, enumerate_cubes(grid, mode), b.values, mode)
+            refs = (2.0 * on_q for on_q in ons)
         for k, ref in zip(sides, refs, strict=True):
             blocks = cube_rows(b.values, k)
             yield k, np.abs(blocks - ref.reshape(blocks.shape))
@@ -214,8 +219,9 @@ def cube_oscillation_rows(
 
 
 def _sweep_result(b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode,
-                  center: str) -> LipResult:
-    sides = _centered_rows(b, q, mode, center)
+                  center: str, sharp=None) -> LipResult:
+    """The functional of the center; sharp as for _centered_rows."""
+    sides = _centered_rows(b, q, mode, center, sharp)
     _check_beta(beta)
     cubes = enumerate_cubes(b.grid, mode)
     walk = _BoundedWalk(beta, q, len(cubes))
@@ -464,40 +470,74 @@ def opnorm_lower(
 
 def opnorm_lower_stacked(
     tags: list[OperatorTag],
-    p: VariableExponent,
-    q: VariableExponent,
+    pairs: list[tuple[VariableExponent, VariableExponent]],
     testbank: list[GridFunction],
     mode: CubeFamilyMode = CubeFamilyMode.FULL,
-) -> list[float]:
-    """opnorm_lower of each tag, bit for bit, with the bank in stacks.
+) -> list[list[float]]:
+    """opnorm_lower of each tag for each exponent pair (p, q), bit for bit.
 
-    The test bank and the cube indicators, in that order, are packed into
-    stacks of at most STACK_BYTES_MAX bytes.  The norms ||f||_p of a
-    stack's members are solved once, in one batch, and shared by every tag;
-    each tag takes one operator call and one batched solve of its outputs'
-    norms per stack.  A tag's bound is its largest ratio over the stacks.
+    out[j][t] is opnorm_lower(tags[t], *pairs[j], testbank, mode).  The test
+    bank and the cube indicators, in that order, are packed into stacks of at
+    most STACK_BYTES_MAX bytes.  The members' norms ||f||_p under every p
+    are solved once, a few floats per member; then each tag takes one
+    operator call per stack, and its outputs' norms under every q are one
+    solve.  A tag's bound for a pair is its largest ratio over the stacks.
     """
-    for tag in tags:
-        _check_bank(tag, p, q, testbank)
-    if not tags:
+    for p, q in pairs:
+        for tag in tags:
+            _check_bank(tag, p, q, testbank)
+    if not pairs:
         return []
-    grid = p.grid
+    bounds = [bound for bound, _ in _tag_passes(pairs[0][0].grid, tags, pairs, testbank, mode)]
+    return [[bound[j] for bound in bounds] for j in range(len(pairs))]
+
+
+def _tag_passes(grid: Grid, tags: list[OperatorTag], pairs: list, testbank: list[GridFunction],
+                mode: CubeFamilyMode, rows_of=()):
+    """(bounds, cube rows) per tag, in order, each tag applied once per stack of
+    the test bank and the family's indicators.
+
+    bounds holds the tag's opnorm_lower for each pair (p, q), none without
+    pairs; the arguments are checked by the caller.  For a tag in rows_of,
+    cube rows is list(on_cubes(tag, grid, cubes, 1.0, mode)), read off the
+    indicator rows of the same pass; else None.  The stacks are rebuilt for
+    each tag, unless the members fit in one, which is built once; one tag's
+    outputs are alive at a time.  The members' norms under every p are
+    solved in the first tag's pass and kept.
+    """
     cubes = enumerate_cubes(grid, mode)
-    members = itertools.chain(
-        (f.values for f in testbank),
-        (chi for _, chis in indicator_stacks(grid, cubes) for chi in chis),
-    )
+    bank = len(testbank)
+    chunks = list(_chunks(bank + len(cubes), 8 * grid.cell_count))
+    kept = []  # the stack, built once when the members fit in one
 
-    def norms(stack: np.ndarray, r: VariableExponent) -> np.ndarray:
-        rows = np.abs(stack).reshape(len(stack), -1)
-        return _lux_solve_batch(rows, np.broadcast_to(r.values.values.reshape(1, -1), rows.shape),
-                                grid.cell_measure)
+    def stacks():
+        """(the cubes of the stack's indicator rows, the first of those rows, stack)."""
+        if kept:
+            yield from kept
+            return
+        members = itertools.chain(
+            (f.values for f in testbank),
+            (chi for _, chis in indicator_stacks(grid, cubes) for chi in chis),
+        )
+        for part in chunks:
+            stack = np.stack(list(itertools.islice(members, part.stop - part.start)))
+            item = (cubes[max(part.start - bank, 0):max(part.stop - bank, 0)],
+                    max(bank - part.start, 0), stack)
+            if len(chunks) == 1:
+                kept.append(item)
+            yield item
 
-    best = [0.0] * len(tags)
-    for part in _chunks(len(testbank) + len(cubes), 8 * grid.cell_count):
-        stack = np.stack(list(itertools.islice(members, part.stop - part.start)))
-        den = norms(stack, p)
-        for t, tag in enumerate(tags):
-            ratios = norms(apply_stack(tag, grid, stack, mode), q) / den
-            best[t] = max(best[t], float(np.max(ratios)))
-    return best
+    ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
+    dens = []  # per stack, its members' norms under every p, solved in the first tag's pass
+    for tag in tags:
+        best, parts = [0.0] * len(pairs), []
+        for s, (group, first, stack) in enumerate(stacks()):
+            if s == len(dens):
+                dens.append(_stack_norms(stack, ps))
+            den = dens[s]
+            out = apply_stack(tag, grid, stack, mode)
+            for j, ratios in enumerate((_stack_norms(out, qs) / den).tolist()):
+                best[j] = max(best[j], max(ratios))
+            if tag in rows_of:
+                parts.extend(operators._cube_parts(out[first:], group))
+        yield best, list(operators._join_sides(parts)) if tag in rows_of else None

@@ -213,6 +213,18 @@ def _lux_solve_batch(abs_rows: np.ndarray, p_rows: np.ndarray, cell_measure: flo
     return _newton_solve([(abs_rows, p_rows)], cell_measure)[0]
 
 
+def _stack_norms(stack: np.ndarray, exponents: list[VariableExponent]) -> np.ndarray:
+    """||row||_p of every row of a stack of grid arrays under each exponent p, shape
+    (exponents, rows): one solve, a block per exponent that shares the stack's abs
+    rows, and every row bit for bit its solve alone."""
+    if not exponents or not len(stack):
+        return np.zeros((len(exponents), len(stack)))
+    rows = np.abs(stack).reshape(len(stack), -1)
+    blocks = [(rows, np.broadcast_to(p.values.values.reshape(1, -1), rows.shape))
+              for p in exponents]
+    return _newton_solve(blocks, exponents[0].grid.cell_measure)[0].reshape(len(exponents), -1)
+
+
 def lux_norm(f: GridFunction, p: VariableExponent) -> NormResult:
     """Luxemburg norm of f under exponent p."""
     _check_same_grid(f, p)
@@ -242,13 +254,20 @@ def holder_defect(f: GridFunction, g: GridFunction, p: VariableExponent) -> floa
 
 def holder_defects(pairs: list[tuple[GridFunction, GridFunction]],
                    p: VariableExponent) -> np.ndarray:
-    """holder_defect(f, g, p) of each pair (f, g), its norms solved in one batch."""
-    pc = conjugate(p)
-    norms = lux_norms([f for f, _ in pairs] + [g for _, g in pairs],
-                      [p] * len(pairs) + [pc] * len(pairs))
+    """holder_defect(f, g, p) of each pair (f, g).
+
+    One batch solves ||u||_p and ||u||_p' of each distinct function u of the
+    pairs once, however many pairs it is in: 2n rows for n functions.
+    """
+    distinct = list({id(f): f for pair in pairs for f in pair}.values())
+    at = {id(f): i for i, f in enumerate(distinct)}
+    norms, dual = lux_norms(distinct * 2, [p] * len(distinct)
+                            + [conjugate(p)] * len(distinct)).reshape(2, -1)
+    left = norms[[at[id(f)] for f, _ in pairs]]
+    right = dual[[at[id(g)] for _, g in pairs]]
     products = np.array([float(np.sum(np.abs(f.values * g.values))) * f.grid.cell_measure
                          for f, g in pairs])
-    return holder_constant(p) * norms[:len(pairs)] * norms[len(pairs):] - products
+    return holder_constant(p) * left * right - products
 
 
 def check_s_norm(f: GridFunction, p: VariableExponent, s: float) -> float:

@@ -41,10 +41,12 @@ rectangles of cells too.  indicator_stacks builds the cube indicators of a
 family as stacks within the same cap, cut by the cap only, so a stack may
 straddle sides; cube_blocks reads the rows of one side on their own cubes.
 on_cubes joins the two over a whole family and yields one block per side;
-lambda_sharp, theorem2's mean recovery, theorem3's M_b(chi_Q) rows and
+lambda_sharp (whose call theorem2 shares with its mean recovery) and
 identities' local-on-cube check each make one call per family.
 identities' indicator check and the test bank of opnorm_lower_stacked use
-the stacks.  The naive oracles, one pass per side, are outside the cap.
+the stacks; that pass reads theorem3's M_b(chi_Q) rows off its indicator
+rows as on_cubes reads them.  The naive oracles, one pass per side, are
+outside the cap.
 """
 
 from __future__ import annotations
@@ -531,17 +533,21 @@ def on_cubes(tag: OperatorTag, grid: Grid, cubes, weight,
     indicators go through apply_stack in stacks that may straddle sides, and
     every row equals one call per cube bit for bit.
     """
-    side, blocks = None, []
-    for group, chis in indicator_stacks(grid, cubes):
-        out = apply_stack(tag, grid, weight * chis, mode)
-        for rows, run in side_runs(group):
-            if blocks and run[0].side_cells != side:
-                yield np.concatenate(blocks)
-                blocks = []
-            side = run[0].side_cells
-            blocks.append(cube_blocks(out[rows], run))
-    if blocks:
-        yield np.concatenate(blocks)
+    outs = ((apply_stack(tag, grid, weight * chis, mode), group)
+            for group, chis in indicator_stacks(grid, cubes))
+    yield from _join_sides(part for out, group in outs for part in _cube_parts(out, group))
+
+
+def _cube_parts(out: np.ndarray, group):
+    """(k, rows) per run of one side k in group: out[r] on the cells of group[r] (cube_blocks)."""
+    for rows, run in side_runs(group):
+        yield run[0].side_cells, cube_blocks(out[rows], run)
+
+
+def _join_sides(parts):
+    """One array per side from consecutive _cube_parts, the parts of a side joined."""
+    for _, side in itertools.groupby(parts, key=lambda part: part[0]):
+        yield np.concatenate([rows for _, rows in side])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ monitored rows instead.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Callable
 
@@ -50,6 +49,8 @@ from .grid import (
 from .lipschitz import (
     LipResult,
     _pow_like_scalar,
+    _sweep_result,
+    _tag_passes,
     cube_ratios,
     lambda_sharp,
     lambda_star,
@@ -59,6 +60,7 @@ from .lipschitz import (
     osc_norm_q,
 )
 from .luxemburg import (
+    _stack_norms,
     check_s_norms,
     embedding_bound,
     holder_constant,
@@ -71,13 +73,9 @@ from .luxemburg import (
 from .operators import (
     OperatorTag,
     apply_stack,
-    comm_m,
-    comm_sharp,
     cube_blocks,
-    frac_max,
     indicator_stacks,
     local_max_sweep,
-    max_commutator,
     on_cubes,
 )
 from .report import Check, Report, check_eq, check_ge, check_le, new_report, report_row
@@ -406,15 +404,18 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
 
 
 def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float,
-                        comm: Callable, tag: Callable[[GridFunction], OperatorTag],
-                        own_rows: Callable, lambda_rows: Callable) -> list[Check]:
+                        tag: Callable[[GridFunction], OperatorTag], symbol_rows: Callable,
+                        reads_mb: bool) -> list[Check]:
     """The rows of theorem1 ([b, M], const 1) and theorem2 ([b, M#], const 2).
 
-    Per b: the pointwise bound |[b, T]f| <= const M_b f for b >= 0;
-    own_rows(lb, b, lip, fs, mbs, fracs); per q the norm chain for b >= 0
-    and lambda_rows(lb, b, lip, lq, q); the operator-norm bound per pair.
-    [b, T]f and M_b f (mbs(), on first use) are computed once per (b, f),
-    fracs = M_beta f once per f and ||M_beta f||_q once per (f, q).
+    Per b: the pointwise bound |[b, T]f| <= const M_b f for b >= 0; the
+    theorem's own rows, with symbol_rows(lb, b, lip, fs, mbs, fracs) giving
+    them and a function of (lq, q) that gives b's lambda rows for q; per q
+    the norm chain for b >= 0 and those lambda rows; the operator-norm bound
+    per pair.  The f bank is one stack: fracs = M_beta f is one operator call,
+    and per b so are [b, T]f (for b >= 0) and mbs = M_b f (for b >= 0, or
+    every b when reads_mb); the norms of fracs, and of [b, T]f per b, under
+    every q are one solve.
     """
     grid = cfg.build_grid()
     mode = cfg.cube_family
@@ -424,8 +425,9 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
     fs = _operand_bank(cfg, grid)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
-    fracs = [frac_max(f, cfg.beta, mode) for _, f in fs]
-    frac_norms = {lq: lux_norms(fracs, [q] * len(fracs)).tolist() for lq, q in qs}
+    bank = np.stack([f.values for _, f in fs]) if fs else np.zeros((0,) + grid.shape)
+    fracs = apply_stack(OperatorTag.fractional(cfg.beta), grid, bank, mode)
+    frac_norms = _stack_norms(fracs, [q for _, q in qs]).tolist()
     bounds = _opnorm_bounds([tag(b) for _, b in bs], pairs, fs, mode)
     times = "" if const == 1.0 else f"{const:g} "
 
@@ -433,23 +435,25 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
     for i, (lb, b) in enumerate(bs):
         lip = lip_seminorm(b, cfg.beta)
         nonneg = float(b.values.min()) >= 0.0
-        comms = [comm(b, f, mode) for _, f in fs] if nonneg else []
-        mbs = functools.cache(lambda b=b: [max_commutator(b, f, mode) for _, f in fs])
-        if comms:
+        comms = apply_stack(tag(b), grid, bank, mode) if nonneg and fs else None
+        mbs = (apply_stack(OperatorTag.max_commutator(b), grid, bank, mode)
+               if comms is not None or reads_mb else None)
+        if comms is not None:
             worst = Worst()
-            for (lf, _), c, mb in zip(fs, comms, mbs()):
-                worst.offer(float(np.max(np.abs(c.values) - const * mb.values)), lf)
+            for (lf, _), c, mb in zip(fs, comms, mbs):
+                worst.offer(float(np.max(np.abs(c) - const * mb)), lf)
             rows.append(check_le(
                 f"{theorem}/pointwise/{lb}",
                 f"|[b, {op}]f| <= {times}M_b f pointwise for b >= 0",
                 worst.value, 0.0, tol, {"b": lb, "f": worst.witness},
             ))
-        rows += own_rows(lb, b, lip, fs, mbs, fracs)
-        for lq, q in qs:
-            if comms:
+            comm_norms = _stack_norms(comms, [q for _, q in qs]).tolist()
+        own, lambda_rows = symbol_rows(lb, b, lip, fs, mbs, fracs)
+        rows += own
+        for j, (lq, q) in enumerate(qs):
+            if comms is not None:
                 worst = Worst()
-                norms = lux_norms(comms, [q] * len(comms)).tolist()
-                for (lf, _), norm, frac_norm in zip(fs, norms, frac_norms[lq]):
+                for (lf, _), norm, frac_norm in zip(fs, comm_norms[j], frac_norms[j]):
                     rhs = const * factor * lip.value * frac_norm
                     worst.offer(norm - rhs, lf)
                 rows.append(check_le(
@@ -458,7 +462,7 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
                     "for b >= 0",
                     worst.value, 0.0, tol, {"b": lb, "f": worst.witness},
                 ))
-            rows += lambda_rows(lb, b, lip, lq, q)
+            rows += lambda_rows(lq, q)
         for lp, values in bounds.items():
             rows.append(_opnorm_row(f"{theorem}/opnorm/{lb}/{lp}", f"[b, {op}]", values[i],
                                     {"b": lb, "pair": lp}))
@@ -468,12 +472,13 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
 def _opnorm_bounds(tags: list[OperatorTag], pairs: list[tuple[str, ExponentPair]],
                    fs: list[tuple[str, GridFunction]], mode: CubeFamilyMode) -> dict[str, list]:
     """Per pair label, the operator-norm lower bound of each tag from p to the
-    paired q over the f bank, the bank's norms solved once per pair; empty
-    without an f bank."""
+    paired q over the f bank, in one pass for every pair; empty without an f
+    bank."""
     if not fs:
         return {}
-    bank = [f for _, f in fs]
-    return {lp: opnorm_lower_stacked(tags, pair.p, pair.q, bank, mode) for lp, pair in pairs}
+    bounds = opnorm_lower_stacked(tags, [(pair.p, pair.q) for _, pair in pairs],
+                                  [f for _, f in fs], mode)
+    return {lp: values for (lp, _), values in zip(pairs, bounds, strict=True)}
 
 
 def _opnorm_row(check_id: str, op: str, value: float, witness: dict) -> Check:
@@ -492,12 +497,12 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
     runs = cubes_by_side(grid, CubeFamilyMode.FULL)
     full = enumerate_cubes(grid, CubeFamilyMode.FULL)
 
-    def own_rows(lb: str, b: GridFunction, lip: LipResult, fs: list, mbs: Callable,
-                 fracs: list) -> list[Check]:
+    def symbol_rows(lb: str, b: GridFunction, lip: LipResult, fs: list, mbs: np.ndarray,
+                    fracs: np.ndarray):
         rows = []
         smooth = Worst()
-        for (lf, _), mb, frac in zip(fs, mbs(), fracs):
-            smooth.offer(float(np.max(mb.values - factor * lip.value * frac.values)), lf)
+        for (lf, _), mb, frac in zip(fs, mbs, fracs):
+            smooth.offer(float(np.max(mb - factor * lip.value * frac)), lf)
         if smooth.count:
             rows.append(check_le(
                 f"theorem1/smoothing/{lb}",
@@ -517,7 +522,7 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
             neg.append(spread - np.maximum(-blocks, 0.0).mean(axis=1))
         dom, half, neg = (worst_of(np.concatenate(v), full, lowest=True)
                           for v in (dom, half, neg))
-        return rows + [
+        rows += [
             check_ge(f"theorem1/local-dominates/{lb}", "M_Q(b) >= b on Q",
                      dom.value, 0.0, tol, {"b": lb}),
             check_ge(f"theorem1/recovery-half/{lb}",
@@ -528,24 +533,25 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
                      neg.value, 0.0, tol, {"cube": neg.witness}),
         ]
 
-    def lambda_rows(lb: str, b: GridFunction, lip: LipResult, lq: str,
-                    q: VariableExponent) -> list[Check]:
-        lam = lambda_var(b, beta, q, mode)
-        rows = [report_row(
-            f"theorem1/lambda-var/{lb}/{lq}",
-            "oscillation functional centered at cube averages",
-            lam.value, factor * lip.value, {"cube": lam.witness},
-        )]
-        if lip.exact:
-            rows.append(check_le(
-                f"theorem1/lambda-upper/{lb}/{lq}",
-                "lambda_var(b) <= dim^{beta/2} Lip_beta(b)",
-                lam.value, factor * lip.value, tol, {"cube": lam.witness},
-            ))
-        return rows
+        def lambda_rows(lq: str, q: VariableExponent) -> list[Check]:
+            lam = lambda_var(b, beta, q, mode)
+            out = [report_row(
+                f"theorem1/lambda-var/{lb}/{lq}",
+                "oscillation functional centered at cube averages",
+                lam.value, factor * lip.value, {"cube": lam.witness},
+            )]
+            if lip.exact:
+                out.append(check_le(
+                    f"theorem1/lambda-upper/{lb}/{lq}",
+                    "lambda_var(b) <= dim^{beta/2} Lip_beta(b)",
+                    lam.value, factor * lip.value, tol, {"cube": lam.witness},
+                ))
+            return out
 
-    return _commutator_theorem(cfg, "theorem1", "M", 1.0, comm_m, OperatorTag.comm_m,
-                               own_rows, lambda_rows)
+        return rows, lambda_rows
+
+    return _commutator_theorem(cfg, "theorem1", "M", 1.0, OperatorTag.comm_m, symbol_rows,
+                               reads_mb=True)
 
 
 def _theorem2(cfg: ScenarioConfig) -> list[Check]:
@@ -559,35 +565,36 @@ def _theorem2(cfg: ScenarioConfig) -> list[Check]:
     held = [(k, side, (m / k) ** grid.dim) for (k, side), (m, _) in zip(runs, runs[1:])]
     ratios = np.concatenate([np.full(len(side), t) for _, side, t in held] + [np.empty(0)])
 
-    held_cubes = cubes[:len(cubes) - len(runs[-1][1])]
-
-    def own_rows(lb: str, b: GridFunction, lip: LipResult, *bank) -> list[Check]:
+    def symbol_rows(lb: str, b: GridFunction, lip: LipResult, *bank):
+        # M#(b chi_Q) on every cube's cells, once per b: the held sides' rows
+        # bound the means, and lambda_sharp centres at twice every row.
+        sharp = list(on_cubes(OperatorTag.sharp(), grid, cubes, b.values, mode))
         gaps = [np.empty(0)]
-        floors = on_cubes(OperatorTag.sharp(), grid, held_cubes, b.values, mode)
-        for (k, _, t), on_q in zip(held, floors, strict=True):
+        for (k, _, t), on_q in zip(held, sharp[:len(held)], strict=True):
             gaps.append(np.abs(_cube_averages(b, k)) - t * t / (2.0 * (t - 1.0)) * on_q.min(axis=1))
         recovered = Worst()
         recovered.offer_all(np.concatenate(gaps),
                             lambda i: {"cube": cubes[i], "ratio": float(ratios[i])})
-        if not recovered.count:
-            return []
-        return [check_le(
-            f"theorem2/mean-recovery/{lb}",
-            "|b_Q| <= t^2/(2(t-1)) M#(b chi_Q) on Q, t the containing volume ratio",
-            recovered.value, 0.0, tol, recovered.witness,
-        )]
+        rows = []
+        if recovered.count:
+            rows.append(check_le(
+                f"theorem2/mean-recovery/{lb}",
+                "|b_Q| <= t^2/(2(t-1)) M#(b chi_Q) on Q, t the containing volume ratio",
+                recovered.value, 0.0, tol, recovered.witness,
+            ))
 
-    def lambda_rows(lb: str, b: GridFunction, lip: LipResult, lq: str,
-                    q: VariableExponent) -> list[Check]:
-        lam = lambda_sharp(b, cfg.beta, q, mode)
-        return [report_row(
-            f"theorem2/lambda-sharp/{lb}/{lq}",
-            "oscillation functional centered at twice the sharp maximal function",
-            lam.value, 0.0, {"cube": lam.witness},
-        )]
+        def lambda_rows(lq: str, q: VariableExponent) -> list[Check]:
+            lam = _sweep_result(b, cfg.beta, q, mode, "sharp_double", sharp)
+            return [report_row(
+                f"theorem2/lambda-sharp/{lb}/{lq}",
+                "oscillation functional centered at twice the sharp maximal function",
+                lam.value, 0.0, {"cube": lam.witness},
+            )]
 
-    return _commutator_theorem(cfg, "theorem2", "M#", 2.0, comm_sharp, OperatorTag.comm_sharp,
-                               own_rows, lambda_rows)
+        return rows, lambda_rows
+
+    return _commutator_theorem(cfg, "theorem2", "M#", 2.0, OperatorTag.comm_sharp, symbol_rows,
+                               reads_mb=False)
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +611,19 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
     fs = _operand_bank(cfg, grid)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
-    bounds = _opnorm_bounds([OperatorTag.max_commutator(b) for _, b in bs]
-                            + [OperatorTag.fractional(beta)], pairs, fs, mode)
-
     runs = cubes_by_side(grid, mode)
+    # One pass applies each M_b, and M_beta last, once per stack of the f bank
+    # and the indicators: the bounds for every pair, and M_b(chi_Q) on each
+    # cube's cells.  Without an f bank it takes no bound and only reads M_b(chi_Q).
+    b_tags = [OperatorTag.max_commutator(b) for _, b in bs]
+    tags = b_tags + [OperatorTag.fractional(beta)] if fs else b_tags
+    bound_pairs = [(pair.p, pair.q) for _, pair in pairs] if fs else []
+    passes = _tag_passes(grid, tags, bound_pairs, [f for _, f in fs], mode, rows_of=b_tags)
 
     rows: list[Check] = []
-    for i, (lb, b) in enumerate(bs):
+    for lb, b in bs:
         # Per side, the rows of M_b(chi_Q) and of b, on each cube's own cells.
-        tag = OperatorTag.max_commutator(b)
-        mb_rows = list(on_cubes(tag, grid, cubes, 1.0, mode))
+        bounds, mb_rows = next(passes)
         b_rows = [cube_rows(b.values, k) for k, _ in runs]
         lower = worst_of(np.concatenate([
             (mb - np.abs(b_k - _cube_averages(b, k)[:, None])).min(axis=1)
@@ -641,12 +651,13 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
                     top.value, 0.0, {"cube": top.witness},
                 ),
             ]
-        for lp, values in bounds.items():
-            rows.append(_opnorm_row(f"theorem3/opnorm/{lb}/{lp}", "M_b", values[i],
+        for (lp, _), value in zip(pairs, bounds):
+            rows.append(_opnorm_row(f"theorem3/opnorm/{lb}/{lp}", "M_b", value,
                                     {"b": lb, "pair": lp}))
-    for lp, values in bounds.items():
-        rows.append(_opnorm_row(f"theorem3/frac-opnorm/{lp}", "M_beta", values[-1],
-                                {"pair": lp}))
+    for bounds, _ in passes:  # M_beta's, with an f bank
+        for (lp, _), value in zip(pairs, bounds):
+            rows.append(_opnorm_row(f"theorem3/frac-opnorm/{lp}", "M_beta", value,
+                                    {"pair": lp}))
     return rows
 
 

@@ -190,8 +190,8 @@ def test_opnorm_lower_bounds():
     g = make_grid(1, 12)
     p = const_exponent(g, 2.0)
     bank = [seeded_function(g, s, 0.5, 1.5) for s in range(2)]
-    def stacked(tag, *args):
-        return opnorm_lower_stacked([tag], *args)[0]
+    def stacked(tag, p, q, *args):
+        return opnorm_lower_stacked([tag], [(p, q)], *args)[0][0]
 
     for bound in (opnorm_lower, stacked):
         # M x >= x pointwise forces the ratio past one.
@@ -204,6 +204,10 @@ def test_opnorm_lower_bounds():
             bound(OperatorTag.hl(), p, p, [GridFunction(g, np.zeros(12))])
         with pytest.raises(ValueError, match="different grids"):
             bound(OperatorTag.hl(), p, const_exponent(make_grid(1, 8), 2.0), bank)
+    # Every pair is checked, not only the first.
+    with pytest.raises(ValueError, match="different grids"):
+        opnorm_lower_stacked([OperatorTag.hl()],
+                             [(p, p), (p, const_exponent(make_grid(1, 8), 2.0))], bank)
 
 
 @pytest.mark.parametrize("kind", ["hl", "sharp", "fractional", "max_commutator", "comm_m",
@@ -217,12 +221,60 @@ def test_opnorm_lower_stacked_equals_per_function(monkeypatch, kind, dim, n, mod
     tag = {"hl": OperatorTag.hl(), "sharp": OperatorTag.sharp(),
            "fractional": OperatorTag.fractional(0.5)}.get(kind) or OperatorTag(kind, symbol=b)
     p, q = affine_exponent(g, 2.0, 1.0), affine_exponent(g, 3.0, -1.0)
+    pairs = [(p, q), (q, p)]
     bank = [seeded_function(g, 71 + s) for s in range(3)]
-    expected = opnorm_lower(tag, p, q, bank, mode)
+    expected = [[opnorm_lower(tag, *pair, bank, mode)] for pair in pairs]
     if chunked:
         # Two rows per stack: the bank splits, and so does every side's indicators.
         monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 2 * 8 * g.cell_count)
-    assert opnorm_lower_stacked([tag], p, q, bank, mode) == [expected]
+    assert opnorm_lower_stacked([tag], pairs, bank, mode) == expected
+
+
+OPNORM_KINDS = ["hl", "sharp", "fractional", "max_commutator", "comm_m", "comm_sharp"]
+
+
+@st.composite
+def opnorm_cases(draw):
+    """Tags, exponent pairs, a test bank, a family and a cap for opnorm_lower_stacked.
+
+    Exponents are constant, affine or random per cell; the cap is the real
+    one or 1 to 4 grid rows, so that stacks straddle the bank and the sides."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 9 if dim == 1 else 4))
+    g = make_grid(dim, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    b = GridFunction(g, rng.uniform(-1.0, 1.0, g.shape))
+    kinds = draw(st.lists(st.sampled_from(OPNORM_KINDS), min_size=1, max_size=3))
+    tags = [OperatorTag.fractional(0.5) if kind == "fractional" else OperatorTag(kind, symbol=b)
+            if kind in ("max_commutator", "comm_m", "comm_sharp") else OperatorTag(kind)
+            for kind in kinds]
+    x = np.indices(g.shape).sum(axis=0) / (dim * n)
+
+    def exponent():
+        values = {
+            "constant": lambda: np.full(g.shape, rng.uniform(1.1, 4.0)),
+            "affine": lambda: 1.5 + rng.uniform(0.0, 2.0) * x,
+            "random": lambda: rng.uniform(1.1, 4.0, g.shape),
+        }[draw(st.sampled_from(["constant", "affine", "random"]))]()
+        return validate_p(GridFunction(g, values))
+
+    pairs = [(exponent(), exponent()) for _ in range(draw(st.integers(1, 3)))]
+    bank = [GridFunction(g, rng.uniform(-1.0, 1.0, g.shape))
+            for _ in range(draw(st.integers(1, 3)))]
+    mode = draw(st.sampled_from([CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES]))
+    rows = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    return tags, pairs, bank, mode, rows and rows * 8 * g.cell_count
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=opnorm_cases())
+def test_opnorm_lower_stacked_equals_opnorm_lower_for_every_tag_and_pair(case):
+    tags, pairs, bank, mode, cap = case
+    expected = [[opnorm_lower(tag, p, q, bank, mode) for tag in tags] for p, q in pairs]
+    with pytest.MonkeyPatch.context() as patch:
+        if cap:
+            patch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
+        assert opnorm_lower_stacked(tags, pairs, bank, mode) == expected
 
 
 def test_result_float_protocol():
@@ -239,19 +291,34 @@ def test_opnorm_lower_stacked_solves_the_bank_once_for_every_tag(monkeypatch, di
     b = seeded_function(g, 80)
     tags = [OperatorTag.hl(), OperatorTag.sharp(), OperatorTag.fractional(0.5),
             OperatorTag.max_commutator(b), OperatorTag.comm_m(b), OperatorTag.comm_sharp(b)]
-    p, q = affine_exponent(g, 2.0, 1.0), affine_exponent(g, 3.0, -1.0)
+    exponents = [affine_exponent(g, 2.0, 1.0), affine_exponent(g, 3.0, -1.0),
+                 const_exponent(g, 2.5)]
     bank = [seeded_function(g, 81 + s) for s in range(2)]
-    expected = [opnorm_lower(tag, p, q, bank) for tag in tags]
+    members = len(bank) + len(enumerate_cubes(g))
+    stacks = -(-members // (3 if chunked else 10**9))
+    solves = []
+    solve = maxlip.luxemburg._newton_solve
+
+    def counting(blocks, cm):
+        blocks = list(blocks)
+        solves.append(sum(len(a) for a, _ in blocks))
+        return solve(blocks, cm)
+
+    all_pairs = list(itertools.permutations(exponents, 2))[:3]
+    expected = [[opnorm_lower(tag, p, q, bank) for tag in tags] for p, q in all_pairs]
     if chunked:
         monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 3 * 8 * g.cell_count)
-    solves = []
-    solve = maxlip.lipschitz._lux_solve_batch
-    monkeypatch.setattr(maxlip.lipschitz, "_lux_solve_batch",
-                        lambda *args: solves.append(1) or solve(*args))
-    assert opnorm_lower_stacked(tags, p, q, bank) == expected
-    stacks = -(-(len(bank) + len(enumerate_cubes(g))) // (3 if chunked else 10**9))
-    assert len(solves) == stacks * (1 + len(tags))
-    assert opnorm_lower_stacked([], p, q, bank) == []
+    monkeypatch.setattr(maxlip.luxemburg, "_newton_solve", counting)
+    for count in (1, 2, 3):
+        pairs = all_pairs[:count]
+        solves.clear()
+        assert opnorm_lower_stacked(tags, pairs, bank) == expected[:count]
+        # Per stack: one solve of the members under every p, then one per tag
+        # of its outputs under every q, whatever the number of pairs.
+        assert len(solves) == stacks * (1 + len(tags))
+        assert sum(solves) == members * count * (1 + len(tags))
+    assert opnorm_lower_stacked([], pairs, bank) == [[], [], []]
+    assert opnorm_lower_stacked(tags, [], bank) == []
 
 
 # ---------------------------------------------------------------------------

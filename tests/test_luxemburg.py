@@ -292,6 +292,30 @@ def test_holder_defect_nonnegative():
         assert holder_defect(f, h, p) >= -1e-9
 
 
+def test_holder_defects_solve_each_function_once(monkeypatch):
+    """n distinct functions in n(n+1)/2 pairs take 2n norm rows, not n(n+1), and
+    holder_defect is its row of the batch."""
+    g = make_grid(1, 16)
+    fs = [seeded_function(g, s, -2.0, 2.0) for s in range(3)]
+    pairs = [(f, h) for i, f in enumerate(fs) for h in fs[i:]]
+    rows = []
+    solve = luxemburg._newton_solve
+
+    def counting(blocks, cm):
+        blocks = list(blocks)
+        rows.append(sum(len(a) for a, _ in blocks))
+        return solve(blocks, cm)
+
+    for q in (const_exponent(g, 2.0), affine_exponent(g, 1.6, 1.1)):
+        monkeypatch.setattr(luxemburg, "_newton_solve", counting)
+        rows.clear()
+        defects = luxemburg.holder_defects(pairs, q).tolist()
+        assert rows == [2 * len(fs)]
+        monkeypatch.undo()
+        assert defects == [holder_defect(f, h, q) for f, h in pairs]
+    assert luxemburg.holder_defects([], q).size == 0
+
+
 def test_holder_tight_for_conjugate_powers():
     # |f|^{p-1} saturates constant-exponent Holder exactly.
     g = make_grid(1, 12)

@@ -592,3 +592,95 @@ def test_a_cube_of_non_integers_is_a_config_error(tmp_path, capsys, cube):
         f"config error: cube start must be a list of integers and side_cells an integer, "
         f"got {cube['start']!r} and {cube['side_cells']!r}\n")
     assert not out.exists()
+
+
+# The theorem scenarios apply each operator once per stack and read every
+# quantity they need off that one pass.
+
+THEOREM3_CONFIGS = [
+    {"grid": {"dim": 1, "cells": 12}, "cube_family": "full"},
+    {"grid": {"dim": 2, "cells": 5}, "cube_family": "dyadic", "beta": 0.7},
+    {"grid": {"dim": 1, "cells": 10}, "functions": {
+        "b": [{"kind": "step", "left": -1.0, "right": 2.0, "split": 0.3}], "f": []}},
+]
+
+
+@pytest.mark.parametrize("raw", THEOREM3_CONFIGS, ids=["1d-full", "2d-dyadic", "no-f-bank"])
+@pytest.mark.parametrize("cap_rows", [None, 2], ids=["real-cap", "two-rows"])
+def test_theorem3_mb_rows_equal_on_cubes(monkeypatch, raw, cap_rows):
+    """The M_b(chi_Q) rows theorem3 reads off its bound pass are on_cubes' rows bit for bit;
+    a cap of two grid rows makes a stack hold both f bank and indicator rows."""
+    from maxlip import OperatorTag, build_function, enumerate_cubes, on_cubes
+
+    cfg = parse_config("theorem3", raw)
+    g, mode = cfg.build_grid(), cfg.cube_family
+    cubes = enumerate_cubes(g, mode)
+    expected = [list(on_cubes(OperatorTag.max_commutator(build_function(g, spec)), g, cubes,
+                              1.0, mode))
+                for spec in cfg.functions_b]
+    seen = []
+    ratios = maxlip.scenarios.cube_ratios
+
+    def capture(row_sets, *args):
+        seen.append(row_sets[1])
+        return ratios(row_sets, *args)
+
+    monkeypatch.setattr(maxlip.scenarios, "cube_ratios", capture)
+    if cap_rows:
+        monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap_rows * 8 * g.cell_count)
+    rows = run_scenario("theorem3", raw).checks
+    q_count = len(cfg.exponents)
+    assert len(seen) == len(expected) * q_count
+    for i, rows_of_b in enumerate(expected):
+        for got in seen[i * q_count:(i + 1) * q_count]:
+            assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes())
+                                                            for a in rows_of_b]
+    kinds = {c.check_id.split("/")[1] for c in rows}
+    assert {"pointwise-lower", "ratio-dominated", "mb-functional"} <= kinds
+    assert ("opnorm" in kinds) == bool(cfg.functions_f)
+
+
+def test_theorem3_applies_each_operator_once_per_stack(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from maxlip import enumerate_cubes
+
+    cfg = parse_config("theorem3", None)
+    g = cfg.build_grid()
+    cap_rows = 10
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap_rows * 8 * g.cell_count)
+    members = len(cfg.functions_f) + len(enumerate_cubes(g, cfg.cube_family))
+    stacks = -(-members // cap_rows)
+    calls = []
+    apply = maxlip.operators.apply_stack
+
+    def counting(tag, grid, stack, *args):
+        symbol = None if tag.symbol is None else tag.symbol.values.tobytes()
+        calls.append((tag.kind, symbol, len(stack)))
+        return apply(tag, grid, stack, *args)
+
+    for module in (maxlip.operators, maxlip.lipschitz, maxlip.scenarios):
+        monkeypatch.setattr(module, "apply_stack", counting)
+    assert main(["verify", "theorem3", "--out", str(tmp_path / "r.json")]) == 0
+    # Each M_b and M_beta: one call per stack of the f bank and the indicators.
+    per_tag = Counter((kind, symbol) for kind, symbol, _ in calls)
+    assert len(per_tag) == len(cfg.functions_b) + 1
+    assert set(per_tag.values()) == {stacks}
+    assert sum(rows for *_, rows in calls) == len(per_tag) * members
+
+
+def test_theorem2_takes_the_sharp_rows_once_per_symbol(tmp_path, monkeypatch):
+    cfg = parse_config("theorem2", None)
+    assert len(cfg.exponents) > 1
+    kinds = []
+    on_cubes = maxlip.operators.on_cubes
+
+    def counting(tag, *args):
+        kinds.append(tag.kind)
+        return on_cubes(tag, *args)
+
+    for module in (maxlip.operators, maxlip.lipschitz, maxlip.scenarios):
+        monkeypatch.setattr(module, "on_cubes", counting)
+    assert main(["verify", "theorem2", "--out", str(tmp_path / "r.json")]) == 0
+    # The mean recovery and lambda_sharp for every q share one M#(b chi_Q) per b.
+    assert kinds == ["sharp"] * len(cfg.functions_b)
