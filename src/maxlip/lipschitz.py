@@ -12,28 +12,33 @@ Each sweep reports the attaining cube so that every supremum in a report
 can be reproduced.  The sweeps run on cube rows (grid.cube_rows): b and q
 on every side-k cube, one row per cube in enumeration order, so centers,
 norm solves and the worst case are whole-array passes and enumerate_cubes
-decodes the witness; cube_ratios turns such rows into the normalized norm
-ratios, one Luxemburg solve for the whole family.  A row keeps its cube's
-cell order, so every value equals the per-cube one bit for bit.  The
-pairwise beta-Holder seminorm is one score of the cell-pair sweep in
-``sweep``: exact on small grids, a flagged sample on large ones.
+decodes the witness.  One function (_ratios) turns rows on the cubes into
+the normalized norm ratios: a block per side, or per part of a side, holds
+the rows of each row set and then the cubes' chi_Q rows (one row for a
+constant q), and one Luxemburg solve takes them all.  cube_ratios hands it
+every cube of the family, the bounded sweeps only the cubes they solve.  A
+row keeps its cube's cell order, so every value equals the per-cube one
+bit for bit.  The pairwise beta-Holder seminorm is one score of the
+cell-pair sweep in ``sweep``: exact on small grids, a flagged sample on
+large ones.
 
 The three functionals need only the largest ratio, so they solve only the
-cubes that can attain it (a bounded exact sweep).  With r = |b - ref| on a
-cube Q, m = max r and a, c the least and largest q on Q, the ratio is
-(k h)^{-beta} m t with t between S^{1/a} and S^{1/c}, S the modular of r/m
-weighted by h^dim ||chi_Q||^{-q}; those weights sum to 1 and lie within
-|Q|^{|c - a|/a} of their mean, which bounds S by avg_Q (r/m)^q.  For a
-constant q the two bounds meet at the closed form (avg_Q r^q)^{1/q}.  The
-bounds, widened by a rounding margin of 2^-30 (the solver is good to
+cubes that can attain it (a bounded exact sweep, _BoundedWalk).  With
+r = |b - ref| on a cube Q, m = max r and a, c the least and largest q on
+Q, the ratio is (k h)^{-beta} m t with t between S^{1/a} and S^{1/c}, S the
+modular of r/m weighted by h^dim ||chi_Q||^{-q}; those weights sum to 1 and
+lie within |Q|^{|c - a|/a} of their mean, which bounds S by avg_Q (r/m)^q.
+For a constant q the two bounds meet at the closed form (avg_Q r^q)^{1/q}.
+The bounds, widened by a rounding margin of 2^-30 (the solver is good to
 1e-12), cost one power per cell.  A side's cubes are bounded as its rows
-are made; the largest lower bound is a ratio some cube reaches, so every
-cube whose upper bound falls short of it is dropped.  The rest are solved,
-highest upper bound first, and each solved ratio drops more.  Solved
-ratios go in enumeration order, with -inf for the dropped cubes, to the
-one worst_of: a dropped cube is strictly below the maximum, every solved
-row is bit for bit its solo solve, so value and witness are those of
-solving every cube (cube_oscillation_rows still does, for its rows).
+are made, into one upper-bound array over the family; the largest lower
+bound is a ratio some cube reaches, so every cube whose upper bound falls
+short of it is dropped.  The rest are solved, highest upper bound first,
+and each solved ratio drops more.  Solved ratios go in enumeration order,
+with -inf for the dropped cubes, to the one worst_of: a dropped cube is
+strictly below the maximum, every solved row is bit for bit its solo
+solve, so value and witness are those of solving every cube
+(cube_oscillation_rows still does, for its rows).
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from .grid import (
     enumerate_cubes,
     family_sides,
     indicator,
-    window_view,
 )
 from .luxemburg import _chi_rows, _newton_solve, _stack_norms, lux_norm
 from .operators import (
@@ -127,36 +131,45 @@ def cube_ratios(row_sets: list, beta: float, q: VariableExponent,
 
     A row set yields per side k of the family the (cubes, k^dim) rows r >= 0
     on the side-k cubes in enumeration order; a set short of a side, or
-    long, raises ValueError.  The family takes one solve, drawn side by
-    side: a side's block holds the rows of every set and the chi_Q rows (one
-    row for constant q, its value repeated), and each row is bit for bit
-    its own solve."""
+    long, raises ValueError.  The family takes one solve (_ratios), drawn
+    side by side, and each row is bit for bit its own solve."""
     _check_beta(beta)
+    if not row_sets:
+        return []
+    sides = family_sides(q.grid.cells_per_axis, mode)
+    parts = ((k, None, rows) for k, *rows in zip(sides, *row_sets, strict=True))
+    return [np.concatenate(ratios) for ratios in zip(*_ratios(parts, beta, q))]
+
+
+def _ratios(parts, beta: float, q: VariableExponent) -> list[np.ndarray]:
+    """Per (k, local, sets) part, the (len(sets), cubes) array of
+    |Q|^{-beta/dim} ||r chi_Q||_q / ||chi_Q||_q of each set's rows r on the
+    side-k cubes at the local indices of the side (all of them for None).
+
+    One solve, a block per part holding each set's rows and then the cubes'
+    chi_Q rows (one row for constant q, its value repeated); each row is bit
+    for bit its own solve.  The parts are drawn as the solve takes them."""
     grid = q.grid
-    n, dim = grid.cells_per_axis, grid.dim
-    sides = family_sides(n, mode)
-    sets = len(row_sets)
+    drawn = []  # (k, sets, cubes, chi_Q rows) of each part
 
     def blocks():
-        for k, *rows in zip(sides, *row_sets, strict=True):
-            chi = _chi_rows(q, k)
-            q_rows = np.broadcast_to(chi, ((n - k + 1) ** dim, k**dim))
-            yield (np.concatenate(rows + [np.ones_like(chi)]),
-                   np.concatenate([q_rows] * sets + [chi]))
+        for k, local, sets in parts:
+            chi = _chi_rows(q, k, local)
+            drawn.append((k, len(sets), len(sets[0]), len(chi)))
+            q_rows = np.broadcast_to(chi, sets[0].shape)
+            # Joined, the exponent rows are a full array: numpy takes a stride-0
+            # exponent as a scalar, whose power may round differently.
+            yield (np.concatenate(sets + [np.ones_like(chi)]),
+                   np.concatenate([q_rows] * len(sets) + [chi]))
 
     values = _newton_solve(blocks(), grid.cell_measure)[0]
-    out = [[] for _ in row_sets]
-    at = 0
-    for k in sides:
-        cubes = (n - k + 1) ** dim
+    out, at = [], 0
+    for k, sets, cubes, chis in drawn:
         nums = values[at:at + sets * cubes].reshape(sets, cubes)
-        at += sets * cubes
-        den = values[at:at + (1 if q.is_constant else cubes)]
-        at += den.size
-        scale = (k * grid.spacing) ** (-beta)
-        for ratios, num in zip(out, nums):
-            ratios.append(scale * num / den)
-    return [np.concatenate(ratios) for ratios in out]
+        den = values[at + sets * cubes:at + sets * cubes + chis]
+        at += sets * cubes + chis
+        out.append((k * grid.spacing) ** (-beta) * nums / den)
+    return out
 
 
 def _centered_rows(b: GridFunction, q: VariableExponent, mode: CubeFamilyMode, center: str,
@@ -235,32 +248,41 @@ class _BoundedWalk:
     """The ratios of cube_ratios that can attain their maximum, -inf for the rest.
 
     add(k, rows) takes a side's centred rows and bounds each cube's ratio
-    from below and above.  The best ratio known is the largest lower bound
-    or solved ratio so far; a cube whose upper bound is below it is dropped,
-    and the others wait with their rows.  While the waiting rows take more
-    than 4 STACK_BYTES_MAX bytes, and at finish until none wait, waiting
+    from below and above.  The state is flat over the family: upper holds
+    the upper bound of every cube that waits.  The best ratio known is the
+    largest lower bound or solved ratio so far; a cube whose upper bound is
+    below it is dropped (upper -inf).  A side's rows are held as they come
+    while any of its cubes waits.  While the held rows take more than
+    4 STACK_BYTES_MAX bytes, and at finish until none are held, waiting
     cubes are solved, highest upper bound first: the _SEED_CUBES highest,
     then parts of at most STACK_BYTES_MAX bytes of rows.  Each solve raises
-    the best ratio and drops the cubes that no longer reach it.
+    the best ratio and drops the cubes that no longer reach it.  Once the
+    waiting cubes' rows fit, the rows of the others are let go; when no cube
+    waits, no row is held.
     """
 
     def __init__(self, beta: float, q: VariableExponent, cubes: int):
         self.beta, self.q = beta, q
         self.ratios = np.full(cubes, -np.inf)
+        # A waiting cube's upper bound, NaN for a row that is not finite; -inf
+        # for a cube dropped, solved or not yet added.
+        self.upper = np.full(cubes, -np.inf)
+        self.side = np.zeros(cubes, dtype=np.int64)  # each cube's side k
+        self.size = np.zeros(cubes, dtype=np.int64)  # the bytes of its row
         self.best = -np.inf  # a ratio that some cube's computed ratio reaches
-        self.waiting = []  # (k, first index of side k, local indices, rows, upper bounds)
+        self.held = {}  # side k -> (first index of side k, local indices, their rows)
+        self.bytes = 0  # of the held rows
         self.first = 0
-        self.chi = {}  # constant q: side k -> its ||chi_Q||_q, solved once
 
     def add(self, k: int, rows: np.ndarray) -> None:
         first, self.first = self.first, self.first + len(rows)
         lower, upper = self._bounds(k, rows)
         self._raise(lower)
-        local = np.flatnonzero(~(upper < self.best))
-        if local.size:
-            if local.size < len(rows):
-                rows, upper = rows[local], upper[local]
-            self.waiting.append((k, first, local, rows, upper))
+        self.upper[first:self.first] = np.where(upper < self.best, -np.inf, upper)
+        self.side[first:self.first], self.size[first:self.first] = k, rows[0].nbytes
+        if np.any(self.upper[first:self.first] != -np.inf):
+            self.held[k] = (first, np.arange(len(rows)), rows)
+            self.bytes += rows.nbytes
         self._drain(4 * operators.STACK_BYTES_MAX)
 
     def finish(self) -> np.ndarray:
@@ -268,15 +290,28 @@ class _BoundedWalk:
         return self.ratios
 
     def _drain(self, limit: int) -> None:
-        """Solve waiting cubes, highest upper bounds first, until their rows take
-        at most limit bytes."""
-        if self._bytes() > limit:
-            self._solve_top(_SEED_CUBES)
-        while self._bytes() > limit:
-            self._solve_top(None)
+        """Solve waiting cubes, highest upper bounds first, until the held rows
+        take at most limit bytes once the rows of the cubes not waiting are let go."""
+        count = _SEED_CUBES
+        while self.bytes > limit:
+            waiting = np.flatnonzero(self.upper[:self.first] != -np.inf)
+            if self.size[waiting].sum() <= limit:
+                self._shed()
+                return
+            self._solve_top(waiting, count)
+            count = None
 
-    def _bytes(self) -> int:
-        return sum(w[3].nbytes for w in self.waiting)
+    def _shed(self) -> None:
+        """Hold only the rows of waiting cubes, and no side without one."""
+        held = {}
+        for k, (first, local, rows) in self.held.items():
+            keep = self.upper[first + local] != -np.inf
+            if keep.all():
+                held[k] = (first, local, rows)
+            elif keep.any():
+                held[k] = (first, local[keep], rows[keep])
+        self.held = held
+        self.bytes = sum(rows.nbytes for _, _, rows in held.values())
 
     def _bounds(self, k: int, rows: np.ndarray):
         """A lower and an upper bound on each row's computed ratio, NaN for a row
@@ -304,81 +339,34 @@ class _BoundedWalk:
             upper = np.where(top > 0.0, scale * np.minimum(mean * spread, 1.0) ** (1.0 / c), top)
         return lower / _BOUND_SLACK, upper * _BOUND_SLACK
 
-    def _solve_top(self, count) -> None:
+    def _solve_top(self, waiting: np.ndarray, count) -> None:
         """Solve the count waiting cubes of highest upper bound, or for count None
         those whose rows fill STACK_BYTES_MAX bytes (at least one cube)."""
-        upper = np.concatenate([w[4] for w in self.waiting])
-        order = np.argsort(-upper, kind="stable")
+        order = waiting[np.argsort(-self.upper[waiting], kind="stable")]
         if count is None:
-            size = np.concatenate([np.full(len(w[4]), w[3].itemsize * w[3].shape[1])
-                                   for w in self.waiting])
             part = operators.STACK_BYTES_MAX
-            count = max(1, int(np.searchsorted(np.cumsum(size[order]), part, "right")))
-        chosen = np.zeros(upper.size, dtype=bool)
-        chosen[order[:count]] = True
-        parts, waiting, at = [], [], 0
-        for k, first, local, rows, side_upper in self.waiting:
-            mine = chosen[at:at + len(local)]
-            at += len(local)
-            if mine.any():
-                parts.append((k, first, local[mine], rows[mine]))
-            if not mine.all():
-                waiting.append((k, first, local[~mine], rows[~mine], side_upper[~mine]))
-        self.waiting = waiting
-        self._raise(self._solve(parts))
+            count = max(1, int(np.searchsorted(np.cumsum(self.size[order]), part, "right")))
+        chosen = np.sort(order[:count])
+        parts = []
+        for cubes in np.split(chosen, np.flatnonzero(np.diff(self.side[chosen])) + 1):
+            k = int(self.side[cubes[0]])
+            first, local, rows = self.held[k]
+            parts.append((k, cubes - first, [rows[np.searchsorted(local, cubes - first)]]))
+        solved = np.concatenate([ratios[0] for ratios in _ratios(parts, self.beta, self.q)])
+        self.ratios[chosen], self.upper[chosen] = solved, -np.inf
+        self._raise(solved)
 
     def _raise(self, reached: np.ndarray) -> None:
         """Take the largest of the ratios reached as the best if it is larger, and
-        then keep waiting only the cubes whose upper bound reaches it."""
-        known = reached[~np.isnan(reached)]
-        if not known.size or not known.max() > self.best:
-            return
-        self.best = float(known.max())
-        waiting = []
-        for k, first, local, rows, upper in self.waiting:
-            keep = ~(upper < self.best)
-            if keep.all():
-                waiting.append((k, first, local, rows, upper))
-            elif keep.any():
-                waiting.append((k, first, local[keep], rows[keep], upper[keep]))
-        self.waiting = waiting
-
-    def _solve(self, parts: list) -> np.ndarray:
-        """Ratios of the (k, first, local, rows) parts in one solve, a block per part
-        holding its rows and their chi_Q rows, as cube_ratios solves a side."""
-        q, grid = self.q, self.q.grid
-        n, dim = grid.cells_per_axis, grid.dim
-        blocks = []
-        for k, _, local, rows in parts:
-            if q.is_constant:
-                # The exponent rows are a full array, as in cube_ratios: numpy
-                # takes a stride-0 exponent as a scalar, whose power may round
-                # differently.
-                chi = [] if k in self.chi else [np.ones((1, k**dim))]
-                a = np.concatenate([rows] + chi)
-                blocks.append((a, np.full(a.shape, q.p_minus)))
-            else:
-                windows = window_view(q.values.values, k, dim)
-                q_rows = windows[np.unravel_index(local, (n - k + 1,) * dim)].reshape(len(local), -1)
-                blocks.append((np.concatenate([rows, np.ones_like(rows)]),
-                               np.concatenate([q_rows, q_rows])))
-        values = _newton_solve(blocks, grid.cell_measure)[0]
-        solved, at = [], 0
-        for k, first, local, rows in parts:
-            num = values[at:at + len(rows)]
-            at += len(rows)
-            if not q.is_constant:
-                den = values[at:at + len(rows)]
-                at += len(rows)
-            elif k in self.chi:
-                den = self.chi[k]
-            else:
-                den = self.chi[k] = values[at:at + 1]
-                at += 1
-            ratios = (k * grid.spacing) ** (-self.beta) * num / den
-            self.ratios[first + local] = ratios
-            solved.append(ratios)
-        return np.concatenate(solved)
+        then drop the cubes whose upper bound falls short of it (and every held
+        row if that drops them all)."""
+        best = np.fmax.reduce(reached, initial=self.best)
+        if best > self.best:
+            self.best = float(best)
+            added = self.upper[:self.first]
+            added[added < self.best] = -np.inf
+            if np.all(added == -np.inf):
+                self.held, self.bytes = {}, 0
 
 
 def _pow_like_scalar(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -391,7 +379,11 @@ def osc_norm_q(
     b: GridFunction, beta: float, q_const: float, mode: CubeFamilyMode = CubeFamilyMode.FULL
 ) -> LipResult:
     """Constant-exponent oscillation norm: sup over cubes of
-    |Q|^{-beta/dim} (avg_Q |b - b_Q|^q)^{1/q}, computed in closed form."""
+    |Q|^{-beta/dim} (avg_Q |b - b_Q|^q)^{1/q}, computed in closed form.
+
+    A cube whose power mean of r = |b - b_Q| leaves the normal floats
+    (overflows, or underflows for a large q) takes it again on r / max r and
+    multiplies the root back by max r, as ||s f||_q = s ||f||_q."""
     _check_beta(beta)
     if not q_const >= 1.0:
         raise ValueError(f"q must be at least 1, got {q_const}")
@@ -401,9 +393,18 @@ def osc_norm_q(
     for k in family_sides(grid.cells_per_axis, mode):
         blocks = cube_rows(b.values, k)
         mean = blocks.sum(axis=1) / k**dim
-        power_mean = (np.abs(blocks - mean[:, None]) ** q_const).sum(axis=1) / k**dim
+        r = np.abs(blocks - mean[:, None])
+        with np.errstate(over="ignore", under="ignore"):
+            power_mean = (r**q_const).sum(axis=1) / k**dim
+            root = _pow_like_scalar(power_mean, 1.0 / q_const)
+            odd = np.flatnonzero(~((power_mean >= np.finfo(float).tiny) & (power_mean < np.inf)))
+            if odd.size:
+                top = r[odd].max(axis=1)
+                odd, top = odd[top > 0.0], top[top > 0.0]
+                scaled = ((r[odd] / top[:, None]) ** q_const).sum(axis=1) / k**dim
+                root[odd] = top * _pow_like_scalar(scaled, 1.0 / q_const)
         measure = (k * grid.spacing) ** dim
-        values.append(measure ** (-beta / dim) * _pow_like_scalar(power_mean, 1.0 / q_const))
+        values.append(measure ** (-beta / dim) * root)
     best = worst_of(np.concatenate(values), enumerate_cubes(grid, mode))
     return LipResult(best.value, best.witness, True)
 

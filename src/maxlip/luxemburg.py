@@ -42,7 +42,8 @@ import numpy as np
 
 from . import operators
 from .exponents import ExponentPair, VariableExponent, conjugate
-from .grid import Cube, CubeFamilyMode, GridFunction, check_cube, cube_rows, family_sides
+from .grid import (Cube, CubeFamilyMode, GridFunction, check_cube, family_sides,
+                   window_view)
 
 __all__ = [
     "NormResult",
@@ -300,12 +301,16 @@ def check_s_norms(fs: list[GridFunction], p: VariableExponent, s: float) -> list
     return [abs(lhs - rhs**s) for lhs, rhs in zip(norms[:len(fs)], norms[len(fs):])]
 
 
-def _chi_rows(q: VariableExponent, k: int) -> np.ndarray:
-    """q on the side-k cubes for their chi_Q solves: cube_rows, or a single row
-    when q is constant, since then every row is that row."""
+def _chi_rows(q: VariableExponent, k: int, local=None) -> np.ndarray:
+    """q on the side-k cubes for their chi_Q solves: the rows of cube_rows, or
+    of the cubes at the local indices of the side, or a single row when q is
+    constant, since then every row is that row."""
     if q.is_constant:
         return np.full((1, k**q.grid.dim), q.p_minus)
-    return cube_rows(q.values.values, k)
+    windows = window_view(q.values.values, k, q.grid.dim)
+    if local is not None:
+        windows = windows[np.unravel_index(local, windows.shape[:q.grid.dim])]
+    return windows.reshape(-1, k**q.grid.dim)
 
 
 def indicator_norms(q: VariableExponent, mode: CubeFamilyMode) -> np.ndarray:

@@ -558,6 +558,43 @@ def test_constant_q_solves_one_chi_row_per_side(monkeypatch, dim, n, mode):
             assert set(chi.values()) == {1}
 
 
+def test_bounded_walk_holds_at_most_four_caps_of_rows(monkeypatch):
+    """The rows a walk holds, dropped cubes' rows included until they are let
+    go, take at most 4 STACK_BYTES_MAX bytes after every add, and none are
+    held after finish."""
+    cap = 256
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
+    held = []
+
+    class Walk(maxlip.lipschitz._BoundedWalk):
+        def held_bytes(self):
+            return sum(rows.nbytes for _, _, rows in self.held.values())
+
+        def add(self, k, rows):
+            super().add(k, rows)
+            held.append(self.held_bytes())
+
+        def finish(self):
+            ratios = super().finish()
+            assert self.held == {} and self.held_bytes() == 0
+            return ratios
+
+    monkeypatch.setattr(maxlip.lipschitz, "_BoundedWalk", Walk)
+    for g in (make_grid(1, 40), make_grid(2, 8)):
+        x = np.indices(g.shape).sum(axis=0)
+        for b, q, mode in itertools.product(
+                [seeded_function(g, 31), GridFunction(g, np.where(x % 2, 1.0, -0.5))],
+                [const_exponent(g, 2.5), affine_exponent(g, 2.0, 1.0)], SWEEP_MODES):
+            held.clear()
+            res = lambda_var(b, 0.4, q, mode)
+            full = worst_of(_oscillation_values(b, 0.4, q, mode, "average"),
+                            enumerate_cubes(g, mode))
+            assert (res.value, res.witness) == (full.value, full.witness)
+            assert len(held) == len(family_sides(g.cells_per_axis, mode))
+            assert max(held) <= 4 * cap
+            assert any(held), "no add left rows held"
+
+
 @pytest.mark.parametrize("dim, n", SWEEP_GRIDS + [(2, 9)])
 @pytest.mark.parametrize("mode", SWEEP_MODES)
 def test_osc_norm_q_equals_the_per_cube_loop(dim, n, mode):
@@ -566,3 +603,17 @@ def test_osc_norm_q_equals_the_per_cube_loop(dim, n, mode):
         for q_const in (1.0, 1.5, 2.0, 2.7, 4.0):
             res = osc_norm_q(b, 0.4, q_const, mode)
             assert (res.value, res.witness) == reference_osc_norm_q(b, 0.4, q_const, mode)
+
+
+@pytest.mark.parametrize("dim, n", SWEEP_GRIDS)
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+@pytest.mark.parametrize("slope, q_const", [(1.0, 1500.0), (1e160, 2.0)])
+def test_osc_norm_q_outside_the_normal_floats(dim, n, mode, slope, q_const):
+    """|b - b_Q|^q underflows (q = 1500) or overflows (slope 1e160) on every
+    cube; the closed form still equals lambda_var under the constant q."""
+    g = make_grid(dim, n)
+    b = sample(g, lambda x, *rest: slope * x)
+    res = osc_norm_q(b, 0.4, q_const, mode)
+    lam = lambda_var(b, 0.4, const_exponent(g, q_const), mode)
+    assert 0.0 < lam.value < math.inf
+    assert res.value == pytest.approx(lam.value, rel=1e-12, abs=0.0)
