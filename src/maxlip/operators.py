@@ -10,10 +10,11 @@ dimensional constants.
 Each operator has two routes: a fast path built on per-side window
 statistics (prefix-sum queries, or one window view per side for the sharp
 function) plus one nested pass over the sides, and a naive oracle that sums
-each cube's gathered cells directly and scatter-maxes the result into them.
-The nested pass visits the sides in descending order: a side-k window lies
-in a larger window of the family exactly when it lies in one of the windows
-of the next larger side k' that do, so the running max carried down is
+each cube's gathered cells directly, side by side, and scatter-maxes every
+side's results into the cells at once.  The nested pass visits the sides in
+descending order: a side-k window lies in a larger window of the family
+exactly when it lies in one of the windows of the next larger side k' that
+do, so the running max carried down is
 max(window values of side k, sliding max of width k' - k + 1 of the carried
 max), and one last sliding max of the smallest side spreads it onto the
 cells.  In a full family every step has width 2.  The sliding max is a
@@ -37,7 +38,9 @@ template of x - s per axis and side, and the max over window starts skips
 the others.  The temporaries a kernel builds (prefix tables, window
 differences, the commutator's cell tables) stay within STACK_BYTES_MAX
 bytes: a stack is split over rows, and the commutator's tables over
-rectangles of cells too.  indicator_stacks builds the cube indicators of a
+rectangles of cells too.  comm_m and comm_sharp call their kernel once on
+the rows f joined with the rows b f, cut so that the joined stack fits the
+cap as well.  indicator_stacks builds the cube indicators of a
 family as stacks within the same cap, cut by the cap only, so a stack may
 straddle sides; cube_blocks reads the rows of one side on their own cubes.
 on_cubes joins the two over a whole family and yields one block per side;
@@ -45,12 +48,14 @@ lambda_sharp (whose call theorem2 shares with its mean recovery) and
 identities' local-on-cube check each make one call per family.
 identities' indicator check and the test bank of opnorm_lower_stacked use
 the stacks; that pass reads theorem3's M_b(chi_Q) rows off its indicator
-rows as on_cubes reads them.  The naive oracles, one pass per side, are
-outside the cap.
+rows as on_cubes reads them.  The naive oracles, one gather per side and
+one scatter per call over index rows cached per (N, dim, k), are outside
+the cap.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -321,8 +326,19 @@ def _max_comm_rows(b: GridFunction, stack: np.ndarray, mode: CubeFamilyMode) -> 
 
 
 def _commutator_rows(kernel, b: GridFunction, stack: np.ndarray, mode: CubeFamilyMode):
-    """Rows of b T(f) - T(b f) for the maximal kernel T."""
-    return b.values * kernel(b.grid, stack, mode) - kernel(b.grid, b.values * stack, mode)
+    """Rows of b T(f) - T(b f) for the maximal kernel T, one kernel call per chunk of rows.
+
+    The kernel runs on the rows f joined with the rows b f, and its output
+    is split into T(f) and T(b f): stacked rows are independent bit for bit.
+    The rows are taken in chunks whose joined stack fits STACK_BYTES_MAX, so
+    a stack of at most half the cap takes one call.
+    """
+    out = np.empty(stack.shape)
+    for rows in _chunks(len(stack), 2 * 8 * b.grid.cell_count):
+        part = stack[rows]
+        both = kernel(b.grid, np.concatenate((part, b.values * part)), mode)
+        out[rows] = b.values * both[:len(part)] - both[len(part):]
+    return out
 
 
 def _one(tag: "OperatorTag", f: GridFunction, mode: CubeFamilyMode) -> GridFunction:
@@ -551,21 +567,45 @@ def _join_sides(parts):
 
 
 # ---------------------------------------------------------------------------
-# Naive oracles: direct sums per cube, scatter-maxed into its cells.  To stay
+# Naive oracles: direct sums per cube, gathered side by side, then every
+# side's values scatter-maxed into their cubes' cells at once.  To stay
 # independent of the fast paths, no _naive_* function may call window_sums,
 # prefix_table, table_window_sums, GridFunction.prefix, window_view,
 # _windowed_cell_max, _nested_cell_max or _holding
 # (test_naive_oracles_use_no_fast_primitive).
 
 
+@functools.lru_cache(maxsize=ORACLE_MAX_CELLS_DIM1)
 def _cube_cells(n: int, dim: int, k: int) -> np.ndarray:
-    """Flat indices of each side-k cube's cells, (cubes, k^dim), rows as in enumerate_cubes."""
+    """Flat indices of each side-k cube's cells, (cubes, k^dim), rows as in enumerate_cubes.
+
+    Cached and read-only.  The cache keeps at most ORACLE_MAX_CELLS_DIM1
+    entries, the sides of one family at the 1-D guard limit; on grids within
+    the guard limits that is at most about 1.2 MB (one family's rows take
+    about 0.4 MB).
+    """
     corners = starts = np.arange(n - k + 1)
     offsets = steps = np.arange(k)
     for _ in range(dim - 1):
         corners = (n * corners[:, None] + starts).reshape(-1)
         offsets = (n * offsets[:, None] + steps).reshape(-1)
-    return corners[:, None] + offsets
+    cells = corners[:, None] + offsets
+    cells.flags.writeable = False
+    return cells
+
+
+def _naive_scatter(n: int, dim: int, side_values) -> np.ndarray:
+    """Per cell, the max of side_values(cells, k) over every cube of every side k holding it.
+
+    side_values maps the (cubes, k^dim) flat cells of the side-k cubes to
+    one value per cell of each cube, in the same order; one scatter-max
+    takes all sides.
+    """
+    cells = [_cube_cells(n, dim, k) for k in range(1, n + 1)]
+    values = [side_values(idx, k) for k, idx in enumerate(cells, 1)]
+    out = np.zeros(n**dim)
+    np.maximum.at(out, np.concatenate(cells, axis=None), np.concatenate(values, axis=None))
+    return out.reshape((n,) * dim)
 
 
 def _naive_per_cube(vals: np.ndarray, statistic) -> np.ndarray:
@@ -573,12 +613,9 @@ def _naive_per_cube(vals: np.ndarray, statistic) -> np.ndarray:
 
     statistic maps the (cubes, k^dim) values of the side-k cubes to one value per cube.
     """
-    n, flat = vals.shape[0], vals.reshape(-1)
-    out = np.zeros(flat.shape)
-    for k in range(1, n + 1):
-        idx = _cube_cells(n, vals.ndim, k)
-        np.maximum.at(out, idx, statistic(flat[idx], k)[:, None])
-    return out.reshape(vals.shape)
+    flat = vals.reshape(-1)
+    return _naive_scatter(vals.shape[0], vals.ndim,
+                          lambda idx, k: np.repeat(statistic(flat[idx], k), idx.shape[1]))
 
 
 def _naive_average_max(absv: np.ndarray) -> np.ndarray:
@@ -610,14 +647,14 @@ def _naive_max_comm(b: GridFunction, f: GridFunction) -> np.ndarray:
     """Per side, each cube's table |b(y) - b(x)| |f(y)| over its cells x, y, summed over y."""
     n, dim = b.grid.cells_per_axis, b.grid.dim
     flat_b, flat_f = b.values.reshape(-1), np.abs(f.values).reshape(-1)
-    out = np.zeros(flat_b.shape)
-    for k in range(1, n + 1):
-        idx = _cube_cells(n, dim, k)
+
+    def averages(idx: np.ndarray, k: int) -> np.ndarray:
         table = flat_b[idx][:, None, :] - flat_b[idx][:, :, None]
         np.abs(table, out=table)
         table *= flat_f[idx][:, None, :]
-        np.maximum.at(out, idx, table.sum(axis=2) / k**dim)
-    return out.reshape(b.grid.shape)
+        return table.sum(axis=2) / k**dim
+
+    return _naive_scatter(n, dim, averages)
 
 
 def _naive_local(b: GridFunction, q0: Cube) -> np.ndarray:

@@ -194,6 +194,25 @@ def test_naive_oracles_equal_the_slice_loops(dim, n):
             assert np.array_equal(got, slice_loop_apply(tag, f)), tag.label
 
 
+@pytest.mark.parametrize("dim, n", [(1, 9), (2, 5)])
+def test_cube_cells_are_cached_read_only_rows_of_the_family(dim, n):
+    g = make_grid(dim, n)
+    cube_cells = maxlip.operators._cube_cells
+    for k, side in cubes_by_side(g):
+        cells = cube_cells(n, dim, k)
+        assert cube_cells(n, dim, k) is cells
+        with pytest.raises(ValueError):
+            cells[0, 0] = 0
+        want = np.stack([np.flatnonzero(indicator(g, cube).values) for cube in side])
+        assert cells.dtype.kind == "i" and np.array_equal(cells, want), k
+    # The cache is bounded: the sides of one family at the 1-D guard limit.
+    bound = maxlip.operators.ORACLE_MAX_CELLS_DIM1
+    assert cube_cells.cache_info().maxsize == bound
+    for k in range(1, bound + 1):
+        cube_cells(bound + 1, 1, k)
+    assert cube_cells.cache_info().currsize == bound
+
+
 def test_hl_single_spike_hand_count():
     g = make_grid(1, 4)
     f = indicator(g, Cube((0,), 1))
@@ -429,6 +448,49 @@ def test_on_cubes_yields_one_block_per_side_of_a_run_of_sides(monkeypatch):
         (alone,) = on_cubes(OperatorTag.hl(), g, side, 1.0)
         assert np.array_equal(block, alone)
     assert list(on_cubes(OperatorTag.hl(), g, (), 1.0)) == []
+
+
+COMMUTATOR_KERNELS = (("comm_m", "_average_max"), ("comm_sharp", "_sharp_rows"))
+
+
+@pytest.mark.parametrize("kind, kernel", COMMUTATOR_KERNELS)
+@pytest.mark.parametrize("dim, n", [(1, 13), (2, 6)])
+def test_commutator_calls_its_kernel_once_per_stack(monkeypatch, kind, kernel, dim, n):
+    g = make_grid(dim, n)
+    tag = _stack_tag(kind, seeded_function(g, 97, -1.0, 1.0))
+    real, calls = getattr(maxlip.operators, kernel), []
+
+    def counted(grid, stack, mode, *args):
+        calls.append(len(stack))
+        return real(grid, stack, mode, *args)
+
+    monkeypatch.setattr(maxlip.operators, kernel, counted)
+    for rows in range(1, 6):
+        calls.clear()
+        apply_stack(tag, g, np.ones((rows,) + g.shape), CubeFamilyMode.FULL)
+        assert calls == [2 * rows]  # f and b f, joined
+
+
+@pytest.mark.parametrize("kind, kernel", COMMUTATOR_KERNELS)
+@pytest.mark.parametrize("dim, n", [(1, 13), (2, 6)])
+@pytest.mark.parametrize("mode", [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES])
+def test_joined_commutator_equals_the_per_row_calls(monkeypatch, kind, kernel, dim, n, mode):
+    # Under a 512-byte cap the joined rows are cut into chunks and every
+    # kernel splits its chunk again; rows stay independent bit for bit.
+    g = make_grid(dim, n)
+    b = seeded_function(g, 98, -1.0, 1.0)
+    tag = _stack_tag(kind, b)
+    rng = np.random.default_rng(dim * 100 + n)
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 512)
+    for rows in range(1, 6):
+        stack = np.stack([drawn_values(VALUE_KINDS[r % 3], rng, g.shape) for r in range(rows)])
+        got = apply_stack(tag, g, stack, mode)
+        per_row = np.stack([apply_operator(tag, GridFunction(g, row), mode).values
+                            for row in stack])
+        assert got.tobytes() == per_row.tobytes(), rows
+        run = getattr(maxlip.operators, kernel)
+        two_calls = b.values * run(g, stack, mode) - run(g, b.values * stack, mode)
+        assert got.tobytes() == two_calls.tobytes(), rows
 
 
 def test_pointwise_commutator_bound_nonneg_symbol():
