@@ -10,12 +10,15 @@ computing starts.  Only a ConfigError is a bad configuration: everything
 a config can get wrong raises one.  Codes 2 to 4 come with one line on
 stderr.  An output is written to a temporary file beside its target and
 then moved into place, so a write that fails leaves the old file as it
-was.  ``python -m maxlip`` runs the same entry point.
+was.  ``python -m maxlip`` runs the same entry point.  The argument parser
+is built once per process, at the first call of main, and every later call
+reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -70,6 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--config", required=True, help="JSON config describing the inputs")
     compute.add_argument("--out", required=True, help="output path (CSV or scalar text)")
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps nothing between calls."""
+    return build_parser()
 
 
 def _compute_grid(raw: dict):
@@ -168,8 +177,7 @@ def _probe_writable(path: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             raw = load_config(args.config) if args.config else None

@@ -32,13 +32,18 @@ The fast paths carry a leading batch axis: apply_stack applies an operator
 to a stack of grid arrays, shape (rows,) + grid.shape, in one call, and
 hl_max, sharp_max, frac_max, max_commutator, comm_m and comm_sharp are that
 call on a stack of one.  A stacked row equals its single call bit for bit.
-The maximal commutator computes every cell at once from a float64 prefix
-table with cell axes; which windows hold a cell is read off one boolean
-template of x - s per axis and side, and the max over window starts skips
-the others.  The temporaries a kernel builds (prefix tables, window
-differences, the commutator's cell tables) stay within STACK_BYTES_MAX
-bytes: a stack is split over rows, and the commutator's tables over
-rectangles of cells too.  comm_m and comm_sharp call their kernel once on
+The maximal commutator computes its cells from a float64 prefix table
+with cell axes.  In dim 1 over the full family the windows holding a cell
+x are one rectangle of prefix differences, starts up to x by ends from
+x + 1, so each cell takes the max of its own rectangle and no other window
+is summed; max_commutator_at_cells computes only its listed cells there.
+In dim 2 and in dyadic families, which windows hold a cell is read off one
+boolean template of x - s per axis and side, and the max over window
+starts skips the others.  The temporaries a kernel builds (prefix tables,
+window differences, the commutator's cell tables and rectangles) stay
+within STACK_BYTES_MAX bytes: a stack is split over rows, the commutator's
+tables over rectangles of cells too, and a 1-D cell's rectangle over runs
+of starts.  comm_m and comm_sharp call their kernel once on
 the rows f joined with the rows b f, cut so that the joined stack fits the
 cap as well.  indicator_stacks builds the cube indicators of a
 family as stacks within the same cap, cut by the cap only, so a stack may
@@ -48,9 +53,9 @@ lambda_sharp (whose call theorem2 shares with its mean recovery) and
 identities' local-on-cube check each make one call per family.
 identities' indicator check and the test bank of opnorm_lower_stacked use
 the stacks; that pass reads theorem3's M_b(chi_Q) rows off its indicator
-rows as on_cubes reads them.  The naive oracles, one gather per side and
-one scatter per call over index rows cached per (N, dim, k), are outside
-the cap.
+rows as on_cubes reads them.  The naive oracles, one gather per side over
+index rows cached per (N, dim, k) and one scatter per call over their join
+cached per (N, dim), are outside the cap.
 """
 
 from __future__ import annotations
@@ -285,21 +290,66 @@ def _cell_blocks(n: int, dim: int, cell_bytes: int):
     return itertools.product(*[_chunks(n, cell_bytes * width)] * (dim - 1), last)
 
 
+def _max_comm_line(b: GridFunction, stack: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Rows of the 1-D maximal commutator over the full family, at the listed cells only.
+
+    Returns shape (rows, len(cells)).  The windows holding a cell x are the
+    [s, e] with s <= x <= e, and in the full family each one is a cube.  So
+    from the float64 prefix row T of |b(x) - b(y)| |f(y)| over y, the
+    rectangle T[x+1:] - T[:x+1, None] holds the sum of every window holding
+    x and no other, each once.  Divided by its side e + 1 - s, its max is
+    the value at x.  The sides are read off ends = 0, 1, ..., N through a
+    view of strides (-8, 8), so no N x N divisor is built.  The subtraction
+    is the one table_window_sums makes, and division by a positive side
+    keeps the order, so the max equals the masked route's max over the
+    sides of max(sums) / k, bit for bit.  The cells are taken in blocks,
+    the rows in chunks and each rectangle in runs of starts, so that every
+    temporary fits STACK_BYTES_MAX.
+    """
+    n = b.grid.cells_per_axis
+    absf = np.abs(stack)[:, None, :]
+    ends = np.arange(n + 1.0)
+    out = np.zeros((len(stack), len(cells)))
+    cell_bytes = 8 * (n + 1)
+    for block in _chunks(len(cells), cell_bytes):
+        here = cells[block]
+        dist = np.abs(b.values - b.values[here][:, None])
+        for rows in _chunks(len(stack), cell_bytes * len(here)):
+            table = prefix_table(dist * absf[rows], 1, dtype=float)
+            for i, x in enumerate(here):
+                line, best = table[:, i], out[rows, block.start + i]
+                for starts in _chunks(x + 1, 8 * len(line) * (n - x)):
+                    sums = line[:, None, x + 1:] - line[:, starts, None]
+                    # side[a, c] = ends[x + 1 + c - starts.start - a], the side of that window.
+                    side = np.ndarray(sums.shape[1:], float, ends, 8 * (x + 1 - starts.start),
+                                      (-8, 8))
+                    sums /= side
+                    np.maximum(best, sums.max(axis=(1, 2)), out=best)
+    return out
+
+
 def _max_comm_rows(b: GridFunction, stack: np.ndarray, mode: CubeFamilyMode) -> np.ndarray:
     """Rows of the maximal commutator M_b, every cell at once.
 
-    For a block of cells x, the float64 prefix table of |b(x) - b(y)| |f(y)|
-    over y gives the sum of every window.  Only the windows that start
-    within k - 1 cells before the block, or inside it, are summed; the ones
-    among them that hold x are read off one boolean template of x - s per
-    axis (_holding; the two axes ANDed in dim 2), and the max over the
-    window starts skips the others (np.max with where and an initial -inf).
-    The table carries a row axis and the block's cell axes, so its chunks
-    are split over rows and over rectangles of cells.
+    In dim 1 over the full family this is _max_comm_line at every cell.
+    Otherwise the windows holding a cell are not one rectangle of prefix
+    differences: a dyadic family skips most (start, end) pairs, and a
+    square in dim 2 ties its two axes to one side, so the windows do not
+    factor into per-axis rectangles.  There, for a block of cells x, the
+    float64 prefix table of |b(x) - b(y)| |f(y)| over y gives the sum of
+    every window.  Only the windows that start within k - 1 cells before
+    the block, or inside it, are summed; the ones among them that hold x
+    are read off one boolean template of x - s per axis (_holding; the two
+    axes ANDed in dim 2), and the max over the window starts skips the
+    others (np.max with where and an initial -inf).  The table carries a
+    row axis and the block's cell axes, so its chunks are split over rows
+    and over rectangles of cells.
     """
     grid = b.grid
     _check_stack(grid, stack)
     dim, n = grid.dim, grid.cells_per_axis
+    if dim == 1 and mode is CubeFamilyMode.FULL:
+        return _max_comm_line(b, stack, np.arange(n))
     sides = family_sides(n, mode)
     start_axes = tuple(range(-dim, 0))
     absf = np.abs(stack).reshape((len(stack),) + (1,) * dim + grid.shape)
@@ -431,9 +481,21 @@ def max_commutator_at_cells(
     cells: list[tuple[int, ...]],
     mode: CubeFamilyMode = CubeFamilyMode.FULL,
 ) -> np.ndarray:
-    """Maximal commutator read at the listed cells."""
-    values = max_commutator(b, f, mode).values
-    return np.array([values[tuple(cell)] for cell in cells])
+    """Maximal commutator read at the listed cells.
+
+    Equal bit for bit to max_commutator(b, f, mode) read at the cells.  In
+    dim 1 over the full family only the listed cells are computed
+    (_max_comm_line); otherwise the whole grid is, and read off.
+    """
+    grid = b.grid
+    if f.grid != grid:
+        raise ValueError("symbol and operand live on different grids")
+    # A cell is read as an index of the grid, negative ones and bounds checks included.
+    flat = np.arange(grid.cell_count).reshape(grid.shape)
+    at = np.array([flat[tuple(cell)] for cell in cells], dtype=int)
+    if grid.dim == 1 and mode is CubeFamilyMode.FULL:
+        return _max_comm_line(b, f.values[None], at)[0]
+    return max_commutator(b, f, mode).values.reshape(-1)[at]
 
 
 def comm_m(b: GridFunction, f: GridFunction, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> GridFunction:
@@ -575,6 +637,18 @@ def _join_sides(parts):
 # (test_naive_oracles_use_no_fast_primitive).
 
 
+@functools.lru_cache(maxsize=8)
+def _family_cells(n: int, dim: int) -> np.ndarray:
+    """The rows of _cube_cells(n, dim, k) for k = 1..n joined flat, cached and read-only.
+
+    At the guard limits a family's index takes about 0.4 MB (1-D N = 64 or
+    2-D N = 16), so the 8 families the cache keeps take at most about 3 MB.
+    """
+    cells = np.concatenate([_cube_cells(n, dim, k) for k in range(1, n + 1)], axis=None)
+    cells.flags.writeable = False
+    return cells
+
+
 @functools.lru_cache(maxsize=ORACLE_MAX_CELLS_DIM1)
 def _cube_cells(n: int, dim: int, k: int) -> np.ndarray:
     """Flat indices of each side-k cube's cells, (cubes, k^dim), rows as in enumerate_cubes.
@@ -601,10 +675,9 @@ def _naive_scatter(n: int, dim: int, side_values) -> np.ndarray:
     one value per cell of each cube, in the same order; one scatter-max
     takes all sides.
     """
-    cells = [_cube_cells(n, dim, k) for k in range(1, n + 1)]
-    values = [side_values(idx, k) for k, idx in enumerate(cells, 1)]
+    values = [side_values(_cube_cells(n, dim, k), k) for k in range(1, n + 1)]
     out = np.zeros(n**dim)
-    np.maximum.at(out, np.concatenate(cells, axis=None), np.concatenate(values, axis=None))
+    np.maximum.at(out, _family_cells(n, dim), np.concatenate(values, axis=None))
     return out.reshape((n,) * dim)
 
 

@@ -745,3 +745,114 @@ def test_holding_template_reads_the_windows_that_hold_each_cell():
             s = np.arange(starts.start, starts.stop)[None, :]
             assert np.array_equal(held, (s <= x) & (x < s + k)), (k, cells, starts)
             assert not held.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 32, 65])
+def test_line_max_commutator_equals_the_masked_reference_and_the_cell_loop(monkeypatch, n):
+    # Dim 1, full family: each cell's max over its rectangle of prefix
+    # differences equals the per-side masked reference byte for byte, for
+    # stacks of 1-5 rows under the real cap and under 512 bytes, where every
+    # block is one cell, every chunk one row and a rectangle is cut into
+    # runs of starts.  The cell loop sums each cube directly, so it agrees
+    # to rounding only.
+    g = Grid(1, n, (0.0,), 1.0)  # make_grid refuses N = 1; the kernel does not
+    rng = np.random.default_rng(n)
+    b = GridFunction(g, rng.uniform(-1.0, 1.0, g.shape))
+    stack = np.stack([drawn_values(VALUE_KINDS[r % 3], rng, g.shape) for r in range(5)])
+    tag = OperatorTag.max_commutator(b)
+    want = masked_max_comm_rows(b, stack, CubeFamilyMode.FULL)
+    for row, vals in zip(want, stack):
+        loop = cell_loop_max_comm(b, GridFunction(g, vals))
+        assert np.allclose(row, loop, rtol=1e-12, atol=1e-15)
+    for cap in (None, 512):
+        with monkeypatch.context() as patch:
+            if cap is not None:
+                patch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
+            for rows in range(1, 6):
+                got = apply_stack(tag, g, stack[:rows], CubeFamilyMode.FULL)
+                assert got.tobytes() == want[:rows].tobytes(), (cap, rows)
+
+
+def test_line_max_commutator_temporaries_fit_the_cap(monkeypatch):
+    # At N = 129 under a 2 KiB cap every block is one cell and every chunk
+    # one row, and a rectangle is cut into runs of starts of at most 2 KiB.
+    # Besides |f| and the output, the traced peak then holds a few such
+    # temporaries, numpy's buffers for the strided operands and about 15 KB
+    # of Python objects: 14 caps.  The middle cell's whole rectangle would
+    # take 65 * 65 * 8 bytes, 16.5 caps, and numpy's buffers for it more:
+    # 73 caps.
+    import tracemalloc
+
+    g = make_grid(1, 129)
+    b = seeded_function(g, 12, -1.0, 1.0)
+    stack = np.random.default_rng(12).uniform(-1.0, 1.0, (2,) + g.shape)
+    cap, cells = 2048, np.arange(129)
+    monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
+    maxlip.operators._max_comm_line(b, stack, cells)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        maxlip.operators._max_comm_line(b, stack, cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stack.nbytes + 24 * cap
+
+
+@pytest.mark.parametrize("dim, n, mode", [
+    (1, 1, CubeFamilyMode.FULL), (1, 2, CubeFamilyMode.FULL), (1, 13, CubeFamilyMode.FULL),
+    (1, 32, CubeFamilyMode.FULL), (1, 13, CubeFamilyMode.DYADIC_SIDES),
+    (2, 5, CubeFamilyMode.FULL), (2, 5, CubeFamilyMode.DYADIC_SIDES)])
+@pytest.mark.parametrize("cap", [None, 512])
+def test_max_commutator_at_cells_reads_max_commutator_bit_for_bit(monkeypatch, dim, n, mode, cap):
+    g = Grid(dim, n, (0.0,) * dim, 1.0)
+    rng = np.random.default_rng(10 * n + dim)
+    b = GridFunction(g, rng.uniform(-1.0, 1.0, g.shape))
+    if cap is not None:
+        monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
+    for kind in VALUE_KINDS:
+        f = GridFunction(g, drawn_values(kind, rng, g.shape))
+        full = max_commutator(b, f, mode).values
+        for size in (0, 1, 3, 2 * n):
+            # Random cells, repeats and negative indices included, read as numpy reads them.
+            cells = [tuple(int(c) for c in rng.integers(-n, n, dim)) for _ in range(size)]
+            got = max_commutator_at_cells(b, f, cells, mode)
+            want = np.array([full[cell] for cell in cells], dtype=float)
+            assert got.shape == (size,) and got.tobytes() == want.tobytes(), (kind, cells)
+    with pytest.raises(IndexError):
+        max_commutator_at_cells(b, f, [(n,) * dim], mode)
+    with pytest.raises(ValueError, match="different grids"):
+        max_commutator_at_cells(b, GridFunction(Grid(dim, n + 1, (0.0,) * dim, 1.0),
+                                                np.ones((n + 1,) * dim)), [(0,) * dim], mode)
+
+
+def test_max_commutator_at_cells_computes_only_its_cells_in_dim_1(monkeypatch):
+    # Dim 1, full family: the listed cells' rectangles only, through the
+    # same kernel as the whole grid; dim 2 reads off the whole grid.
+    g = make_grid(1, 32)
+    b, f = seeded_function(g, 13, -1.0, 1.0), seeded_function(g, 14, -1.0, 1.0)
+    real, seen = maxlip.operators._max_comm_line, []
+
+    def recorded(b, stack, cells):
+        seen.append(list(cells))
+        return real(b, stack, cells)
+
+    monkeypatch.setattr(maxlip.operators, "_max_comm_line", recorded)
+    max_commutator_at_cells(b, f, [(4,), (5,), (6,), (-1,)])
+    assert seen == [[4, 5, 6, 31]]
+    seen.clear()
+    max_commutator_at_cells(b, f, [(4,)], CubeFamilyMode.DYADIC_SIDES)
+    g2 = make_grid(2, 4)
+    max_commutator_at_cells(seeded_function(g2, 1), seeded_function(g2, 2), [(1, 2)])
+    assert seen == []
+
+
+def test_naive_scatter_reads_one_cached_joined_index_per_family():
+    joined = maxlip.operators._family_cells
+    assert joined.cache_info().maxsize == 8
+    for dim, n in ((1, 9), (2, 5)):
+        cells = joined(n, dim)
+        assert joined(n, dim) is cells and not cells.flags.writeable
+        with pytest.raises(ValueError):
+            cells[0] = 0
+        rows = [maxlip.operators._cube_cells(n, dim, k) for k in range(1, n + 1)]
+        assert np.array_equal(cells, np.concatenate(rows, axis=None))

@@ -168,6 +168,44 @@ def test_cli_version_flag(capsys):
     assert "maxlip" in capsys.readouterr().out
 
 
+def test_cli_builds_one_parser_and_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return real()
+
+    real = maxlip.cli.build_parser
+    monkeypatch.setattr(maxlip.cli, "build_parser", counted)
+    maxlip.cli._parser.cache_clear()
+    try:
+        cfg, step = tmp_path / "cfg.json", tmp_path / "step.json"
+        cfg.write_text(json.dumps({"grid": {"dim": 1, "cells": 8}}))
+        step.write_text(json.dumps({"grid": {"dim": 1, "cells": 8}, "function": {
+            "kind": "step", "left": 0.0, "right": 1.0, "split": 0.5}}))
+        csv_out, json_out, hl_out = tmp_path / "r.csv", tmp_path / "r.json", tmp_path / "hl.csv"
+        assert main(["verify", "identities", "--config", str(cfg), "--format", "csv",
+                     "--out", str(csv_out)]) == 0
+        assert csv_out.read_text().startswith("check_id,")
+        # The csv format of the call before does not carry over: the default is json.
+        assert main(["verify", "identities", "--config", str(cfg), "--out", str(json_out)]) == 0
+        assert json.loads(json_out.read_text())["scenario"] == "identities"
+        assert main(["compute", "hl", "--config", str(step), "--out", str(hl_out)]) == 0
+        assert read_gridfunction_csv(hl_out, make_grid(1, 8)).values[0] == pytest.approx(0.5)
+        for bad in (["verify", "no-such-scenario"], ["compute", "hl"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2, bad
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert maxlip.__version__ in capsys.readouterr().out
+        assert main(["verify", "identities", "--config", str(cfg), "--out", str(json_out)]) == 0
+        assert len(built) == 1
+    finally:
+        maxlip.cli._parser.cache_clear()
+
+
 def test_cli_compute_round_trip(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
