@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .catalog import ConfigError, config_number
 from .grid import CubeFamilyMode, Grid, family_sides, make_grid
 
@@ -174,6 +176,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
 def parse_grid(grid_raw, default_cells: int) -> tuple[int, int, tuple[float, ...], float]:
     """Validate a 'grid' object; returns dim, cells, box_origin and box_side."""
     if not isinstance(grid_raw, dict):
@@ -189,9 +194,15 @@ def parse_grid(grid_raw, default_cells: int) -> tuple[int, int, tuple[float, ...
         origin_raw = [origin_raw] * 2
     box_origin = tuple(config_number(c, "grid box_origin") for c in origin_raw)
     try:
-        make_grid(dim, cells, box_origin=box_origin, box_side=box_side)
+        h = make_grid(dim, cells, box_origin=box_origin, box_side=box_side).spacing
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # Cube measures and averages scale by h^dim; below the normal range they
+    # lose their relative precision.  h^dim <= h for h < 1, and h >= 1 is not
+    # raised to a power that might overflow.
+    if h < 1.0 and h**dim < _TINY:
+        raise ConfigError(f"grid box_side {box_side:g} over {cells} cells gives a cell measure "
+                          f"h^{dim} = {h**dim:g}, below the smallest normal float {_TINY:g}")
     return dim, cells, box_origin, box_side
 
 

@@ -9,15 +9,16 @@ dimensional constants.
 
 Each operator has two routes: a fast path built on per-side window
 statistics (prefix-sum queries, or one window view per side for the sharp
-function) plus one nested pass over the sides, and a naive oracle that sums
-each cube's gathered cells directly, side by side, and scatter-maxes every
-side's results into the cells at once.  The nested pass visits the sides in
-descending order: a side-k window lies in a larger window of the family
-exactly when it lies in one of the windows of the next larger side k' that
-do, so the running max carried down is
+function) plus one nested pass over the sides, and a naive oracle that
+gathers the cells of every cube of the family at once, sums each cube's row
+directly, and scatter-maxes the results into the cells at once.  The nested
+pass visits the sides in descending order: a side-k window lies in a larger
+window of the family exactly when it lies in one of the windows of the next
+larger side k' that do, so the running max carried down is
 max(window values of side k, sliding max of width k' - k + 1 of the carried
 max), and one last sliding max of the smallest side spreads it onto the
-cells.  In a full family every step has width 2.  The sliding max is a
+cells.  In a full family every step has width 2; in dim 1 such a step folds
+the carried max into the new side in place.  The sliding max is a
 log-step running max (van Herk; Gil and Werman): doubling maxima
 m_2p[i] = max(m_p[i], m_p[i+p]) up to the largest power of two p <= k, then
 max(m_p[i], m_p[i+k-p]) covers the window [i, i+k); a square window is one
@@ -53,9 +54,10 @@ lambda_sharp (whose call theorem2 shares with its mean recovery) and
 identities' local-on-cube check each make one call per family.
 identities' indicator check and the test bank of opnorm_lower_stacked use
 the stacks; that pass reads theorem3's M_b(chi_Q) rows off its indicator
-rows as on_cubes reads them.  The naive oracles, one gather per side over
-index rows cached per (N, dim, k) and one scatter per call over their join
-cached per (N, dim), are outside the cap.
+rows as on_cubes reads them.  The naive oracles, one gather per family
+over a joined index cached per (N, dim) (the maximal commutator's: one
+per side, over index rows cached per (N, dim, k)) and one scatter per
+call, are outside the cap.
 """
 
 from __future__ import annotations
@@ -197,12 +199,22 @@ def _nested_cell_max(side_vals, dim: int) -> np.ndarray:
     those start at most k' - k before it.  So one running max is carried
     down the sides, max(vals_k, sliding max of width k' - k + 1 of the
     carried max), and spread onto the cells by the smallest side at the end.
-    Max returns one of its arguments, so the result is the direct max over
-    every window holding the cell, bit for bit.
+    In dim 1 a step to a side one smaller (every step of a full family and
+    of local_max, the last step of a dyadic one) folds in place: the side-k
+    window at i lies in the side-(k+1) windows at i - 1 and i, so the
+    carried max is maxed into vals[1:] and into vals[:-1], with no padded
+    temporary.  Other steps and the final spread go through
+    _windowed_cell_max; in dim 2 an in-place fold takes four shifted
+    slices, which measured slower than the padded running max.  Max returns
+    one of its arguments, so the result is the direct max over every window
+    holding the cell, bit for bit.
     """
     carried, above = None, None
     for k, vals in side_vals:
-        if carried is not None:
+        if carried is not None and dim == 1 and above == k + 1:
+            np.maximum(vals[..., 1:], carried, out=vals[..., 1:])
+            np.maximum(vals[..., :-1], carried, out=vals[..., :-1])
+        elif carried is not None:
             np.maximum(vals, _windowed_cell_max(carried, above - k + 1, dim), out=vals)
         carried, above = vals, k
     return _windowed_cell_max(carried, above, dim)
@@ -629,11 +641,15 @@ def _join_sides(parts):
 
 
 # ---------------------------------------------------------------------------
-# Naive oracles: direct sums per cube, gathered side by side, then every
-# side's values scatter-maxed into their cubes' cells at once.  To stay
-# independent of the fast paths, no _naive_* function may call window_sums,
-# prefix_table, table_window_sums, GridFunction.prefix, window_view,
-# _windowed_cell_max, _nested_cell_max or _holding
+# Naive oracles: direct sums per cube, then every cube's values scatter-maxed
+# into its cells at once.  A per-cube oracle gathers the cells of every cube
+# of the family in one indexing call (_family_cells), sums each side's
+# contiguous (cubes, k^dim) rows with one call per side (_family_rows), and
+# divides, repeats and scatters over the whole family once.  A side's rows
+# are the rows its own gather would make, so the sums add in the same order.
+# To stay independent of the fast paths, no _naive_* function may call
+# window_sums, prefix_table, table_window_sums, GridFunction.prefix,
+# window_view, _windowed_cell_max, _nested_cell_max or _holding
 # (test_naive_oracles_use_no_fast_primitive).
 
 
@@ -647,6 +663,26 @@ def _family_cells(n: int, dim: int) -> np.ndarray:
     cells = np.concatenate([_cube_cells(n, dim, k) for k in range(1, n + 1)], axis=None)
     cells.flags.writeable = False
     return cells
+
+
+@functools.lru_cache(maxsize=8)
+def _family_rows(n: int, dim: int) -> tuple[tuple, np.ndarray]:
+    """Where each side's rows lie in _family_cells(n, dim), and each cube's cell count.
+
+    Returns (sides, counts).  sides[k - 1] = (cells, cubes): the side-k cubes'
+    cells are _family_cells(n, dim)[cells], their (cubes, k^dim) rows joined,
+    and those cubes are cubes of the family in enumeration order.  counts[c]
+    is k^dim for the c-th cube.  Cached for 8 families, counts read-only.
+    """
+    sizes = [k**dim for k in range(1, n + 1)]
+    cubes = [(n - k + 1) ** dim for k in range(1, n + 1)]
+    sides, cell_at, cube_at = [], 0, 0
+    for size, count in zip(sizes, cubes):
+        sides.append((slice(cell_at, cell_at + count * size), slice(cube_at, cube_at + count)))
+        cell_at, cube_at = cell_at + count * size, cube_at + count
+    counts = np.repeat(sizes, cubes)
+    counts.flags.writeable = False
+    return tuple(sides), counts
 
 
 @functools.lru_cache(maxsize=ORACLE_MAX_CELLS_DIM1)
@@ -668,31 +704,40 @@ def _cube_cells(n: int, dim: int, k: int) -> np.ndarray:
     return cells
 
 
-def _naive_scatter(n: int, dim: int, side_values) -> np.ndarray:
-    """Per cell, the max of side_values(cells, k) over every cube of every side k holding it.
+def _naive_scatter(n: int, dim: int, values: np.ndarray) -> np.ndarray:
+    """Per cell, the max of values over every cube of the family holding it.
 
-    side_values maps the (cubes, k^dim) flat cells of the side-k cubes to
-    one value per cell of each cube, in the same order; one scatter-max
-    takes all sides.
+    values holds one value per cell of each cube, laid out as
+    _family_cells(n, dim); one scatter-max takes them all.
     """
-    values = [side_values(_cube_cells(n, dim, k), k) for k in range(1, n + 1)]
     out = np.zeros(n**dim)
-    np.maximum.at(out, _family_cells(n, dim), np.concatenate(values, axis=None))
+    np.maximum.at(out, _family_cells(n, dim), values)
     return out.reshape((n,) * dim)
 
 
 def _naive_per_cube(vals: np.ndarray, statistic) -> np.ndarray:
-    """Per cell, the max of statistic(cells, k) over all grid cubes holding the cell.
+    """Per cell, the max of a per-cube statistic over all grid cubes holding the cell.
 
-    statistic maps the (cubes, k^dim) values of the side-k cubes to one value per cube.
+    statistic(cells, row_sums, counts) gets the family's cells gathered once
+    (every cube's values in a row, joined as _family_cells), row_sums, which
+    sums an array laid out like cells over each cube's row, and each cube's
+    cell count; it returns one value per cube.
     """
-    flat = vals.reshape(-1)
-    return _naive_scatter(vals.shape[0], vals.ndim,
-                          lambda idx, k: np.repeat(statistic(flat[idx], k), idx.shape[1]))
+    n, dim = vals.shape[0], vals.ndim
+    sides, counts = _family_rows(n, dim)
+
+    def row_sums(a: np.ndarray) -> np.ndarray:
+        sums = np.empty(len(counts))
+        for k, (at, cubes) in enumerate(sides, 1):
+            a[at].reshape(-1, k**dim).sum(axis=1, out=sums[cubes])
+        return sums
+
+    cells = vals.reshape(-1)[_family_cells(n, dim)]
+    return _naive_scatter(n, dim, np.repeat(statistic(cells, row_sums, counts), counts))
 
 
 def _naive_average_max(absv: np.ndarray) -> np.ndarray:
-    return _naive_per_cube(absv, lambda cells, k: cells.sum(axis=1) / k**absv.ndim)
+    return _naive_per_cube(absv, lambda cells, row_sums, counts: row_sums(cells) / counts)
 
 
 def _naive_hl(f: GridFunction) -> np.ndarray:
@@ -700,20 +745,22 @@ def _naive_hl(f: GridFunction) -> np.ndarray:
 
 
 def _naive_sharp(f: GridFunction) -> np.ndarray:
-    dim = f.grid.dim
-
-    def mean_oscillation(cells: np.ndarray, k: int) -> np.ndarray:
-        mean = cells.sum(axis=1, keepdims=True) / k**dim
-        return np.abs(cells - mean).sum(axis=1) / k**dim
+    def mean_oscillation(cells, row_sums, counts):
+        dev = np.repeat(row_sums(cells) / counts, counts)
+        np.subtract(cells, dev, out=dev)
+        return row_sums(np.abs(dev, out=dev)) / counts
 
     return _naive_per_cube(f.values, mean_oscillation)
 
 
 def _naive_frac(f: GridFunction, alpha: float) -> np.ndarray:
-    dim, h = f.grid.dim, f.grid.spacing
-    return _naive_per_cube(
-        np.abs(f.values), lambda cells, k: (k * h) ** alpha * cells.sum(axis=1) / k**dim
-    )
+    n, dim, h = f.grid.cells_per_axis, f.grid.dim, f.grid.spacing
+    # One Python power per side, repeated over its cubes: numpy's vectorized
+    # power may round differently.
+    scale = np.repeat([(k * h) ** alpha for k in range(1, n + 1)],
+                      [(n - k + 1) ** dim for k in range(1, n + 1)])
+    return _naive_per_cube(np.abs(f.values),
+                           lambda cells, row_sums, counts: scale * row_sums(cells) / counts)
 
 
 def _naive_max_comm(b: GridFunction, f: GridFunction) -> np.ndarray:
@@ -727,7 +774,8 @@ def _naive_max_comm(b: GridFunction, f: GridFunction) -> np.ndarray:
         table *= flat_f[idx][:, None, :]
         return table.sum(axis=2) / k**dim
 
-    return _naive_scatter(n, dim, averages)
+    sides = [averages(_cube_cells(n, dim, k), k) for k in range(1, n + 1)]
+    return _naive_scatter(n, dim, np.concatenate(sides, axis=None))
 
 
 def _naive_local(b: GridFunction, q0: Cube) -> np.ndarray:

@@ -856,3 +856,74 @@ def test_naive_scatter_reads_one_cached_joined_index_per_family():
             cells[0] = 0
         rows = [maxlip.operators._cube_cells(n, dim, k) for k in range(1, n + 1)]
         assert np.array_equal(cells, np.concatenate(rows, axis=None))
+
+
+def test_naive_oracles_equal_the_slice_loops_past_the_pairwise_block():
+    # 2-D N=12: the largest cubes hold 144 cells, more than numpy's pairwise
+    # summation block of 128, so a row sum splits the way its slice's does
+    # only if each side's gathered rows are summed as they lie.  The
+    # max-commutator cell loop is left out at this size.
+    g = Grid(2, 12, (0.0, 0.0), 1.0)
+    b = seeded_function(g, 42, -1.0, 1.0)
+    rng = np.random.default_rng(12)
+    for vals in (rng.uniform(-1.0, 1.0, g.shape), rng.integers(-2, 3, g.shape).astype(float),
+                 rng.uniform(-3.0, -1.0, g.shape)):
+        f = GridFunction(g, vals)
+        for tag in _naive_tags(g, b):
+            if tag.kind == "max_commutator":
+                continue
+            got = maxlip.operators._naive_apply(tag, f)
+            assert np.array_equal(got, slice_loop_apply(tag, f)), tag.label
+
+
+def test_family_rows_are_cached_read_only_offsets_into_the_joined_index():
+    family_rows = maxlip.operators._family_rows
+    assert family_rows.cache_info().maxsize == 8
+    for dim, n in ((1, 1), (1, 9), (2, 5), (2, 12)):
+        sides, counts = family_rows(n, dim)
+        assert family_rows(n, dim)[1] is counts and not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0] = 0
+        joined = maxlip.operators._family_cells(n, dim)
+        cell_at = cube_at = 0
+        for k, (cells, cubes) in enumerate(sides, 1):
+            want = maxlip.operators._cube_cells(n, dim, k)
+            assert (cells.start, cubes.start) == (cell_at, cube_at), k
+            assert np.array_equal(joined[cells].reshape(want.shape), want), k
+            assert cubes.stop - cubes.start == len(want) and (counts[cubes] == k**dim).all(), k
+            cell_at, cube_at = cells.stop, cubes.stop
+        assert (cell_at, cube_at) == (len(joined), len(counts))
+    for n in range(2, 12):
+        family_rows(n, 1)
+    assert family_rows.cache_info().currsize == 8
+
+
+def test_one_dim_adjacent_sides_fold_in_place(monkeypatch):
+    # In dim 1 a step to a side one smaller folds the carried max into the
+    # new side without _windowed_cell_max; only the final spread (width 1 in
+    # a full family) calls it.  2-D steps and wider dyadic steps keep it.
+    widths = []
+    windowed = maxlip.operators._windowed_cell_max
+
+    def counted(vals, k, dim):
+        widths.append(k)
+        return windowed(vals, k, dim)
+
+    monkeypatch.setattr(maxlip.operators, "_windowed_cell_max", counted)
+    g = make_grid(1, 32)
+    rng = np.random.default_rng(5)
+    stack = rng.uniform(-1.0, 1.0, (3,) + g.shape)
+    b = GridFunction(g, stack[0])
+    for tag in (OperatorTag.hl(), OperatorTag.sharp(), OperatorTag.fractional(0.5),
+                OperatorTag.comm_m(b), OperatorTag.comm_sharp(b)):
+        apply_stack(tag, g, stack)
+    local_max(b, Cube((3,), 20))
+    assert widths and set(widths) == {1}
+    widths.clear()
+    apply_stack(OperatorTag.hl(), g, stack, CubeFamilyMode.DYADIC_SIDES)
+    assert widths == [17, 9, 5, 3, 1]  # sides 32, 16, 8, 4, 2 -> 1 folds, 1
+    widths.clear()
+    g2 = make_grid(2, 8)
+    apply_stack(OperatorTag.sharp(), g2, rng.uniform(-1.0, 1.0, (2,) + g2.shape))
+    local_max(GridFunction(g2, rng.uniform(-1.0, 1.0, g2.shape)), Cube((1, 2), 5))
+    assert widths == [2] * 7 + [1] + [2] * 4 + [1]

@@ -400,6 +400,48 @@ def test_an_overflowing_value_range_is_a_config_error_without_warnings(tmp_path,
             assert not out.exists()
 
 
+@pytest.mark.parametrize("command, raw, measure", [
+    (["verify", "lemmas"], {"grid": {"box_side": 1e-320}}, "h^1 = 3.11261e-322"),
+    (["verify", "theorem1"], {"grid": {"dim": 2, "cells": 8, "box_side": 1e-160}},
+     "h^2 = 1.58101e-322"),
+    (["compute", "lux"], {"grid": {"cells": 64, "box_side": 1e-320}, "exponent": {"const": 2.0},
+                          "function": {"kind": "random", "seed": 1}}, "h^1 = 1.58101e-322"),
+    (["compute", "hl"], {"grid": {"dim": 2, "cells": 8, "box_side": 1e-160},
+                         "function": {"kind": "random", "seed": 1}}, "h^2 = 1.58101e-322"),
+])
+def test_a_cell_measure_below_the_normal_floats_is_a_config_error(tmp_path, capsys, command,
+                                                                  raw, measure):
+    # Such a box used to print numpy's RuntimeWarning and exit 4 from the solver.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: grid box_side ")
+    assert captured.err.endswith(f"gives a cell measure {measure}, below the smallest normal "
+                                 f"float 2.22507e-308\n")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+def test_the_smallest_normal_cell_measure_is_admitted():
+    from maxlip.config import parse_grid
+
+    tiny = float(np.finfo(float).tiny)
+    assert parse_grid({"cells": 4, "box_side": 4 * tiny}, 32)[3] == 4 * tiny
+    with pytest.raises(ConfigError, match="below the smallest normal float"):
+        parse_grid({"cells": 4, "box_side": 4 * np.nextafter(tiny, 0.0)}, 32)
+    side = 8 * math.sqrt(tiny) * (1 + 1e-15)
+    assert (side / 8) ** 2 >= tiny
+    assert parse_grid({"dim": 2, "cells": 8, "box_side": side}, 32)[3] == side
+    with pytest.raises(ConfigError, match="h\\^2 = "):
+        parse_grid({"dim": 2, "cells": 8, "box_side": 8 * math.sqrt(tiny) * (1 - 1e-15)}, 32)
+    # A large box is not measured by a power that would overflow.
+    assert parse_grid({"dim": 2, "cells": 2, "box_side": 1e308}, 32)[3] == 1e308
+
+
 def test_zero_operand_is_refused_before_any_operator_runs(tmp_path, monkeypatch, capsys):
     # theorem1-3 divide by ||f||_p in their operator-norm rows, so a zero f
     # is a config error found when the f bank is built, not after the sweeps.
