@@ -12,7 +12,8 @@ stderr.  An output is written to a temporary file beside its target and
 then moved into place, so a write that fails leaves the old file as it
 was.  ``python -m maxlip`` runs the same entry point.  The argument parser
 is built once per process, at the first call of main, and every later call
-reuses it.
+reuses it.  Each compute op is one row of a table: the config keys it
+builds, in order, and what it computes from them.
 """
 
 from __future__ import annotations
@@ -23,34 +24,42 @@ import os
 import sys
 
 from . import __version__
-from .catalog import ConfigError, build_exponent, build_function
-from .config import KNOWN_SCENARIOS, _is_int, load_config, parse_beta, parse_grid
-from .grid import (Cube, CubeFamilyMode, GridFunction, check_cube, make_grid, write_cells_csv,
+from .catalog import ConfigError, build_exponent, build_function, check_keys, is_int
+from .config import KNOWN_SCENARIOS, load_config, parse_beta, parse_family, parse_grid
+from .grid import (Cube, GridFunction, check_cube, make_grid, write_cells_csv,
                    write_gridfunction_csv)
 from .lipschitz import lambda_star, lambda_var, lip_seminorm
 from .luxemburg import lux_norm
 from .operators import OperatorTag, apply_operator, local_max
 from .scenarios import run_scenario
 
-_COMPUTE_OPS = (
-    "hl",
-    "sharp",
-    "frac",
-    "maxcomm",
-    "comm-m",
-    "comm-sharp",
-    "local",
-    "lux",
-    "lip",
-    "lambda-var",
-    "lambda-star",
-)
-_COMPUTE_KEYS = {"grid", "cube_family", "beta", "function", "symbol", "exponent", "cube"}
-# The operator ops: each builds its tag from the symbol b, or else from beta.
-_SYMBOL_OPERATORS = {"maxcomm": OperatorTag.max_commutator, "comm-m": OperatorTag.comm_m,
-                     "comm-sharp": OperatorTag.comm_sharp}
-_OPERATORS = {"hl": lambda beta: OperatorTag.hl(), "sharp": lambda beta: OperatorTag.sharp(),
-              "frac": OperatorTag.fractional, **_SYMBOL_OPERATORS}
+# Each compute op: the config keys it builds, in the order it builds them, and
+# what it computes from beta, the cube family and those inputs.  A grid
+# function is written as a CSV table and a number as text; the local op
+# returns the writer of its block of cells.  The entries look their functions
+# up when they run, so a wrapper installed on one of them is the one called.
+_COMPUTE_OPS = {
+    "hl": (("function",), lambda beta, mode, f: apply_operator(OperatorTag.hl(), f, mode)),
+    "sharp": (("function",), lambda beta, mode, f: apply_operator(OperatorTag.sharp(), f, mode)),
+    "frac": (("function",),
+             lambda beta, mode, f: apply_operator(OperatorTag.fractional(beta), f, mode)),
+    "maxcomm": (("symbol", "function"),
+                lambda beta, mode, b, f: apply_operator(OperatorTag.max_commutator(b), f, mode)),
+    "comm-m": (("symbol", "function"),
+               lambda beta, mode, b, f: apply_operator(OperatorTag.comm_m(b), f, mode)),
+    "comm-sharp": (("symbol", "function"),
+                   lambda beta, mode, b, f: apply_operator(OperatorTag.comm_sharp(b), f, mode)),
+    "local": (("cube", "symbol"), lambda beta, mode, cube, b: functools.partial(
+        write_cells_csv, local_max(b, cube), start=cube.start)),
+    "lux": (("exponent", "function"), lambda beta, mode, q, f: lux_norm(f, q).value),
+    "lip": (("symbol",), lambda beta, mode, b: lip_seminorm(b, beta).value),
+    "lambda-var": (("exponent", "symbol"),
+                   lambda beta, mode, q, b: lambda_var(b, beta, q, mode).value),
+    "lambda-star": (("exponent", "symbol"),
+                    lambda beta, mode, q, b: lambda_star(b, beta, q, mode).value),
+}
+_COMPUTE_KEYS = {"grid", "cube_family", "beta",
+                 *(key for keys, _ in _COMPUTE_OPS.values() for key in keys)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None, help="report path (stdout when omitted)")
 
     compute = sub.add_parser("compute", help="evaluate one operator or functional")
-    compute.add_argument("op", choices=_COMPUTE_OPS)
+    compute.add_argument("op", choices=tuple(_COMPUTE_OPS))
     compute.add_argument("--config", required=True, help="JSON config describing the inputs")
     compute.add_argument("--out", required=True, help="output path (CSV or scalar text)")
     return parser
@@ -81,16 +90,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _compute_grid(raw: dict):
-    dim, cells, box_origin, box_side = parse_grid(raw.get("grid", {}), 32)
-    return make_grid(dim, cells, box_origin=box_origin, box_side=box_side)
-
-
 def _parse_cube(spec, grid) -> Cube:
     if not isinstance(spec, dict) or set(spec) != {"start", "side_cells"}:
         raise ConfigError("'cube' must be an object with keys 'start' and 'side_cells'")
     start, side = spec["start"], spec["side_cells"]
-    if not isinstance(start, list) or not all(map(_is_int, start)) or not _is_int(side):
+    if not isinstance(start, list) or not all(map(is_int, start)) or not is_int(side):
         raise ConfigError(f"cube start must be a list of integers and side_cells an integer, "
                           f"got {start!r} and {side!r}")
     try:
@@ -101,44 +105,29 @@ def _parse_cube(spec, grid) -> Cube:
     return cube
 
 
+def _input(op: str, key: str, raw: dict, grid):
+    """What config key holds for op: a cube, an exponent or a grid function."""
+    if key not in raw:
+        raise ConfigError(f"compute op {op!r} requires {key!r} in config")
+    if key == "cube":
+        return _parse_cube(raw[key], grid)
+    if key == "exponent":
+        return build_exponent(grid, raw[key])
+    return build_function(grid, raw[key])
+
+
 def _run_compute(op: str, raw: dict, out_path: str) -> None:
-    unknown = set(raw) - _COMPUTE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in compute config")
-    grid = _compute_grid(raw)
-    try:
-        mode = CubeFamilyMode.parse(raw.get("cube_family", "full"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_keys(raw, _COMPUTE_KEYS, "compute config")
+    dim, cells, box_origin, box_side = parse_grid(raw.get("grid", {}), 32)
+    grid = make_grid(dim, cells, box_origin=box_origin, box_side=box_side)
+    mode = parse_family(raw, "full")
     beta = parse_beta(raw)
-
-    def need(key: str):
-        if key not in raw:
-            raise ConfigError(f"compute op {op!r} requires {key!r} in config")
-        return raw[key]
-
-    if op in _OPERATORS:
-        arg = build_function(grid, need("symbol")) if op in _SYMBOL_OPERATORS else beta
-        result = apply_operator(_OPERATORS[op](arg), build_function(grid, need("function")), mode)
-    elif op == "local":
-        cube = _parse_cube(need("cube"), grid)
-        values = local_max(build_function(grid, need("symbol")), cube)
-        _write_atomic(out_path, lambda path: write_cells_csv(values, path, cube.start))
-        return
-    elif op == "lux":
-        q = build_exponent(grid, need("exponent"))
-        result = lux_norm(build_function(grid, need("function")), q).value
-    elif op == "lip":
-        result = lip_seminorm(build_function(grid, need("symbol")), beta).value
-    elif op == "lambda-var":
-        q = build_exponent(grid, need("exponent"))
-        result = lambda_var(build_function(grid, need("symbol")), beta, q, mode).value
-    else:
-        q = build_exponent(grid, need("exponent"))
-        result = lambda_star(build_function(grid, need("symbol")), beta, q, mode).value
-
+    keys, compute = _COMPUTE_OPS[op]
+    result = compute(beta, mode, *(_input(op, key, raw, grid) for key in keys))
     if isinstance(result, GridFunction):
         _write_atomic(out_path, lambda path: write_gridfunction_csv(result, path))
+    elif callable(result):
+        _write_atomic(out_path, result)
     else:
         _write_atomic(out_path, lambda path: _write_text(path, f"{result:.17g}\n"))
 

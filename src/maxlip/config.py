@@ -2,7 +2,9 @@
 
 Every run is fully described by its defaulted config, which is echoed into
 the report so results can be reproduced from the report alone.  Unknown keys
-are rejected at every level rather than silently ignored.
+are rejected at every level rather than silently ignored.  The grid, beta and
+cube-family parsers here serve the compute configs of the command line too;
+the key, number and integer checks come from catalog.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ConfigError, config_number
+from .catalog import ConfigError, check_keys, config_number, is_int
 from .grid import CubeFamilyMode, Grid, family_sides, make_grid
 
 KNOWN_SCENARIOS = (
@@ -165,17 +167,6 @@ def _default_functions(beta: float) -> dict:
     }
 
 
-def _check_keys(raw: dict, allowed: set[str], context: str) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; a bool is an int in Python but not one here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -183,10 +174,10 @@ def parse_grid(grid_raw, default_cells: int) -> tuple[int, int, tuple[float, ...
     """Validate a 'grid' object; returns dim, cells, box_origin and box_side."""
     if not isinstance(grid_raw, dict):
         raise ConfigError("'grid' must be an object")
-    _check_keys(grid_raw, _GRID_KEYS, "grid config")
+    check_keys(grid_raw, _GRID_KEYS, "grid config")
     dim = grid_raw.get("dim", 1)
     cells = grid_raw.get("cells", default_cells)
-    if not _is_int(dim) or not _is_int(cells):
+    if not is_int(dim) or not is_int(cells):
         raise ConfigError(f"grid dim and cells must be integers, got {dim!r} and {cells!r}")
     box_side = config_number(grid_raw.get("box_side", 1.0), "grid box_side")
     origin_raw = grid_raw.get("box_origin", [0.0, 0.0])
@@ -219,6 +210,14 @@ def parse_beta(raw: dict) -> float:
     return beta
 
 
+def parse_family(raw: dict, default: str) -> CubeFamilyMode:
+    """The 'cube_family' of a config object, default when it has none."""
+    try:
+        return CubeFamilyMode.parse(raw.get("cube_family", default))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     """Overlay user config on scenario defaults and validate everything."""
     if scenario not in KNOWN_SCENARIOS:
@@ -226,17 +225,12 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
+    check_keys(raw, _TOP_KEYS, "config")
     defaults = _SCENARIO_DEFAULTS[scenario]
 
     dim, cells, box_origin, box_side = parse_grid(raw.get("grid", {}), defaults["cells"])
 
-    family_raw = raw.get("cube_family", defaults["cube_family"])
-    try:
-        cube_family = CubeFamilyMode.parse(family_raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    cube_family = parse_family(raw, defaults["cube_family"])
     beta = parse_beta(raw)
 
     exponents = raw.get("exponents", defaults.get("exponents"))
@@ -251,7 +245,7 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     functions = raw.get("functions", defaults.get("functions", _default_functions(beta)))
     if not isinstance(functions, dict):
         raise ConfigError("'functions' must be an object with keys 'b' and 'f'")
-    _check_keys(functions, _FUN_KEYS, "functions config")
+    check_keys(functions, _FUN_KEYS, "functions config")
     functions_b = functions.get("b", [])
     functions_f = functions.get("f", [])
     if not isinstance(functions_b, list) or not isinstance(functions_f, list):
@@ -260,7 +254,7 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     tol_raw = raw.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         raise ConfigError("'tolerances' must be an object")
-    _check_keys(tol_raw, _TOL_KEYS, "tolerances config")
+    check_keys(tol_raw, _TOL_KEYS, "tolerances config")
     identity_tol = config_number(tol_raw.get("identity_tol", 1e-9), "identity_tol")
     if identity_tol < 0.0:
         raise ConfigError("tolerances must be nonnegative")
@@ -273,7 +267,7 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     if not isinstance(refinements, list) or not refinements:
         raise ConfigError("'refinements' must be a nonempty list of cell counts")
     for n in refinements:
-        if not _is_int(n) or n < 2:
+        if not is_int(n) or n < 2:
             raise ConfigError(f"refinement cell counts must be integers >= 2, got {n!r}")
     if any(b <= a for a, b in zip(refinements, refinements[1:])):
         raise ConfigError("'refinements' must be strictly increasing")

@@ -139,8 +139,13 @@ def _newton_solve(blocks, cell_measure: float):
     return tuple(np.concatenate(column) for column in zip(*results))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _solve_group(group: list, cell_measure: float):
-    """_newton_solve of the blocks of one group, in lockstep."""
+    """_newton_solve of the blocks of one group, in lockstep.
+
+    Past the root of a huge exponent the modular underflows to 0 and the
+    Newton estimate log(0) * 0 / 0 is NaN; fmax and fmin, unlike clip, put
+    the bracket end in its place, so numpy's warnings are silenced here."""
     count = sum(len(a) for a, _ in group)
     value, lo_out, hi_out = np.zeros(count), np.zeros(count), np.zeros(count)
     evals = np.zeros(count, dtype=np.int64)
@@ -170,15 +175,19 @@ def _solve_group(group: list, cell_measure: float):
         if done.any():
             rows_done = idx[done]
             value[rows_done], lo_out[rows_done], hi_out[rows_done] = (
-                np.clip(est[done], lo[done], hi[done]), lo[done], hi[done])
+                np.fmin(np.fmax(est[done], lo[done]), hi[done]), lo[done], hi[done])
             keep = ~done
             idx, lo, hi, est = idx[keep], lo[keep], hi[keep], est[keep]
             blocks = _kept(blocks, keep)
         # A Newton step that would land within half the tolerance of a
         # bracket end, or beyond it, evaluates there instead and so either
         # closes the bracket or moves that end.
-        lam = np.clip(est, lo * (1.0 + 0.5 * BRACKET_REL_TOL), hi * (1.0 - 0.5 * BRACKET_REL_TOL))
+        lam = np.fmin(np.fmax(est, lo * (1.0 + 0.5 * BRACKET_REL_TOL)),
+                      hi * (1.0 - 0.5 * BRACKET_REL_TOL))
     if not blocks:
+        if not np.isfinite(value).all():
+            raise ConvergenceError("Newton solve ended on a non-finite norm",
+                                   (float(lo_out.min()), float(hi_out.max())))
         return value, lo_out, hi_out, evals
     # Every cell at most 1/(cells * h^dim) makes the modular at most 1.
     cap = np.concatenate([np.max(a * (a.shape[1] * cell_measure) ** (1.0 / p), axis=1)

@@ -5,6 +5,7 @@ fsum, sharing no code with the Newton solver in luxemburg.py.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -421,3 +422,18 @@ def test_batched_norms_equal_one_solve_each():
     assert luxemburg.lux_norms([], []).size == 0
     with pytest.raises(ValueError, match="zip"):
         luxemburg.lux_norms(fs, qs[:1])
+
+
+@pytest.mark.parametrize("p", [2e15, 1e16, 1e300, 1e308])
+def test_a_huge_constant_exponent_gives_the_max_norm_without_warnings(p):
+    # Past the root the modular underflows to 0 and the Newton estimate was
+    # log(0) * 0 / 0 = NaN, which clip passed through: the norm read nan.
+    # ||f||_p = max|f| (cells * h)^(1/p) up to rounding at these p.
+    g = make_grid(1, 8)
+    q = const_exponent(g, p)
+    f = seeded_function(g, 3, 0.5, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lux_norm(sample(g, lambda x: np.ones_like(x)), q).value == pytest.approx(
+            1.0, rel=1e-12, abs=0.0)
+        assert lux_norm(f, q).value == pytest.approx(float(f.values.max()), rel=1e-12, abs=0.0)

@@ -764,3 +764,273 @@ def test_theorem2_takes_the_sharp_rows_once_per_symbol(tmp_path, monkeypatch):
     assert main(["verify", "theorem2", "--out", str(tmp_path / "r.json")]) == 0
     # The mean recovery and lambda_sharp for every q share one M#(b chi_Q) per b.
     assert kinds == ["sharp"] * len(cfg.functions_b)
+
+
+# Every config error the CLI can raise, one config per rule: exit 2, one
+# stderr line, no output file.  An expected text ending in a newline is the
+# whole line; one without is a prefix, for lines that embed an OS or JSON
+# parser message.  A config of bytes is written as is, and None writes no
+# file.  TMP in a config or a line stands for the test's directory.
+# The multi-fault rows pin which of several faults is reported first.
+
+_LEMMAS = ["verify", "lemmas"]
+
+
+def _compute(op):
+    return ["compute", op]
+
+
+def _b_bank(*specs):
+    return {"functions": {"b": list(specs), "f": []}}
+
+
+CONFIG_ERRORS = [
+    ("fn-unknown-key", _LEMMAS, _b_bank({"kind": "const", "extra": 1}),
+     "unknown keys ['extra'] in const function spec\n"),
+    ("exp-unknown-key", _LEMMAS, {"exponents": [{"affine": {"a": 2.0, "c": 1.0}}]},
+     "unknown keys ['c'] in affine exponent spec\n"),
+    ("exp-affine-not-object", _LEMMAS, {"pair_exponents": [{"affine": 2.0}]},
+     "affine exponent spec must be an object, got 2.0\n"),
+    ("fn-spec-not-object", _compute("lip"), {"symbol": 3},
+     "function spec must be a dict with a 'kind' key, got 3\n"),
+    ("power-center-short", _LEMMAS,
+     {"grid": {"dim": 2, "cells": 4}, **_b_bank({"kind": "power", "center": [0.5]})},
+     "power function center needs 2 coordinates, got [0.5]\n"),
+    ("random-no-seed", _compute("lip"), {"symbol": {"kind": "random"}},
+     "random function spec must carry an explicit seed\n"),
+    ("random-seed-negative", _LEMMAS, _b_bank({"kind": "random", "seed": -1}),
+     "random function seed must be a nonnegative integer, got -1\n"),
+    ("random-seed-bool", _compute("lip"), {"symbol": {"kind": "random", "seed": True}},
+     "random function seed must be a nonnegative integer, got True\n"),
+    ("random-seed-float", _compute("lip"), {"symbol": {"kind": "random", "seed": 1.0}},
+     "random function seed must be a nonnegative integer, got 1.0\n"),
+    ("fn-kind-unknown", _compute("hl"), {"function": {"kind": "triangle"}},
+     "unknown function kind 'triangle'\n"),
+    ("fn-kind-unhashable", _compute("hl"), {"function": {"kind": [1]}},
+     "unknown function kind [1]\n"),
+    ("random-range-reversed", _compute("lip"),
+     {"symbol": {"kind": "random", "seed": 1, "low": 2, "high": 1}},
+     "random function needs low <= high with high - low finite, got [2, 1]\n"),
+    ("exp-empty", _compute("lux"), {"exponent": {}, "function": {"kind": "const"}},
+     "exponent spec must be a single-key dict, got {}\n"),
+    ("exp-two-keys", _LEMMAS, {"exponents": [{"const": 2.0, "step": {}}]},
+     "exponent spec must be a single-key dict, got {'const': 2.0, 'step': {}}\n"),
+    ("exp-csv-not-path", _compute("lux"), {"exponent": {"csv": 3}, "function": {"kind": "const"}},
+     "csv exponent spec needs a file path, got 3\n"),
+    ("exp-csv-missing", _LEMMAS, {"exponents": [{"csv": "TMP/missing.csv"}]},
+     "cannot read exponent csv 'TMP/missing.csv': "),
+    ("exp-key-unknown", _compute("lambda-var"),
+     {"exponent": {"triadic": 2}, "symbol": {"kind": "const"}},
+     "unknown exponent spec key 'triadic'\n"),
+    ("config-missing", _LEMMAS, None, "cannot read config 'TMP/cfg.json': "),
+    ("config-not-json", _compute("hl"), b"{", "config 'TMP/cfg.json' is not valid JSON: "),
+    ("root-not-object", _LEMMAS, [1], "config root must be a JSON object\n"),
+    ("compute-root-not-object", _compute("hl"), "text", "config root must be a JSON object\n"),
+    ("grid-not-object", _LEMMAS, {"grid": 3}, "'grid' must be an object\n"),
+    ("compute-grid-not-object", _compute("hl"), {"grid": [8], "function": {"kind": "const"}},
+     "'grid' must be an object\n"),
+    ("grid-unknown-key", _LEMMAS, {"grid": {"side": 1.0}}, "unknown keys ['side'] in grid config\n"),
+    ("grid-dim-3", _LEMMAS, {"grid": {"dim": 3}}, "dim must be 1 or 2, got 3\n"),
+    ("grid-cells-1", _compute("hl"), {"grid": {"cells": 1}, "function": {"kind": "const"}},
+     "cells_per_axis must be an integer >= 2, got 1\n"),
+    ("beta-out-of-range", _LEMMAS, {"beta": 1.5}, "beta must lie in (0, 1), got 1.5\n"),
+    ("compute-beta-zero", _compute("frac"), {"beta": 0, "function": {"kind": "const"}},
+     "beta must lie in (0, 1), got 0.0\n"),
+    ("family-verify", _LEMMAS, {"cube_family": "triadic"},
+     "unknown cube family 'triadic', expected 'full' or 'dyadic'\n"),
+    ("family-compute", _compute("hl"), {"cube_family": "triadic", "function": {"kind": "const"}},
+     "unknown cube family 'triadic', expected 'full' or 'dyadic'\n"),
+    ("family-not-a-string", _LEMMAS, {"cube_family": 2},
+     "unknown cube family 2, expected 'full' or 'dyadic'\n"),
+    ("exponents-empty", _LEMMAS, {"exponents": []},
+     "'exponents' must be a nonempty list of exponent specs\n"),
+    ("exponents-not-a-list", _LEMMAS, {"exponents": {"const": 2.0}},
+     "'exponents' must be a nonempty list of exponent specs\n"),
+    ("pair-exponents-empty", _LEMMAS, {"pair_exponents": []},
+     "'pair_exponents' must be a nonempty list of exponent specs\n"),
+    ("functions-not-object", _LEMMAS, {"functions": []},
+     "'functions' must be an object with keys 'b' and 'f'\n"),
+    ("functions-unknown-key", _LEMMAS, {"functions": {"g": []}},
+     "unknown keys ['g'] in functions config\n"),
+    ("bank-not-a-list", _LEMMAS, {"functions": {"b": {}}},
+     "function banks 'b' and 'f' must be lists of function specs\n"),
+    ("tolerances-not-object", _LEMMAS, {"tolerances": 3}, "'tolerances' must be an object\n"),
+    ("tolerance-negative", _LEMMAS, {"tolerances": {"identity_tol": -1.0}},
+     "tolerances must be nonnegative\n"),
+    ("stability-factor-one", _LEMMAS, {"stability_factor": 1},
+     "stability_factor must exceed 1, got 1.0\n"),
+    ("refinements-empty", _LEMMAS, {"refinements": []},
+     "'refinements' must be a nonempty list of cell counts\n"),
+    ("refinements-not-a-list", _LEMMAS, {"refinements": 8},
+     "'refinements' must be a nonempty list of cell counts\n"),
+    ("refinement-float", _LEMMAS, {"refinements": [8.0]},
+     "refinement cell counts must be integers >= 2, got 8.0\n"),
+    ("refinement-one", _LEMMAS, {"refinements": [1]},
+     "refinement cell counts must be integers >= 2, got 1\n"),
+    ("refinement-bool", _LEMMAS, {"refinements": [True, 8]},
+     "refinement cell counts must be integers >= 2, got True\n"),
+    ("refinements-repeat", _LEMMAS, {"refinements": [8, 8]},
+     "'refinements' must be strictly increasing\n"),
+    ("cube-missing-side", _compute("local"),
+     {"grid": {"cells": 8}, "cube": {"start": [0]}, "symbol": {"kind": "const"}},
+     "'cube' must be an object with keys 'start' and 'side_cells'\n"),
+    ("cube-extra-key", _compute("local"),
+     {"grid": {"cells": 8}, "cube": {"start": [0], "side_cells": 2, "end": 2},
+      "symbol": {"kind": "const"}},
+     "'cube' must be an object with keys 'start' and 'side_cells'\n"),
+    ("cube-off-the-grid", _compute("local"),
+     {"grid": {"cells": 8}, "cube": {"start": [6], "side_cells": 4}, "symbol": {"kind": "const"}},
+     "cube start=(6,) side=4 leaves the 8-cell grid\n"),
+    ("cube-wrong-dim", _compute("local"),
+     {"grid": {"cells": 8}, "cube": {"start": [0, 0], "side_cells": 2},
+      "symbol": {"kind": "const"}},
+     "cube start (0, 0) does not match grid dim 1\n"),
+    ("cube-side-zero", _compute("local"),
+     {"grid": {"cells": 8}, "cube": {"start": [0], "side_cells": 0}, "symbol": {"kind": "const"}},
+     "cube side must be a positive integer, got 0\n"),
+    ("compute-unknown-key", _compute("hl"), {"grdi": {}, "function": {"kind": "const"}},
+     "unknown keys ['grdi'] in compute config\n"),
+    ("multi-compute-key-before-grid", _compute("hl"), {"grdi": {}, "grid": 3},
+     "unknown keys ['grdi'] in compute config\n"),
+    ("multi-compute-grid-before-family", _compute("hl"), {"grid": {"dim": 3}, "cube_family": "x"},
+     "dim must be 1 or 2, got 3\n"),
+    ("multi-compute-family-before-beta", _compute("frac"), {"cube_family": "x", "beta": 2},
+     "unknown cube family 'x', expected 'full' or 'dyadic'\n"),
+    ("multi-compute-beta-before-need", _compute("frac"), {"beta": 2},
+     "beta must lie in (0, 1), got 2.0\n"),
+    ("multi-compute-symbol-before-function", _compute("maxcomm"), {},
+     "compute op 'maxcomm' requires 'symbol' in config\n"),
+    ("multi-compute-exponent-before-function", _compute("lux"), {},
+     "compute op 'lux' requires 'exponent' in config\n"),
+    ("multi-compute-exponent-before-symbol", _compute("lambda-star"), {"symbol": {"kind": "x"}},
+     "compute op 'lambda-star' requires 'exponent' in config\n"),
+    ("multi-compute-cube-before-symbol", _compute("local"), {"symbol": {"kind": "x"}},
+     "compute op 'local' requires 'cube' in config\n"),
+    ("multi-key-before-seed", _compute("lip"), {"symbol": {"kind": "random", "extra": 1}},
+     "unknown keys ['extra'] in random function spec\n"),
+    ("multi-seed-before-low", _compute("lip"), {"symbol": {"kind": "random", "low": "x"}},
+     "random function spec must carry an explicit seed\n"),
+    ("multi-gamma-before-center", _compute("lip"),
+     {"grid": {"dim": 2, "cells": 4}, "symbol": {"kind": "power", "gamma": "x", "center": [0.5]}},
+     "power function spec 'gamma' must be a number, got 'x'\n"),
+    ("multi-left-before-split", _compute("lip"),
+     {"symbol": {"kind": "step", "left": None, "split": None}},
+     "step function spec 'left' must be a number, got None\n"),
+    ("multi-sine-amplitude-before-offset", _compute("lip"),
+     {"symbol": {"kind": "sine", "offset": None, "amplitude": None}},
+     "sine function spec 'amplitude' must be a number, got None\n"),
+    ("multi-exp-right-before-split", _LEMMAS, {"exponents": [{"step": {"right": None, "split": None}}]},
+     "step exponent spec 'right' must be a number, got None\n"),
+    ("multi-exp-a-before-b", _LEMMAS, {"exponents": [{"affine": {"a": None, "b": None}}]},
+     "affine exponent spec 'a' must be a number, got None\n"),
+    ("multi-verify-key-before-grid", _LEMMAS, {"grdi": 1, "grid": 3},
+     "unknown keys ['grdi'] in config\n"),
+    ("multi-verify-grid-before-family", _LEMMAS, {"grid": {"dim": 3}, "cube_family": "x"},
+     "dim must be 1 or 2, got 3\n"),
+    ("multi-verify-family-before-beta", _LEMMAS, {"cube_family": "x", "beta": 2},
+     "unknown cube family 'x', expected 'full' or 'dyadic'\n"),
+    ("multi-verify-exponents-before-pairs", _LEMMAS, {"exponents": [], "pair_exponents": []},
+     "'exponents' must be a nonempty list of exponent specs\n"),
+    ("multi-verify-tolerance-before-stability", _LEMMAS, {"tolerances": 3, "stability_factor": 0},
+     "'tolerances' must be an object\n"),
+]
+
+
+@pytest.mark.parametrize("command, raw, expected", [case[1:] for case in CONFIG_ERRORS],
+                         ids=[case[0] for case in CONFIG_ERRORS])
+def test_every_config_error_is_one_line_with_exit_2(tmp_path, capsys, command, raw, expected):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    if isinstance(raw, bytes):
+        cfg.write_bytes(raw)
+    elif raw is not None:
+        cfg.write_text(json.dumps(raw).replace("TMP", str(tmp_path)))
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    line = "config error: " + expected.replace("TMP", str(tmp_path))
+    if line.endswith("\n"):
+        assert captured.err == line
+    else:
+        assert captured.err.startswith(line) and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_config_root_that_is_no_object_is_refused_by_parse_config():
+    # load_config refuses it first on the command line.
+    with pytest.raises(ConfigError, match="^config root must be a JSON object$"):
+        parse_config("lemmas", [1])
+
+
+def test_compute_lux_under_a_huge_constant_exponent_is_finite(tmp_path, capsys):
+    # It used to write nan and print numpy's RuntimeWarning four times.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "lux.txt"
+    cfg.write_text(json.dumps({"grid": {"cells": 8}, "function": {"kind": "const"},
+                               "exponent": {"const": 1e300}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compute", "lux", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert float(out.read_text()) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+# M#(chi_Q) = 1/2 on Q needs, at every cell of Q, a family cube through the
+# cell with exactly half its cells in Q; identities checks it on those Q only.
+
+def _half_overlap_by_definition(grid, mode):
+    """The indices of the family cubes Q that every cell of Q reaches through
+    some family cube holding it with exactly half its cells in Q."""
+    cubes = maxlip.enumerate_cubes(grid, mode)
+    cells = np.zeros((len(cubes), *grid.shape), dtype=np.int64)
+    for row, cube in zip(cells, cubes):
+        row[cube.slices()] = 1
+    cells = cells.reshape(len(cubes), -1)
+    half = 2 * (cells @ cells.T) == cells.sum(axis=1)[None, :]  # [Q, P]: |P & Q| = |P| / 2
+    reached = (half.astype(np.int64) @ cells) > 0
+    return np.flatnonzero(np.all(reached >= cells.astype(bool), axis=1))
+
+
+@pytest.mark.parametrize("dim, n, family, count", [
+    (1, 9, "full", 30), (1, 12, "dyadic", 32), (2, 6, "full", 21), (2, 7, "full", 32),
+    (2, 8, "dyadic", 54),
+])
+def test_half_overlap_eligible_cubes_match_the_definition(dim, n, family, count):
+    from maxlip.scenarios import _half_overlap_eligible
+
+    grid, mode = make_grid(dim, n), CubeFamilyMode.parse(family)
+    expected = _half_overlap_by_definition(grid, mode)
+    assert expected.size == count
+    assert np.array_equal(_half_overlap_eligible(grid, mode), expected)
+
+
+@pytest.mark.parametrize("n, family, count", [(6, "full", 21), (8, "dyadic", 54)])
+def test_two_dim_identities_pass_on_the_half_overlap_cubes(n, family, count):
+    rep = run_scenario("identities", {"grid": {"dim": 2, "cells": n}, "cube_family": family})
+    assert not [c.check_id for c in rep.checks if c.status == "fail"]
+    (sharp,) = [c for c in rep.checks if c.check_id == "identities/sharp-on-cube"]
+    assert sharp.witness["eligible_cubes"] == count
+
+
+@pytest.mark.parametrize("spec, label", [
+    ({"kind": "const"}, "const1"), ({"kind": "const", "value": 3}, "const3"),
+    ({"kind": "affine"}, "affine(0,1)"), ({"kind": "affine", "a": 2, "b": -0.5}, "affine(2,-0.5)"),
+    ({"kind": "power"}, "power0.5"), ({"kind": "power", "gamma": 2, "center": 0.5}, "power2"),
+    ({"kind": "step", "left": 3}, "step"), ({"kind": "sine", "frequency": 2}, "sine"),
+    ({"kind": "random", "seed": 7, "high": 2}, "random7"),
+])
+def test_function_labels_read_the_spec_or_its_defaults(spec, label):
+    from maxlip.catalog import function_label
+
+    maxlip.build_function(make_grid(1, 4), spec)
+    assert function_label(spec) == label
+
+
+@pytest.mark.parametrize("spec, label", [
+    ({"const": 3}, "const3"), ({"const": 2.5}, "const2.5"), ({"affine": {}}, "affine(2,0)"),
+    ({"affine": {"b": 1}}, "affine(2,1)"), ({"step": {}}, "step(2,4)"),
+    ({"step": {"right": 3, "split": 0.2}}, "step(2,3)"),
+])
+def test_exponent_labels_read_the_spec_or_its_defaults(spec, label):
+    from maxlip.catalog import exponent_label
+
+    maxlip.build_exponent(make_grid(1, 4), spec)
+    assert exponent_label(spec) == label
