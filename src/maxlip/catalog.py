@@ -20,6 +20,8 @@ import numpy as np
 from .exponents import VariableExponent, validate_p
 from .grid import Grid, GridFunction, read_gridfunction_csv, sample
 
+__all__ = ["ConfigError", "build_function", "build_exponent"]
+
 
 class ConfigError(ValueError):
     """A malformed or inadmissible configuration; maps to exit code 2."""

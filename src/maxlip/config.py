@@ -17,6 +17,8 @@ import numpy as np
 from .catalog import ConfigError, check_keys, config_number, is_int
 from .grid import CubeFamilyMode, Grid, family_sides, make_grid
 
+__all__ = ["KNOWN_SCENARIOS", "ScenarioConfig", "load_config", "parse_config"]
+
 KNOWN_SCENARIOS = (
     "lemmas",
     "identities",

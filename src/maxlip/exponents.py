@@ -30,7 +30,6 @@ __all__ = [
     "conjugate",
     "build_pair",
     "split_exponents",
-    "log_holder_constant",
 ]
 
 
@@ -95,11 +94,6 @@ def conjugate(p: VariableExponent) -> VariableExponent:
         conj._conjugate = p
         p._conjugate = conj
     return p._conjugate
-
-
-def log_holder_constant(p: VariableExponent) -> float:
-    """Discrete log-Holder modulus recorded at validation time."""
-    return p.log_holder_const
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,12 @@ __all__ = [
     "Cube",
     "make_grid",
     "sample",
-    "integrate",
-    "average",
     "indicator",
+    "check_cube",
+    "family_sides",
     "enumerate_cubes",
     "cubes_by_side",
     "side_runs",
-    "cubes_containing",
     "window_sums",
     "cube_rows",
     "write_gridfunction_csv",
@@ -101,10 +100,6 @@ class Grid:
         h = self.spacing
         base = self.box_origin[axis]
         return base + (np.arange(self.cells_per_axis) + 0.5) * h
-
-    def center_of(self, cell: tuple[int, ...]) -> tuple[float, ...]:
-        h = self.spacing
-        return tuple(self.box_origin[a] + (cell[a] + 0.5) * h for a in range(self.dim))
 
 
 def make_grid(
@@ -224,10 +219,6 @@ class Cube:
     def side_length(self, grid: Grid) -> float:
         return self.side_cells * grid.spacing
 
-    def contains_cell(self, cell: tuple[int, ...]) -> bool:
-        k = self.side_cells
-        return all(s <= c < s + k for s, c in zip(self.start, cell))
-
 
 def check_cube(grid: Grid, cube: Cube) -> None:
     """Raise unless the cube lies fully inside the grid."""
@@ -240,40 +231,6 @@ def check_cube(grid: Grid, cube: Cube) -> None:
     for s in cube.start:
         if not isinstance(s, (int, np.integer)) or s < 0 or s + k > n:
             raise ValueError(f"cube start={cube.start} side={k} leaves the {n}-cell grid")
-
-
-def _normalize_cell(grid: Grid, cell) -> tuple[int, ...]:
-    if isinstance(cell, (int, np.integer)):
-        cell = (int(cell),)
-    cell = tuple(int(c) for c in cell)
-    if len(cell) != grid.dim:
-        raise ValueError(f"cell {cell} does not match grid dim {grid.dim}")
-    n = grid.cells_per_axis
-    if not all(0 <= c < n for c in cell):
-        raise ValueError(f"cell {cell} outside the {n}-cell grid")
-    return cell
-
-
-def _box_sum(f: GridFunction, cube: Cube) -> float:
-    """Raw sum of cell values over the cube via the prefix table."""
-    p = f.prefix
-    k = cube.side_cells
-    if f.grid.dim == 1:
-        (s,) = cube.start
-        return float(p[s + k] - p[s])
-    i, j = cube.start
-    return float(p[i + k, j + k] - p[i + k, j] - p[i, j + k] + p[i, j])
-
-
-def integrate(f: GridFunction, cube: Cube) -> float:
-    """Exact integral over the cube: sum of cell values times cell measure."""
-    check_cube(f.grid, cube)
-    return _box_sum(f, cube) * f.grid.cell_measure
-
-
-def average(f: GridFunction, cube: Cube) -> float:
-    check_cube(f.grid, cube)
-    return _box_sum(f, cube) / cube.side_cells**f.grid.dim
 
 
 def indicator(grid: Grid, cube: Cube) -> GridFunction:
@@ -328,23 +285,6 @@ def side_runs(cubes):
         run = tuple(run)
         yield slice(lo, lo + len(run)), run
         lo += len(run)
-
-
-def cubes_containing(grid: Grid, cell, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> tuple[Cube, ...]:
-    """Cubes of the family whose cell range contains the given cell.
-
-    Same ordering as enumerate_cubes restricted to the matching cubes.
-    """
-    cell = _normalize_cell(grid, cell)
-    n = grid.cells_per_axis
-    out = []
-    for k in family_sides(n, mode):
-        ranges = [range(max(0, c - k + 1), min(c, n - k) + 1) for c in cell]
-        if grid.dim == 1:
-            out.extend(Cube((s,), k) for s in ranges[0])
-        else:
-            out.extend(Cube((i, j), k) for i in ranges[0] for j in ranges[1])
-    return tuple(out)
 
 
 def prefix_table(values: np.ndarray, dim: int, dtype=np.longdouble) -> np.ndarray:

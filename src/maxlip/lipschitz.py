@@ -205,14 +205,6 @@ def _centered_rows(b: GridFunction, q: VariableExponent, mode: CubeFamilyMode, c
     return rows()
 
 
-def _oscillation_values(
-    b: GridFunction, beta: float, q: VariableExponent, mode: CubeFamilyMode, center: str
-) -> np.ndarray:
-    """The row value of cube_oscillation_rows for every cube, in enumeration order."""
-    rows = (r for _, r in _centered_rows(b, q, mode, center))
-    return cube_ratios([rows], beta, q, mode)[0]
-
-
 def cube_oscillation_rows(
     b: GridFunction,
     beta: float,
@@ -227,7 +219,8 @@ def cube_oscillation_rows(
     with ref chosen by ``center``: the cube average, the cube-local maximal
     function, or twice the sharp maximal function of b chi_Q.
     """
-    values = _oscillation_values(b, beta, q, mode, center)
+    rows = (r for _, r in _centered_rows(b, q, mode, center))
+    values = cube_ratios([rows], beta, q, mode)[0]
     return list(zip(enumerate_cubes(b.grid, mode), values.tolist()))
 
 

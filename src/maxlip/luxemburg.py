@@ -50,15 +50,13 @@ __all__ = [
     "ConvergenceError",
     "modular",
     "lux_norm",
-    "lux_norms",
     "holder_constant",
     "holder_defect",
-    "holder_defects",
     "check_s_norm",
-    "check_s_norms",
     "indicator_norms",
     "cube_duality_product",
     "cube_embedding_ratio",
+    "embedding_bound",
 ]
 
 MAX_ITERATIONS = 100
@@ -210,14 +208,6 @@ def _kept(blocks: list, keep: np.ndarray) -> list:
     return out
 
 
-def _lux_solve(abs_vals: np.ndarray, p_vals: np.ndarray, cell_measure: float) -> NormResult:
-    """Norm of one support, which may be a cube slice of the grid."""
-    value, lo, hi, evals = _newton_solve(
-        [(abs_vals.reshape(1, -1), p_vals.reshape(1, -1))], cell_measure
-    )
-    return NormResult(float(value[0]), int(evals[0]), (float(lo[0]), float(hi[0])), True)
-
-
 def _lux_solve_batch(abs_rows: np.ndarray, p_rows: np.ndarray, cell_measure: float) -> np.ndarray:
     """Norms of many independent supports of one size at once, one row each."""
     return _newton_solve([(abs_rows, p_rows)], cell_measure)[0]
@@ -238,7 +228,10 @@ def _stack_norms(stack: np.ndarray, exponents: list[VariableExponent]) -> np.nda
 def lux_norm(f: GridFunction, p: VariableExponent) -> NormResult:
     """Luxemburg norm of f under exponent p."""
     _check_same_grid(f, p)
-    return _lux_solve(np.abs(f.values), p.values.values, f.grid.cell_measure)
+    value, lo, hi, evals = _newton_solve(
+        [(np.abs(f.values).reshape(1, -1), p.values.values.reshape(1, -1))], f.grid.cell_measure
+    )
+    return NormResult(float(value[0]), int(evals[0]), (float(lo[0]), float(hi[0])), True)
 
 
 def lux_norms(fs: list[GridFunction], ps: list[VariableExponent]) -> np.ndarray:

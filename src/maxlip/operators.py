@@ -90,6 +90,7 @@ __all__ = [
     "local_max",
     "local_max_sweep",
     "max_commutator",
+    "max_commutator_at_cells",
     "comm_m",
     "comm_sharp",
     "apply_operator",

@@ -16,6 +16,17 @@ from typing import Any
 
 from .grid import Cube
 
+__all__ = [
+    "Check",
+    "Report",
+    "check_eq",
+    "check_le",
+    "check_ge",
+    "report_row",
+    "new_report",
+    "report_from_json",
+]
+
 CSV_COLUMNS = ("check_id", "anchor", "relation", "lhs", "rhs", "tolerance", "status", "witness")
 
 

@@ -81,6 +81,8 @@ from .operators import (
 from .report import Check, Report, check_eq, check_ge, check_le, new_report, report_row
 from .sweep import Worst, worst_of
 
+__all__ = ["run_scenario"]
+
 # Sharp-sweep cost grows with the square of the cube count, so the
 # per-cube sharp functional is only swept on grids up to these sizes.
 _SHARP_SWEEP_MAX = {1: 64, 2: 16}
@@ -119,6 +121,17 @@ def _exponent_bank(grid: Grid, specs: list[dict]) -> list[tuple[str, VariableExp
     return _bank(grid, specs, build_exponent, exponent_label)
 
 
+def _conjugable_bank(grid: Grid, specs: list[dict]) -> list[tuple[str, VariableExponent]]:
+    """The exponent bank of lemmas, whose Holder and duality rows read each q's conjugate."""
+    qs = _exponent_bank(grid, specs)
+    for label, q in qs:
+        try:
+            conjugate(q)
+        except ValueError as exc:
+            raise ConfigError(f"exponent {label} has no admissible conjugate: {exc}") from exc
+    return qs
+
+
 def _pair_bank(cfg: ScenarioConfig, grid: Grid) -> list[tuple[str, ExponentPair]]:
     out = []
     for label, p in _exponent_bank(grid, cfg.pair_exponents):
@@ -136,7 +149,7 @@ def _dim_factor(dim: int, beta: float) -> float:
 
 
 def _cube_averages(b: GridFunction, k: int) -> np.ndarray:
-    """average(b, Q) of every side-k cube in enumeration order, rounded as it rounds."""
+    """The mean of b on every side-k cube in enumeration order: its window sum over k^dim."""
     return window_sums(b, k).reshape(-1) / k**b.grid.dim
 
 
@@ -252,7 +265,7 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
     _function_bank(grid, cfg.functions_b)
     fs = _function_bank(grid, cfg.functions_f)
     fpairs = list(itertools.combinations_with_replacement(fs, 2))
-    qs = _exponent_bank(grid, cfg.exponents)
+    qs = _conjugable_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
 
     def lux(lq: str, q: VariableExponent) -> list[Check]:
@@ -894,9 +907,11 @@ def run_scenario(scenario: str, raw: dict | None = None) -> Report:
     """Run one named scenario (or all of them) and return its report."""
     if scenario == "all":
         cfgs = {name: parse_config(name, raw) for name in SCENARIO_ORDER}
-        # A zero f stops theorem1-3; find it before any scenario computes.
+        # A zero f stops theorem1-3 and an exponent with no admissible conjugate
+        # stops lemmas; find them before any scenario computes.
         for name in ("theorem1", "theorem2", "theorem3"):
             _operand_bank(cfgs[name], cfgs[name].build_grid())
+        _conjugable_bank(cfgs["lemmas"].build_grid(), cfgs["lemmas"].exponents)
         report = new_report("all", {
             "scenario": "all",
             "scenarios": {name: cfg.echo() for name, cfg in cfgs.items()},

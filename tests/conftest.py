@@ -23,6 +23,11 @@ def fsum_integral(f: GridFunction) -> float:
     return math.fsum(f.values.reshape(-1).tolist()) * f.grid.cell_measure
 
 
+def cell_center(grid: Grid, cell) -> tuple[float, ...]:
+    """Center coordinates of a cell, read from Grid.centers."""
+    return tuple(float(grid.centers(axis)[i]) for axis, i in enumerate(cell))
+
+
 def const_exponent(grid: Grid, value: float):
     return validate_p(sample(grid, lambda *xy: value))
 

@@ -9,7 +9,6 @@ from maxlip import (
     GridFunction,
     build_pair,
     conjugate,
-    log_holder_constant,
     make_grid,
     sample,
     split_exponents,
@@ -116,7 +115,7 @@ def test_split_consistent_with_pair():
 
 def test_log_holder_constant_and_flag():
     g = make_grid(1, 64)
-    assert log_holder_constant(const_exponent(g, 2.0)) == 0.0
+    assert const_exponent(g, 2.0).log_holder_const == 0.0
     p = affine_exponent(g, 2.0, 1.0)
     assert p.log_holder_exact
     assert p.log_holder_const > 0.0

@@ -13,15 +13,12 @@ from maxlip import (
     Cube,
     CubeFamilyMode,
     GridFunction,
-    average,
     check_cube,
     cube_rows,
     cubes_by_side,
-    cubes_containing,
     enumerate_cubes,
     family_sides,
     indicator,
-    integrate,
     make_grid,
     read_gridfunction_csv,
     sample,
@@ -30,7 +27,12 @@ from maxlip import (
 )
 from maxlip.grid import write_cells_csv
 
-from conftest import fsum_integral, seeded_function
+from conftest import cell_center, fsum_integral, seeded_function
+
+
+def integral(f: GridFunction, cube: Cube) -> float:
+    """Integral over the cube: its window_sums entry times the cell measure."""
+    return float(window_sums(f, cube.side_cells)[cube.start]) * f.grid.cell_measure
 
 
 def brute_cubes(n: int, dim: int, sides) -> list[Cube]:
@@ -63,7 +65,7 @@ def test_cell_centers_match_convention():
     assert np.allclose(g.centers(0), [0.125, 0.375, 0.625, 0.875])
     g2 = make_grid(2, 2, box_origin=(1.0, -1.0), box_side=2.0)
     assert g2.cell_measure == 1.0
-    assert g2.center_of((0, 1)) == (1.5, 0.5)
+    assert cell_center(g2, (0, 1)) == (1.5, 0.5)
 
 
 def test_family_sides():
@@ -90,26 +92,6 @@ def test_enumeration_order_is_ascending_side_then_start():
     assert keys == sorted(keys)
 
 
-def test_cubes_containing_counts():
-    g = make_grid(1, 4)
-    all_cubes = brute_cubes(4, 1, range(1, 5))
-    for cell in [(0,), (1,), (2,), (3,)]:
-        expected = [c for c in all_cubes if c.contains_cell(cell)]
-        got = cubes_containing(g, cell)
-        assert set(got) == set(expected)
-    # Hand count, frozen: the boundary cell sits in fewer cubes.
-    assert len(cubes_containing(g, (0,))) == 4
-    assert len(cubes_containing(g, (1,))) == 6
-
-
-def test_cubes_containing_dim2():
-    g = make_grid(2, 3)
-    all_cubes = brute_cubes(3, 2, range(1, 4))
-    for cell in [(0, 0), (1, 1), (2, 0)]:
-        expected = {c for c in all_cubes if c.contains_cell(cell)}
-        assert set(cubes_containing(g, cell)) == expected
-
-
 def test_check_cube_rejects_overflow():
     g = make_grid(1, 8)
     check_cube(g, Cube((6,), 2))
@@ -124,24 +106,16 @@ def test_integrate_matches_fsum_oracle():
         g = make_grid(1, 31) if seed % 2 else make_grid(2, 7)
         whole = Cube((0,) * g.dim, g.cells_per_axis)
         f = seeded_function(g, seed, -5.0, 5.0)
-        assert integrate(f, whole) == pytest.approx(fsum_integral(f), rel=1e-13, abs=1e-15)
+        assert integral(f, whole) == pytest.approx(fsum_integral(f), rel=1e-13, abs=1e-15)
 
 
 def test_integrate_additive_over_partition():
     g = make_grid(2, 6)
     f = seeded_function(g, 3)
     total = sum(
-        integrate(f, Cube((i, j), 2)) for i in (0, 2, 4) for j in (0, 2, 4)
+        integral(f, Cube((i, j), 2)) for i in (0, 2, 4) for j in (0, 2, 4)
     )
-    assert total == pytest.approx(integrate(f, Cube((0, 0), 6)), rel=1e-12)
-
-
-def test_average_of_affine_is_center_mean():
-    g = make_grid(1, 8)
-    f = sample(g, lambda x: 3.0 * x + 1.0)
-    q = Cube((2,), 4)
-    centers = g.centers(0)[2:6]
-    assert average(f, q) == pytest.approx(float(np.mean(3.0 * centers + 1.0)), rel=1e-14)
+    assert total == pytest.approx(integral(f, Cube((0, 0), 6)), rel=1e-12)
 
 
 def test_indicator_and_measure():
@@ -149,7 +123,7 @@ def test_indicator_and_measure():
     q = Cube((1, 1), 2)
     chi = indicator(g, q)
     assert set(np.unique(chi.values)) == {0.0, 1.0}
-    assert integrate(chi, Cube((0, 0), 4)) == pytest.approx(q.measure(g), rel=1e-14)
+    assert integral(chi, Cube((0, 0), 4)) == pytest.approx(q.measure(g), rel=1e-14)
     assert q.measure(g) == pytest.approx((2 * g.spacing) ** 2)
 
 
@@ -238,8 +212,8 @@ def test_integrate_is_linear(n, seed, a):
     whole = Cube((0,), n)
     f = seeded_function(g, seed)
     h = seeded_function(g, seed + 1)
-    lhs = integrate(a * f + h, whole)
-    rhs = a * integrate(f, whole) + integrate(h, whole)
+    lhs = integral(a * f + h, whole)
+    rhs = a * integral(f, whole) + integral(h, whole)
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-12)
 
 

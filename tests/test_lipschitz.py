@@ -36,22 +36,26 @@ from maxlip import (
     sharp_max,
     validate_p,
 )
-from maxlip.lipschitz import _oscillation_values
 from maxlip.luxemburg import _lux_solve_batch
 from maxlip.sweep import Worst, worst_of
 
-from conftest import affine_exponent, const_exponent, seeded_function
+from conftest import affine_exponent, cell_center, const_exponent, seeded_function
 
 
 def brute_lip(b: GridFunction, beta: float) -> float:
     """All-pairs seminorm, no offset tricks."""
-    centers = [b.grid.center_of(c) for c in np.ndindex(b.grid.shape)]
+    centers = [cell_center(b.grid, c) for c in np.ndindex(b.grid.shape)]
     vals = b.values.reshape(-1)
     best = 0.0
     for i, j in itertools.combinations(range(len(vals)), 2):
         dist = math.dist(centers[i], centers[j])
         best = max(best, abs(float(vals[i] - vals[j])) / dist**beta)
     return best
+
+
+def oscillation_values(b, beta, q, mode, center) -> np.ndarray:
+    """The row values of cube_oscillation_rows, in enumeration order."""
+    return np.array([value for _, value in cube_oscillation_rows(b, beta, q, mode, center)])
 
 
 def test_lip_of_coordinate_closed_form():
@@ -84,7 +88,7 @@ def test_lip_witness_reproduces_value():
     b = seeded_function(g, 17)
     res = lip_seminorm(b, 0.7)
     (x, y) = res.witness
-    dist = abs(g.center_of(x)[0] - g.center_of(y)[0])
+    dist = abs(cell_center(g, x)[0] - cell_center(g, y)[0])
     assert abs(float(b.values[x] - b.values[y])) / dist**0.7 == pytest.approx(
         res.value, rel=1e-12
     )
@@ -473,7 +477,7 @@ def test_bounded_sweeps_equal_the_full_sweep(case):
     yet give the value and witness of the sweep that solves every cube."""
     b, q, mode, beta, center = case
     res = CENTERS[center](b, beta, q, mode)
-    full = worst_of(_oscillation_values(b, beta, q, mode, center), enumerate_cubes(b.grid, mode))
+    full = worst_of(oscillation_values(b, beta, q, mode, center), enumerate_cubes(b.grid, mode))
     assert (res.value, res.witness, res.exact) == (full.value, full.witness, True)
 
 
@@ -491,7 +495,7 @@ def test_bounded_sweeps_under_a_small_cap(monkeypatch):
         for b, q, mode, center in itertools.product(fields, exponents, SWEEP_MODES,
                                                     ["average", "local_max"]):
             res = CENTERS[center](b, 0.4, q, mode)
-            full = worst_of(_oscillation_values(b, 0.4, q, mode, center), enumerate_cubes(g, mode))
+            full = worst_of(oscillation_values(b, 0.4, q, mode, center), enumerate_cubes(g, mode))
             assert (res.value, res.witness) == (full.value, full.witness), (center, mode)
 
 
@@ -587,7 +591,7 @@ def test_bounded_walk_holds_at_most_four_caps_of_rows(monkeypatch):
                 [const_exponent(g, 2.5), affine_exponent(g, 2.0, 1.0)], SWEEP_MODES):
             held.clear()
             res = lambda_var(b, 0.4, q, mode)
-            full = worst_of(_oscillation_values(b, 0.4, q, mode, "average"),
+            full = worst_of(oscillation_values(b, 0.4, q, mode, "average"),
                             enumerate_cubes(g, mode))
             assert (res.value, res.witness) == (full.value, full.witness)
             assert len(held) == len(family_sides(g.cells_per_axis, mode))

@@ -34,9 +34,14 @@ from maxlip import (
     CubeFamilyMode,
 )
 from maxlip import luxemburg
-from maxlip.luxemburg import ConvergenceError, _lux_solve, _lux_solve_batch
+from maxlip.luxemburg import ConvergenceError, _lux_solve_batch
 
 from conftest import affine_exponent, const_exponent, seeded_function
+
+
+def solve_one(abs_vals: np.ndarray, p_vals: np.ndarray, cell_measure: float) -> float:
+    """Norm of one support, which may be a cube slice: _lux_solve_batch on one row."""
+    return float(_lux_solve_batch(abs_vals.reshape(1, -1), p_vals.reshape(1, -1), cell_measure)[0])
 
 
 def closed_form_const_norm(f: GridFunction, p: float) -> float:
@@ -197,7 +202,7 @@ def test_newton_batch_rows_match_single_solves():
     got = _lux_solve_batch(rows, p_rows, cm)
     assert got[0] == 0.0
     for i in range(1, len(cases)):
-        assert got[i] == pytest.approx(_lux_solve(rows[i], p_rows[i], cm).value, rel=1e-14)
+        assert got[i] == pytest.approx(solve_one(rows[i], p_rows[i], cm), rel=1e-14)
 
 
 def test_convergence_error_carries_a_real_bracket(monkeypatch):
@@ -262,7 +267,7 @@ def test_newton_solve_of_mixed_widths_equals_each_block_alone(monkeypatch, cap):
     zero = np.concatenate([~a.any(axis=1) for a, _ in blocks])
     assert not value[zero].any() and not evals[zero].any() and value[~zero].all()
     rows = [(a[r], p[r]) for a, p in blocks for r in range(len(a))]
-    assert value.tolist() == [_lux_solve(a, p, cm).value for a, p in rows]
+    assert value.tolist() == [solve_one(a, p, cm) for a, p in rows]
 
 
 def test_newton_solve_of_no_blocks_is_empty():
@@ -374,7 +379,7 @@ def test_embedding_ratio_within_derived_bound():
 def reference_indicator_norms(q, mode):
     """||chi_Q||_q one cube at a time: a solve of ones on the cube's own q values."""
     ones = lambda cube: np.ones((cube.side_cells,) * q.grid.dim)  # noqa: E731
-    return [_lux_solve(ones(c), q.values.values[c.slices()], q.grid.cell_measure).value
+    return [solve_one(ones(c), q.values.values[c.slices()], q.grid.cell_measure)
             for c in enumerate_cubes(q.grid, mode)]
 
 
@@ -390,8 +395,8 @@ def test_indicator_norms_equal_the_per_cube_solves(dim, n, mode):
         norms = indicator_norms(q, mode)
         assert norms.tolist() == reference_indicator_norms(q, mode)
         for cube, norm in zip(enumerate_cubes(g, mode), norms):
-            dual = _lux_solve(np.ones((cube.side_cells,) * dim),
-                              conjugate(q).values.values[cube.slices()], g.cell_measure).value
+            dual = solve_one(np.ones((cube.side_cells,) * dim),
+                             conjugate(q).values.values[cube.slices()], g.cell_measure)
             assert cube_duality_product(cube, q) == norm * dual / cube.measure(g)
 
 
@@ -415,8 +420,8 @@ def test_batched_norms_equal_one_solve_each():
                 if s * q.p_minus < 1.0:
                     continue
                 cm, p_vals = g.cell_measure, q.values.values
-                expected = [abs(_lux_solve(np.abs(f.values) ** s, p_vals, cm).value
-                                - _lux_solve(np.abs(f.values), s * p_vals, cm).value ** s)
+                expected = [abs(solve_one(np.abs(f.values) ** s, p_vals, cm)
+                                - solve_one(np.abs(f.values), s * p_vals, cm) ** s)
                             for f in fs[:4]]
                 assert luxemburg.check_s_norms(fs[:4], q, s) == expected
     assert luxemburg.lux_norms([], []).size == 0

@@ -467,6 +467,19 @@ def test_zero_operand_is_refused_before_any_operator_runs(tmp_path, monkeypatch,
     assert main(["verify", "lemmas", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
 
 
+def test_normequiv_past_the_exact_pair_limit_backs_no_hard_row_with_a_sampled_bound():
+    # At 2-D N=65 the pair sweep samples, so Lip_beta is only a lower bound:
+    # its ratio row is monitored and flagged, and no upper or constant row is emitted.
+    rep = run_scenario("normequiv", {"grid": {"dim": 2}, "cube_family": "dyadic",
+                                     "refinements": [65], "exponents": [{"const": 2.0}]})
+    rows = {c.check_id: c for c in rep.checks}
+    ratios = [c for i, c in rows.items() if i.startswith("normequiv/ratio/")]
+    assert ratios and all(c.witness["lip_exact"] is False for c in ratios)
+    assert not [i for i in rows if i.startswith(("normequiv/upper/", "normequiv/constant/"))]
+    reductions = [c for i, c in rows.items() if i.startswith("normequiv/const-reduction/")]
+    assert reductions and all(c.status == "pass" for c in reductions)
+
+
 @pytest.mark.parametrize("scenario, n", [("counterexamples", 128), ("normequiv", 64),
                                          ("all", 64), ("identities", 64)])
 def test_a_grid_over_the_cube_cell_limit_is_refused_before_computing(
@@ -492,6 +505,23 @@ def test_a_grid_over_the_cube_cell_limit_is_refused_before_computing(
     assert err.startswith("config error: grid too large: ") and f"N = {n}," in err
     assert err.count("\n") == 1
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("p", [9.1e15, 1e16, 1e17, 1e308])
+def test_all_refuses_an_exponent_with_no_admissible_conjugate_before_computing(monkeypatch, p):
+    # Above 2^53, p/(p - 1) rounds to 1, so lemmas' Holder and duality rows have
+    # no conjugate exponent to read.
+    import re
+
+    import maxlip.scenarios
+
+    def no_work(cfg):
+        raise AssertionError("a scenario computed")
+
+    for name in maxlip.scenarios.SCENARIO_ORDER:
+        monkeypatch.setitem(maxlip.scenarios._BUILDERS, name, no_work)
+    with pytest.raises(ConfigError, match=re.escape(f"exponent const{p:g} has no admissible")):
+        run_scenario("all", {"exponents": [{"const": p}]})
 
 
 def test_every_default_grid_is_under_the_cube_cell_limit():
@@ -621,8 +651,8 @@ def test_cli_compute_local_writes_the_cube_cells(tmp_path, dim):
 @pytest.mark.parametrize("grid, family", [({"dim": 1, "cells": 12}, "full"),
                                           ({"dim": 2, "cells": 6}, "dyadic")])
 def test_theorem3_ratio_rows_equal_the_per_cube_lux_norm_loop(grid, family):
-    from maxlip import (average, build_exponent, build_function, enumerate_cubes, indicator,
-                        lux_norm, max_commutator)
+    from maxlip import (build_exponent, build_function, enumerate_cubes, indicator, lux_norm,
+                        max_commutator)
     from maxlip.catalog import exponent_label, function_label
 
     raw = {"grid": grid, "cube_family": family, "beta": 0.4,
@@ -641,7 +671,8 @@ def test_theorem3_ratio_rows_equal_the_per_cube_lux_norm_loop(grid, family):
             for cube in enumerate_cubes(g, mode):
                 chi = indicator(g, cube)
                 den = cube.measure(g) ** (cfg.beta / g.dim) * lux_norm(chi, q).value
-                osc[cube] = lux_norm(abs(b - average(b, cube)) * chi, q).value / den
+                mean = float(np.mean(b.values[cube.slices()]))
+                osc[cube] = lux_norm(abs(b - mean) * chi, q).value / den
                 mb[cube] = lux_norm(max_commutator(b, chi, mode) * chi, q).value / den
             top = max(mb.values())
             labels = f"{function_label(b_spec)}/{exponent_label(q_spec)}"
@@ -819,6 +850,12 @@ CONFIG_ERRORS = [
      "csv exponent spec needs a file path, got 3\n"),
     ("exp-csv-missing", _LEMMAS, {"exponents": [{"csv": "TMP/missing.csv"}]},
      "cannot read exponent csv 'TMP/missing.csv': "),
+    ("exp-no-conjugate", _LEMMAS, {"exponents": [{"const": 1e16}]},
+     "exponent const1e+16 has no admissible conjugate: exponent class violation: "
+     "admissibility requires 1 < p_-, got p((0,)) = 1\n"),
+    ("all-exp-no-conjugate", ["verify", "all"], {"exponents": [{"const": 1e308}]},
+     "exponent const1e+308 has no admissible conjugate: exponent class violation: "
+     "admissibility requires 1 < p_-, got p((0,)) = 1\n"),
     ("exp-key-unknown", _compute("lambda-var"),
      {"exponent": {"triadic": 2}, "symbol": {"kind": "const"}},
      "unknown exponent spec key 'triadic'\n"),

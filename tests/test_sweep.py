@@ -14,7 +14,7 @@ from maxlip import GridFunction, lip_seminorm, make_grid, sample, validate_p
 from maxlip.exponents import _log_holder_score
 from maxlip.sweep import _EXACT_PAIRS, _SAMPLE_PAIRS, _SAMPLE_SEED, Worst, pair_sweep
 
-from conftest import seeded_function
+from conftest import cell_center, seeded_function
 
 
 def lip_score(beta):
@@ -27,7 +27,7 @@ def log_holder_score(diff, dist):
 
 def brute_sup(f: GridFunction, score) -> float:
     """Largest score over all unordered pairs of cell centers, one cell at a time."""
-    centers = np.array([f.grid.center_of(c) for c in np.ndindex(f.grid.shape)])
+    centers = np.array([cell_center(f.grid, c) for c in np.ndindex(f.grid.shape)])
     vals = f.values.reshape(-1)
     best = 0.0
     for i in range(len(vals) - 1):
@@ -38,7 +38,7 @@ def brute_sup(f: GridFunction, score) -> float:
 
 def pair_score(f: GridFunction, pair, score) -> float:
     x, y = pair
-    dist = math.dist(f.grid.center_of(x), f.grid.center_of(y))
+    dist = math.dist(cell_center(f.grid, x), cell_center(f.grid, y))
     return float(score(np.array([abs(f.values[x] - f.values[y])]), np.array([dist]))[0])
 
 
