@@ -118,8 +118,8 @@ def _input(op: str, key: str, raw: dict, grid):
 
 def _run_compute(op: str, raw: dict, out_path: str) -> None:
     check_keys(raw, _COMPUTE_KEYS, "compute config")
-    dim, cells, box_origin, box_side = parse_grid(raw.get("grid", {}), 32)
-    grid = make_grid(dim, cells, box_origin=box_origin, box_side=box_side)
+    g = parse_grid(raw.get("grid", {}), 32)
+    grid = make_grid(g["dim"], g["cells"], g["box_origin"], g["box_side"])
     mode = parse_family(raw, "full")
     beta = parse_beta(raw)
     keys, compute = _COMPUTE_OPS[op]

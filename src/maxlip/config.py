@@ -1,16 +1,21 @@
 """Scenario configuration: loading, per-scenario defaults, strict validation.
 
 Every run is fully described by its defaulted config, which is echoed into
-the report so results can be reproduced from the report alone.  Unknown keys
-are rejected at every level rather than silently ignored.  The grid, beta and
-cube-family parsers here serve the compute configs of the command line too;
-the key, number and integer checks come from catalog.
+the report so results can be reproduced from the report alone.  The config's
+shape is written once: after the scenario's name, the fields of
+ScenarioConfig are the top-level keys a config may hold, in the form and
+order the report echoes them, and the unknown-key check reads its keys from
+them.  The grid, functions and tolerances sections are each one table of
+their keys with defaults, and a section is echoed with every key filled in.
+Unknown keys are rejected at every level rather than silently ignored.  The
+grid, beta and cube-family parsers here serve the compute configs of the
+command line too; the key, number and integer checks come from catalog.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,20 +35,11 @@ KNOWN_SCENARIOS = (
     "all",
 )
 
-_TOP_KEYS = {
-    "grid",
-    "cube_family",
-    "beta",
-    "exponents",
-    "pair_exponents",
-    "functions",
-    "tolerances",
-    "stability_factor",
-    "refinements",
-}
-_GRID_KEYS = {"dim", "cells", "box_origin", "box_side"}
-_TOL_KEYS = {"identity_tol"}
-_FUN_KEYS = {"b", "f"}
+# Each section's keys with their defaults, in echo order; a grid's cells
+# default per scenario.
+_GRID = {"dim": 1, "cells": None, "box_origin": [0.0, 0.0], "box_side": 1.0}
+_FUNCTIONS = {"b": [], "f": []}
+_TOLERANCES = {"identity_tol": 1e-9}
 
 # The most cube cells, the sum over the family's sides k of (N-k+1)^dim k^dim,
 # that a grid of a scenario may have: every cube's cells, as the per-cube
@@ -91,43 +87,38 @@ _SCENARIO_DEFAULTS: dict[str, dict] = {
 
 @dataclass
 class ScenarioConfig:
+    """A scenario's defaulted config: after the scenario's name, each field is
+    one top-level config key as the report echoes it."""
+
     scenario: str
-    dim: int
-    cells: int
-    box_origin: tuple[float, ...]
-    box_side: float
+    grid: dict
     cube_family: CubeFamilyMode
     beta: float
     exponents: list[dict]
     pair_exponents: list[dict]
-    functions_b: list[dict]
-    functions_f: list[dict]
-    identity_tol: float
+    functions: dict
+    tolerances: dict
     stability_factor: float
     refinements: list[int]
 
+    @property
+    def functions_b(self) -> list[dict]:
+        return self.functions["b"]
+
+    @property
+    def functions_f(self) -> list[dict]:
+        return self.functions["f"]
+
     def build_grid(self, cells: int | None = None) -> Grid:
-        n = self.cells if cells is None else cells
-        return make_grid(self.dim, n, box_origin=self.box_origin, box_side=self.box_side)
+        g = self.grid
+        return make_grid(g["dim"], g["cells"] if cells is None else cells, g["box_origin"],
+                         g["box_side"])
 
     def echo(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "grid": {
-                "dim": self.dim,
-                "cells": self.cells,
-                "box_origin": list(self.box_origin),
-                "box_side": self.box_side,
-            },
-            "cube_family": self.cube_family.value,
-            "beta": self.beta,
-            "exponents": self.exponents,
-            "pair_exponents": self.pair_exponents,
-            "functions": {"b": self.functions_b, "f": self.functions_f},
-            "tolerances": {"identity_tol": self.identity_tol},
-            "stability_factor": self.stability_factor,
-            "refinements": self.refinements,
-        }
+        return {**asdict(self), "cube_family": self.cube_family.value}
+
+
+_KEYS = {field.name for field in fields(ScenarioConfig)} - {"scenario"}
 
 
 def load_config(path: str) -> dict:
@@ -142,6 +133,15 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return raw
+
+
+def _section(raw, defaults: dict, name: str, hint: str = "") -> dict:
+    """The config section under key name: raw, which must be an object with no
+    key outside defaults, with every key it lacks taken from defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{name}' must be an object{hint}")
+    check_keys(raw, defaults, f"{name} config")
+    return {**defaults, **raw}
 
 
 def _default_pair_exponents(dim: int, beta: float) -> list[dict]:
@@ -172,22 +172,19 @@ def _default_functions(beta: float) -> dict:
 _TINY = float(np.finfo(float).tiny)
 
 
-def parse_grid(grid_raw, default_cells: int) -> tuple[int, int, tuple[float, ...], float]:
-    """Validate a 'grid' object; returns dim, cells, box_origin and box_side."""
-    if not isinstance(grid_raw, dict):
-        raise ConfigError("'grid' must be an object")
-    check_keys(grid_raw, _GRID_KEYS, "grid config")
-    dim = grid_raw.get("dim", 1)
-    cells = grid_raw.get("cells", default_cells)
+def parse_grid(grid_raw, default_cells: int) -> dict:
+    """Validate a 'grid' object; returns the grid section, every key filled in."""
+    grid = _section(grid_raw, {**_GRID, "cells": default_cells}, "grid")
+    dim, cells = grid["dim"], grid["cells"]
     if not is_int(dim) or not is_int(cells):
         raise ConfigError(f"grid dim and cells must be integers, got {dim!r} and {cells!r}")
-    box_side = config_number(grid_raw.get("box_side", 1.0), "grid box_side")
-    origin_raw = grid_raw.get("box_origin", [0.0, 0.0])
-    if not isinstance(origin_raw, list):
-        origin_raw = [origin_raw] * 2
-    box_origin = tuple(config_number(c, "grid box_origin") for c in origin_raw)
+    box_side = grid["box_side"] = config_number(grid["box_side"], "grid box_side")
+    origin = grid["box_origin"]
+    if not isinstance(origin, list):
+        origin = [origin] * 2
+    grid["box_origin"] = [config_number(c, "grid box_origin") for c in origin]
     try:
-        h = make_grid(dim, cells, box_origin=box_origin, box_side=box_side).spacing
+        h = make_grid(dim, cells, grid["box_origin"], box_side).spacing
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # Cube measures and averages scale by h^dim; below the normal range they
@@ -196,7 +193,7 @@ def parse_grid(grid_raw, default_cells: int) -> tuple[int, int, tuple[float, ...
     if h < 1.0 and h**dim < _TINY:
         raise ConfigError(f"grid box_side {box_side:g} over {cells} cells gives a cell measure "
                           f"h^{dim} = {h**dim:g}, below the smallest normal float {_TINY:g}")
-    return dim, cells, box_origin, box_side
+    return grid
 
 
 def cube_cells(dim: int, n: int, mode: CubeFamilyMode) -> int:
@@ -227,45 +224,36 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    check_keys(raw, _TOP_KEYS, "config")
+    check_keys(raw, _KEYS, "config")
     defaults = _SCENARIO_DEFAULTS[scenario]
 
-    dim, cells, box_origin, box_side = parse_grid(raw.get("grid", {}), defaults["cells"])
-
+    grid = parse_grid(raw.get("grid", {}), defaults["cells"])
     cube_family = parse_family(raw, defaults["cube_family"])
     beta = parse_beta(raw)
 
     exponents = raw.get("exponents", defaults.get("exponents"))
     if exponents is None:
         exponents = [{"const": 2.0}, {"affine": {"a": 2.0, "b": 1.0}}]
-    pair_exponents = raw.get("pair_exponents", _default_pair_exponents(dim, beta))
-    if not isinstance(exponents, list) or not exponents:
-        raise ConfigError("'exponents' must be a nonempty list of exponent specs")
-    if not isinstance(pair_exponents, list) or not pair_exponents:
-        raise ConfigError("'pair_exponents' must be a nonempty list of exponent specs")
+    pair_exponents = raw.get("pair_exponents", _default_pair_exponents(grid["dim"], beta))
+    for key, bank in (("exponents", exponents), ("pair_exponents", pair_exponents)):
+        if not isinstance(bank, list) or not bank:
+            raise ConfigError(f"'{key}' must be a nonempty list of exponent specs")
 
-    functions = raw.get("functions", defaults.get("functions", _default_functions(beta)))
-    if not isinstance(functions, dict):
-        raise ConfigError("'functions' must be an object with keys 'b' and 'f'")
-    check_keys(functions, _FUN_KEYS, "functions config")
-    functions_b = functions.get("b", [])
-    functions_f = functions.get("f", [])
-    if not isinstance(functions_b, list) or not isinstance(functions_f, list):
+    functions = _section(raw.get("functions", defaults.get("functions", _default_functions(beta))),
+                         _FUNCTIONS, "functions", " with keys 'b' and 'f'")
+    if not all(isinstance(bank, list) for bank in functions.values()):
         raise ConfigError("function banks 'b' and 'f' must be lists of function specs")
 
-    tol_raw = raw.get("tolerances", {})
-    if not isinstance(tol_raw, dict):
-        raise ConfigError("'tolerances' must be an object")
-    check_keys(tol_raw, _TOL_KEYS, "tolerances config")
-    identity_tol = config_number(tol_raw.get("identity_tol", 1e-9), "identity_tol")
-    if identity_tol < 0.0:
+    tolerances = _section(raw.get("tolerances", {}), _TOLERANCES, "tolerances")
+    tolerances["identity_tol"] = config_number(tolerances["identity_tol"], "identity_tol")
+    if tolerances["identity_tol"] < 0.0:
         raise ConfigError("tolerances must be nonnegative")
 
     stability_factor = config_number(raw.get("stability_factor", 3.0), "stability_factor")
     if stability_factor <= 1.0:
         raise ConfigError(f"stability_factor must exceed 1, got {stability_factor}")
 
-    refinements = raw.get("refinements", defaults.get("refinements", [cells]))
+    refinements = raw.get("refinements", defaults.get("refinements", [grid["cells"]]))
     if not isinstance(refinements, list) or not refinements:
         raise ConfigError("'refinements' must be a nonempty list of cell counts")
     for n in refinements:
@@ -274,27 +262,13 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
     if any(b <= a for a, b in zip(refinements, refinements[1:])):
         raise ConfigError("'refinements' must be strictly increasing")
 
-    for n in refinements if scenario in _REFINED else [cells]:
-        count = cube_cells(dim, n, cube_family)
+    for n in refinements if scenario in _REFINED else [grid["cells"]]:
+        count = cube_cells(grid["dim"], n, cube_family)
         if count > MAX_CUBE_CELLS:
             raise ConfigError(
                 f"grid too large: {scenario} would sweep the {cube_family.value} cube family of "
-                f"a {dim}-D grid with N = {n}, {count} cube cells, above the limit of "
+                f"a {grid['dim']}-D grid with N = {n}, {count} cube cells, above the limit of "
                 f"{MAX_CUBE_CELLS}")
 
-    return ScenarioConfig(
-        scenario=scenario,
-        dim=dim,
-        cells=cells,
-        box_origin=box_origin,
-        box_side=box_side,
-        cube_family=cube_family,
-        beta=beta,
-        exponents=exponents,
-        pair_exponents=pair_exponents,
-        functions_b=functions_b,
-        functions_f=functions_f,
-        identity_tol=identity_tol,
-        stability_factor=stability_factor,
-        refinements=refinements,
-    )
+    return ScenarioConfig(scenario, grid, cube_family, beta, exponents, pair_exponents, functions,
+                          tolerances, stability_factor, refinements)

@@ -70,8 +70,7 @@ from .operators import (
     local_max_sweep,
     on_cubes,
 )
-# Still importable from here, as before the one-pass sweep; the benchmark's
-# tracer test pins the alias.
+# The benchmark's tracer test pins this alias.
 from .operators import local_max  # noqa: F401
 from .sweep import pair_sweep, worst_of
 
@@ -451,7 +450,7 @@ def opnorm_lower(
     and each member goes through its own operator call and norm solves.
     Zero functions are rejected; the local operator has no full-grid output
     and is not accepted here.  This is the per-function reference of
-    opnorm_lower_stacked, which the scenarios use.
+    opnorm_lower_stacked, whose pass the scenarios read.
     """
     _check_bank(tag, p, q, testbank)
     bank = list(testbank) + [indicator(p.grid, c) for c in enumerate_cubes(p.grid, mode)]
@@ -482,22 +481,24 @@ def opnorm_lower_stacked(
             _check_bank(tag, p, q, testbank)
     if not pairs:
         return []
-    bounds = [bound for bound, _ in _tag_passes(pairs[0][0].grid, tags, pairs, testbank, mode)]
+    bounds = [bound for bound, *_ in _tag_passes(pairs[0][0].grid, tags, pairs, testbank, mode)]
     return [[bound[j] for bound in bounds] for j in range(len(pairs))]
 
 
 def _tag_passes(grid: Grid, tags: list[OperatorTag], pairs: list, testbank: list[GridFunction],
                 mode: CubeFamilyMode, rows_of=()):
-    """(bounds, cube rows) per tag, in order, each tag applied once per stack of
-    the test bank and the family's indicators.
+    """(bounds, cube rows, bank outputs) per tag, in order, each tag applied once
+    per stack of the test bank and the family's indicators.
 
     bounds holds the tag's opnorm_lower for each pair (p, q), none without
     pairs; the arguments are checked by the caller.  For a tag in rows_of,
     cube rows is list(on_cubes(tag, grid, cubes, 1.0, mode)), read off the
-    indicator rows of the same pass; else None.  The stacks are rebuilt for
-    each tag, unless the members fit in one, which is built once; one tag's
-    outputs are alive at a time.  The members' norms under every p are
-    solved in the first tag's pass and kept.
+    indicator rows of the same pass; else None.  bank outputs holds the
+    tag's output on each test bank member, copied off the bank rows of the
+    same pass.  The stacks are rebuilt for each tag, unless the members fit
+    in one, which is built once; one tag's outputs are alive at a time.  The
+    members' norms under every p are solved in the first tag's pass and
+    kept.
     """
     cubes = enumerate_cubes(grid, mode)
     bank = len(testbank)
@@ -524,7 +525,7 @@ def _tag_passes(grid: Grid, tags: list[OperatorTag], pairs: list, testbank: list
     ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
     dens = []  # per stack, its members' norms under every p, solved in the first tag's pass
     for tag in tags:
-        best, parts = [0.0] * len(pairs), []
+        best, parts, on_bank = [0.0] * len(pairs), [], []
         for s, (group, first, stack) in enumerate(stacks()):
             if s == len(dens):
                 dens.append(_stack_norms(stack, ps))
@@ -532,6 +533,8 @@ def _tag_passes(grid: Grid, tags: list[OperatorTag], pairs: list, testbank: list
             out = apply_stack(tag, grid, stack, mode)
             for j, ratios in enumerate((_stack_norms(out, qs) / den).tolist()):
                 best[j] = max(best[j], max(ratios))
+            on_bank.append(out[:first].copy())
             if tag in rows_of:
                 parts.extend(operators._cube_parts(out[first:], group))
-        yield best, list(operators._join_sides(parts)) if tag in rows_of else None
+        yield (best, list(operators._join_sides(parts)) if tag in rows_of else None,
+               np.concatenate(on_bank))

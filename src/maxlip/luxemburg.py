@@ -73,16 +73,16 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class NormResult:
-    """Solver outcome: value plus the evidence it converged.
+    """Solver outcome: value plus the evidence for it.
 
     iterations counts modular evaluations; bracket is [lo, hi] with
-    modular(f/lo) >= 1 >= modular(f/hi) as evaluated.
+    modular(f/lo) >= 1 >= modular(f/hi) as evaluated.  A solve that does not
+    converge raises ConvergenceError, so every result is a converged one.
     """
 
     value: float
     iterations: int
     bracket: tuple[float, float]
-    converged: bool
 
     def __float__(self) -> float:
         return self.value
@@ -208,11 +208,6 @@ def _kept(blocks: list, keep: np.ndarray) -> list:
     return out
 
 
-def _lux_solve_batch(abs_rows: np.ndarray, p_rows: np.ndarray, cell_measure: float) -> np.ndarray:
-    """Norms of many independent supports of one size at once, one row each."""
-    return _newton_solve([(abs_rows, p_rows)], cell_measure)[0]
-
-
 def _stack_norms(stack: np.ndarray, exponents: list[VariableExponent]) -> np.ndarray:
     """||row||_p of every row of a stack of grid arrays under each exponent p, shape
     (exponents, rows): one solve, a block per exponent that shares the stack's abs
@@ -231,7 +226,7 @@ def lux_norm(f: GridFunction, p: VariableExponent) -> NormResult:
     value, lo, hi, evals = _newton_solve(
         [(np.abs(f.values).reshape(1, -1), p.values.values.reshape(1, -1))], f.grid.cell_measure
     )
-    return NormResult(float(value[0]), int(evals[0]), (float(lo[0]), float(hi[0])), True)
+    return NormResult(float(value[0]), int(evals[0]), (float(lo[0]), float(hi[0])))
 
 
 def lux_norms(fs: list[GridFunction], ps: list[VariableExponent]) -> np.ndarray:
@@ -240,9 +235,9 @@ def lux_norms(fs: list[GridFunction], ps: list[VariableExponent]) -> np.ndarray:
         _check_same_grid(f, p)
     if not fs:
         return np.zeros(0)
-    return _lux_solve_batch(np.stack([np.abs(f.values).reshape(-1) for f in fs]),
-                            np.stack([p.values.values.reshape(-1) for p in ps]),
-                            fs[0].grid.cell_measure)
+    return _newton_solve([(np.stack([np.abs(f.values).reshape(-1) for f in fs]),
+                           np.stack([p.values.values.reshape(-1) for p in ps]))],
+                         fs[0].grid.cell_measure)[0]
 
 
 def holder_constant(p: VariableExponent) -> float:
@@ -299,7 +294,7 @@ def check_s_norms(fs: list[GridFunction], p: VariableExponent, s: float) -> list
     abs_vals = [np.abs(f.values) for f in fs]
     rows = np.stack([a**s for a in abs_vals] + abs_vals).reshape(2 * len(fs), -1)
     exps = np.stack([p_vals] * len(fs) + [scaled] * len(fs)).reshape(rows.shape)
-    norms = _lux_solve_batch(rows, exps, fs[0].grid.cell_measure).tolist()
+    norms = _newton_solve([(rows, exps)], fs[0].grid.cell_measure)[0].tolist()
     return [abs(lhs - rhs**s) for lhs, rhs in zip(norms[:len(fs)], norms[len(fs):])]
 
 
@@ -331,7 +326,7 @@ def indicator_norms(q: VariableExponent, mode: CubeFamilyMode) -> np.ndarray:
 
 def _indicator_norms_on_cube(cube: Cube, *exponents: VariableExponent) -> list[float]:
     rows = np.stack([r.values.values[cube.slices()].reshape(-1) for r in exponents])
-    return _lux_solve_batch(np.ones_like(rows), rows, exponents[0].grid.cell_measure).tolist()
+    return _newton_solve([(np.ones_like(rows), rows)], exponents[0].grid.cell_measure)[0].tolist()
 
 
 def cube_duality_product(cube: Cube, q: VariableExponent) -> float:

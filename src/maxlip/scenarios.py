@@ -1,10 +1,15 @@
 """Named verification scenarios assembled into reports.
 
-Each scenario builds its function and exponent banks first, so a malformed
-spec is rejected before any sweep runs, then computes its check rows in a
-fixed order; a report is deterministic up to its timestamp.  A swept row
-reports the worst case of its sweep with the witness attaining it
-(``sweep.Worst``), and a sweep that saw nothing emits no row.
+Each scenario builds its function and exponent banks first (normequiv and
+counterexamples every b and q on every refinement), so a malformed spec is
+rejected before any sweep runs, then computes its check rows in a fixed
+order; a report is deterministic up to its timestamp.  theorem1-3 apply
+each operator once per stack and read all they need off that pass: a
+bound pass (lipschitz._tag_passes) over the f bank and the cube
+indicators gives per operator its bounds, its outputs on the f bank and
+its rows on the cubes.  A swept row reports the worst case of its sweep
+with the witness attaining it (``sweep.Worst``), and a sweep that saw
+nothing emits no row.
 
 Hard rows (pass/fail) correspond to relations that hold exactly in this
 discrete setting, with explicit constants.  Boundedness-flavored
@@ -56,7 +61,6 @@ from .lipschitz import (
     lambda_star,
     lambda_var,
     lip_seminorm,
-    opnorm_lower_stacked,
     osc_norm_q,
 )
 from .luxemburg import (
@@ -175,7 +179,7 @@ def _half_overlap_eligible(grid: Grid, mode: CubeFamilyMode) -> np.ndarray:
 def _identities(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.identity_tol
+    tol = cfg.tolerances["identity_tol"]
     beta = cfg.beta
     cubes = enumerate_cubes(grid, mode)
     bs = _function_bank(grid, cfg.functions_b)
@@ -257,7 +261,7 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
 def _lemmas(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.identity_tol
+    tol = cfg.tolerances["identity_tol"]
     beta = cfg.beta
     dim = grid.dim
     cubes = enumerate_cubes(grid, mode)
@@ -426,13 +430,15 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
     them and a function of (lq, q) that gives b's lambda rows for q; per q
     the norm chain for b >= 0 and those lambda rows; the operator-norm bound
     per pair.  The f bank is one stack: fracs = M_beta f is one operator call,
-    and per b so are [b, T]f (for b >= 0) and mbs = M_b f (for b >= 0, or
-    every b when reads_mb); the norms of fracs, and of [b, T]f per b, under
-    every q are one solve.
+    and per b so is mbs = M_b f (for b >= 0, or every b when reads_mb).  With
+    an f bank, one pass (_tag_passes) applies each [b, T] once per stack of
+    the f bank and the family's indicators; per b it gives the bounds for
+    every pair and [b, T]f, which the rows read for b >= 0.  The norms of
+    fracs, and of [b, T]f per b, under every q are one solve.
     """
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.identity_tol
+    tol = cfg.tolerances["identity_tol"]
     factor = _dim_factor(grid.dim, cfg.beta)
     bs = _function_bank(grid, cfg.functions_b)
     fs = _operand_bank(cfg, grid)
@@ -441,14 +447,18 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
     bank = np.stack([f.values for _, f in fs]) if fs else np.zeros((0,) + grid.shape)
     fracs = apply_stack(OperatorTag.fractional(cfg.beta), grid, bank, mode)
     frac_norms = _stack_norms(fracs, [q for _, q in qs]).tolist()
-    bounds = _opnorm_bounds([tag(b) for _, b in bs], pairs, fs, mode)
+    # Without an f bank there is no pass: no bound and no [b, T]f.
+    passes = (_tag_passes(grid, [tag(b) for _, b in bs], [(pair.p, pair.q) for _, pair in pairs],
+                          [f for _, f in fs], mode)
+              if fs else itertools.repeat(([], None, None)))
     times = "" if const == 1.0 else f"{const:g} "
 
     rows: list[Check] = []
-    for i, (lb, b) in enumerate(bs):
+    for lb, b in bs:
+        bounds, _, comms = next(passes)
         lip = lip_seminorm(b, cfg.beta)
-        nonneg = float(b.values.min()) >= 0.0
-        comms = apply_stack(tag(b), grid, bank, mode) if nonneg and fs else None
+        if float(b.values.min()) < 0.0:
+            comms = None
         mbs = (apply_stack(OperatorTag.max_commutator(b), grid, bank, mode)
                if comms is not None or reads_mb else None)
         if comms is not None:
@@ -476,22 +486,10 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
                     worst.value, 0.0, tol, {"b": lb, "f": worst.witness},
                 ))
             rows += lambda_rows(lq, q)
-        for lp, values in bounds.items():
-            rows.append(_opnorm_row(f"{theorem}/opnorm/{lb}/{lp}", f"[b, {op}]", values[i],
+        for (lp, _), value in zip(pairs, bounds):
+            rows.append(_opnorm_row(f"{theorem}/opnorm/{lb}/{lp}", f"[b, {op}]", value,
                                     {"b": lb, "pair": lp}))
     return rows
-
-
-def _opnorm_bounds(tags: list[OperatorTag], pairs: list[tuple[str, ExponentPair]],
-                   fs: list[tuple[str, GridFunction]], mode: CubeFamilyMode) -> dict[str, list]:
-    """Per pair label, the operator-norm lower bound of each tag from p to the
-    paired q over the f bank, in one pass for every pair; empty without an f
-    bank."""
-    if not fs:
-        return {}
-    bounds = opnorm_lower_stacked(tags, [(pair.p, pair.q) for _, pair in pairs],
-                                  [f for _, f in fs], mode)
-    return {lp: values for (lp, _), values in zip(pairs, bounds, strict=True)}
 
 
 def _opnorm_row(check_id: str, op: str, value: float, witness: dict) -> Check:
@@ -502,7 +500,7 @@ def _opnorm_row(check_id: str, op: str, value: float, witness: dict) -> Check:
 def _theorem1(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.identity_tol
+    tol = cfg.tolerances["identity_tol"]
     beta = cfg.beta
     factor = _dim_factor(grid.dim, beta)
     # The localized maximal function is a full-family object, so its sweep
@@ -570,7 +568,7 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
 def _theorem2(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.identity_tol
+    tol = cfg.tolerances["identity_tol"]
     cubes = enumerate_cubes(grid, mode)
     # A cube's smallest strict container in the family has the next side up,
     # t times its volume; the cubes of the largest side have none.
@@ -617,7 +615,7 @@ def _theorem2(cfg: ScenarioConfig) -> list[Check]:
 def _theorem3(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
-    tol = cfg.identity_tol
+    tol = cfg.tolerances["identity_tol"]
     beta = cfg.beta
     cubes = enumerate_cubes(grid, mode)
     bs = _function_bank(grid, cfg.functions_b)
@@ -636,7 +634,7 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
     rows: list[Check] = []
     for lb, b in bs:
         # Per side, the rows of M_b(chi_Q) and of b, on each cube's own cells.
-        bounds, mb_rows = next(passes)
+        bounds, mb_rows, _ = next(passes)
         b_rows = [cube_rows(b.values, k) for k, _ in runs]
         lower = worst_of(np.concatenate([
             (mb - np.abs(b_k - _cube_averages(b, k)[:, None])).min(axis=1)
@@ -667,7 +665,7 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
         for (lp, _), value in zip(pairs, bounds):
             rows.append(_opnorm_row(f"theorem3/opnorm/{lb}/{lp}", "M_b", value,
                                     {"b": lb, "pair": lp}))
-    for bounds, _ in passes:  # M_beta's, with an f bank
+    for bounds, *_ in passes:  # M_beta's, with an f bank
         for (lp, _), value in zip(pairs, bounds):
             rows.append(_opnorm_row(f"theorem3/frac-opnorm/{lp}", "M_beta", value,
                                     {"pair": lp}))
@@ -678,21 +676,36 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
 # normequiv: the oscillation functional against the pairwise seminorm.
 
 
+def _refined_pairs(cfg: ScenarioConfig) -> list[tuple[str, str, list]]:
+    """Per (b, q) spec pair of the banks, its labels and, per refinement N,
+    (N, the grid, b, q) on that grid.
+
+    Every spec is built here, before any sweep runs: b then q, per N, per
+    pair, and each label only once its spec has built, so a malformed spec
+    is the first fault reported.
+    """
+    out = []
+    for b_spec in cfg.functions_b:
+        for q_spec in cfg.exponents:
+            levels = []
+            for n in cfg.refinements:
+                grid_n = cfg.build_grid(n)
+                levels.append((n, grid_n, build_function(grid_n, b_spec),
+                               build_exponent(grid_n, q_spec)))
+            out.append((function_label(b_spec), exponent_label(q_spec), levels))
+    return out
+
+
 def _normequiv(cfg: ScenarioConfig) -> list[Check]:
     beta = cfg.beta
-    tol = cfg.identity_tol
+    tol = cfg.tolerances["identity_tol"]
     mode = cfg.cube_family
 
-    def pair_rows(b_spec: dict, q_spec: dict) -> list[Check]:
+    def pair_rows(lb: str, lq: str, levels: list) -> list[Check]:
         rows: list[Check] = []
         ratios: dict[int, float] = {}
-        for n in cfg.refinements:
-            grid_n = cfg.build_grid(n)
+        for n, grid_n, b, q in levels:
             factor = _dim_factor(grid_n.dim, beta)
-            b = build_function(grid_n, b_spec)
-            q = build_exponent(grid_n, q_spec)
-            # Labelled after building, which rejects a malformed spec first.
-            lb, lq = function_label(b_spec), exponent_label(q_spec)
             lam = lambda_var(b, beta, q, mode)
             lip = lip_seminorm(b, beta)
             bound = factor * lip.value
@@ -741,8 +754,7 @@ def _normequiv(cfg: ScenarioConfig) -> list[Check]:
             ))
         return rows
 
-    return [row for b_spec in cfg.functions_b for q_spec in cfg.exponents
-            for row in pair_rows(b_spec, q_spec)]
+    return [row for pair in _refined_pairs(cfg) for row in pair_rows(*pair)]
 
 
 # ---------------------------------------------------------------------------
@@ -768,22 +780,16 @@ def _positive_const_sharp(row_id: str, sharp: LipResult, target: float, box_is_a
 
 def _counterexamples(cfg: ScenarioConfig) -> list[Check]:
     beta = cfg.beta
-    tol = cfg.identity_tol
+    tol = cfg.tolerances["identity_tol"]
     mode = cfg.cube_family
 
     def _max_adjacent_diff(b: GridFunction) -> float:
         return max(float(np.max(np.abs(np.diff(b.values, axis=a)))) for a in range(b.grid.dim))
 
-    def symbol_rows(b_spec: dict, q_spec: dict) -> list[Check]:
+    def symbol_rows(lb: str, lq: str, levels: list) -> list[Check]:
         rows: list[Check] = []
         stars: dict[int, float] = {}
-        is_const = False
-        for n in cfg.refinements:
-            grid_n = cfg.build_grid(n)
-            b = build_function(grid_n, b_spec)
-            q = build_exponent(grid_n, q_spec)
-            # Labelled after building, which rejects a malformed spec first.
-            lb, lq = function_label(b_spec), exponent_label(q_spec)
+        for n, grid_n, b, q in levels:
             h = grid_n.spacing
             is_const = float(np.ptp(b.values)) == 0.0
             lam = lambda_var(b, beta, q, mode)
@@ -886,8 +892,7 @@ def _counterexamples(cfg: ScenarioConfig) -> list[Check]:
                 ))
         return rows
 
-    return [row for b_spec in cfg.functions_b for q_spec in cfg.exponents
-            for row in symbol_rows(b_spec, q_spec)]
+    return [row for pair in _refined_pairs(cfg) for row in symbol_rows(*pair)]
 
 
 _BUILDERS: dict[str, Callable[[ScenarioConfig], list[Check]]] = {

@@ -36,7 +36,7 @@ from maxlip import (
     sharp_max,
     validate_p,
 )
-from maxlip.luxemburg import _lux_solve_batch
+from maxlip.luxemburg import _newton_solve
 from maxlip.sweep import Worst, worst_of
 
 from conftest import affine_exponent, cell_center, const_exponent, seeded_function
@@ -345,8 +345,8 @@ def reference_rows(b, beta, q, mode, center):
             ref = 2.0 * sharp_max(b * indicator(grid, cube), mode).values[cube.slices()]
         diff = np.abs(block - ref).reshape(1, -1)
         q_row = q.values.values[cube.slices()].reshape(1, -1)
-        num = _lux_solve_batch(diff, q_row, grid.cell_measure)[0]
-        den = _lux_solve_batch(np.ones_like(diff), q_row, grid.cell_measure)[0]
+        num = _newton_solve([(diff, q_row)], grid.cell_measure)[0][0]
+        den = _newton_solve([(np.ones_like(diff), q_row)], grid.cell_measure)[0][0]
         rows.append((cube, (k * grid.spacing) ** (-beta) * float(num) / float(den)))
     return rows
 
@@ -415,8 +415,8 @@ def test_cube_ratios_of_joint_sets_equal_one_set_at_a_time(dim, n, mode, sets):
             expected = []
             for k, side_rows in zip(sides, rows):
                 for row, q_row in zip(side_rows, cube_rows(q.values.values, k)):
-                    num = _lux_solve_batch(row[None], q_row[None], cm)[0]
-                    den = _lux_solve_batch(np.ones((1, row.size)), q_row[None], cm)[0]
+                    num = _newton_solve([(row[None], q_row[None])], cm)[0][0]
+                    den = _newton_solve([(np.ones((1, row.size)), q_row[None])], cm)[0][0]
                     expected.append((k * g.spacing) ** (-0.4) * float(num) / float(den))
             assert values.tolist() == expected
         assert not joint[-1][-len(row_sets[-1][-1]):].any()

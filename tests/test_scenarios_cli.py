@@ -430,16 +430,16 @@ def test_the_smallest_normal_cell_measure_is_admitted():
     from maxlip.config import parse_grid
 
     tiny = float(np.finfo(float).tiny)
-    assert parse_grid({"cells": 4, "box_side": 4 * tiny}, 32)[3] == 4 * tiny
+    assert parse_grid({"cells": 4, "box_side": 4 * tiny}, 32)["box_side"] == 4 * tiny
     with pytest.raises(ConfigError, match="below the smallest normal float"):
         parse_grid({"cells": 4, "box_side": 4 * np.nextafter(tiny, 0.0)}, 32)
     side = 8 * math.sqrt(tiny) * (1 + 1e-15)
     assert (side / 8) ** 2 >= tiny
-    assert parse_grid({"dim": 2, "cells": 8, "box_side": side}, 32)[3] == side
+    assert parse_grid({"dim": 2, "cells": 8, "box_side": side}, 32)["box_side"] == side
     with pytest.raises(ConfigError, match="h\\^2 = "):
         parse_grid({"dim": 2, "cells": 8, "box_side": 8 * math.sqrt(tiny) * (1 - 1e-15)}, 32)
     # A large box is not measured by a power that would overflow.
-    assert parse_grid({"dim": 2, "cells": 2, "box_side": 1e308}, 32)[3] == 1e308
+    assert parse_grid({"dim": 2, "cells": 2, "box_side": 1e308}, 32)["box_side"] == 1e308
 
 
 def test_zero_operand_is_refused_before_any_operator_runs(tmp_path, monkeypatch, capsys):
@@ -532,8 +532,8 @@ def test_every_default_grid_is_under_the_cube_cell_limit():
     largest = 0
     for name in KNOWN_SCENARIOS:
         cfg = parse_config(name, None)
-        grids = cfg.refinements if name in ("normequiv", "counterexamples") else [cfg.cells]
-        largest = max(largest, *(cube_cells(cfg.dim, n, cfg.cube_family) for n in grids))
+        grids = cfg.refinements if name in ("normequiv", "counterexamples") else [cfg.grid["cells"]]
+        largest = max(largest, *(cube_cells(cfg.grid["dim"], n, cfg.cube_family) for n in grids))
     assert largest == 357760 < MAX_CUBE_CELLS  # normequiv, 1-D N=128, full family
     parse_config("normequiv", {"refinements": [256]})  # 2,829,056 cube cells
     with pytest.raises(ConfigError, match="grid too large"):
@@ -778,6 +778,59 @@ def test_theorem3_applies_each_operator_once_per_stack(tmp_path, monkeypatch):
     assert len(per_tag) == len(cfg.functions_b) + 1
     assert set(per_tag.values()) == {stacks}
     assert sum(rows for *_, rows in calls) == len(per_tag) * members
+
+
+@pytest.mark.parametrize("scenario, kind", [("theorem1", "comm_m"), ("theorem2", "comm_sharp")])
+@pytest.mark.parametrize("cap_rows", [None, 10], ids=["real-cap", "ten-rows"])
+def test_commutator_theorems_apply_each_commutator_once_per_stack(tmp_path, monkeypatch,
+                                                                   scenario, kind, cap_rows):
+    """Each [b, T] goes once over the stacks of the f bank and the indicators,
+    and [b, T]f is read off the f bank rows of that pass."""
+    from collections import Counter
+
+    from maxlip import enumerate_cubes
+
+    cfg = parse_config(scenario, None)
+    g = cfg.build_grid()
+    members = len(cfg.functions_f) + len(enumerate_cubes(g, cfg.cube_family))
+    stacks = 1
+    if cap_rows:
+        monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap_rows * 8 * g.cell_count)
+        stacks = -(-members // cap_rows)
+    calls = []
+    apply = maxlip.operators.apply_stack
+
+    def counting(tag, grid, stack, *args):
+        if tag.kind == kind:
+            calls.append((tag.symbol.values.tobytes(), len(stack)))
+        return apply(tag, grid, stack, *args)
+
+    for module in (maxlip.operators, maxlip.lipschitz, maxlip.scenarios):
+        monkeypatch.setattr(module, "apply_stack", counting)
+    assert main(["verify", scenario, "--out", str(tmp_path / "r.json")]) == 0
+    per_tag = Counter(symbol for symbol, _ in calls)
+    assert len(per_tag) == len(cfg.functions_b)
+    assert set(per_tag.values()) == {stacks}
+    # 4 symbols x (3 f + 135 dyadic cubes) at the defaults.
+    assert sum(rows for _, rows in calls) == len(per_tag) * members == 552
+
+
+@pytest.mark.parametrize("scenario", ["normequiv", "counterexamples"])
+def test_refinement_scenarios_refuse_a_bad_spec_before_any_sweep(tmp_path, monkeypatch, capsys,
+                                                                  scenario):
+    """Every b and q is built on every refinement before the first sweep, so a
+    malformed second symbol stops the run before the good one is swept."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("lambda_var ran before the malformed spec was refused")
+
+    monkeypatch.setattr(maxlip.scenarios, "lambda_var", no_sweep)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"functions": {
+        "b": [{"kind": "affine", "a": 0.0, "b": 1.0}, {"kind": "nosuch"}], "f": []}}))
+    out = tmp_path / "r.json"
+    assert main(["verify", scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: unknown function kind 'nosuch'\n"
+    assert not out.exists()
 
 
 def test_theorem2_takes_the_sharp_rows_once_per_symbol(tmp_path, monkeypatch):
