@@ -143,9 +143,11 @@ def _write_atomic(path: str, write) -> None:
     A failed write leaves path as it was.  An existing path that is not a
     regular file (a terminal, a pipe, /dev/null) is written in place.
     """
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    # Classified by path, not its realpath: /dev/stdout into a pipe
+    # resolves to a "pipe:[N]" link target that names no file.
+    if os.path.exists(path) and not os.path.isfile(path):
         return write(path)
+    target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     try:
         write(tmp)

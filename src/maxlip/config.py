@@ -36,9 +36,8 @@ KNOWN_SCENARIOS = (
 )
 
 # Each section's keys with their defaults, in echo order; a grid's cells
-# default per scenario.
+# default per scenario, and the functions section's banks are the scenario's.
 _GRID = {"dim": 1, "cells": None, "box_origin": [0.0, 0.0], "box_side": 1.0}
-_FUNCTIONS = {"b": [], "f": []}
 _TOLERANCES = {"identity_tol": 1e-9}
 
 # The most cube cells, the sum over the family's sides k of (N-k+1)^dim k^dim,
@@ -239,8 +238,9 @@ def parse_config(scenario: str, raw: dict | None) -> ScenarioConfig:
         if not isinstance(bank, list) or not bank:
             raise ConfigError(f"'{key}' must be a nonempty list of exponent specs")
 
-    functions = _section(raw.get("functions", defaults.get("functions", _default_functions(beta))),
-                         _FUNCTIONS, "functions", " with keys 'b' and 'f'")
+    functions = _section(raw.get("functions", {}),
+                         defaults.get("functions", _default_functions(beta)), "functions",
+                         " with keys 'b' and 'f'")
     if not all(isinstance(bank, list) for bank in functions.values()):
         raise ConfigError("function banks 'b' and 'f' must be lists of function specs")
 

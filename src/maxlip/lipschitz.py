@@ -35,10 +35,10 @@ are made, into one upper-bound array over the family; the largest lower
 bound is a ratio some cube reaches, so every cube whose upper bound falls
 short of it is dropped.  The rest are solved, highest upper bound first,
 and each solved ratio drops more.  Solved ratios go in enumeration order,
-with -inf for the dropped cubes, to the one worst_of: a dropped cube is
-strictly below the maximum, every solved row is bit for bit its solo
-solve, so value and witness are those of solving every cube
-(cube_oscillation_rows still does, for its rows).
+with -inf for the dropped cubes, to sweep.worst_of, the one worst-case
+rule: a dropped cube is strictly below the maximum, every solved row is
+bit for bit its solo solve, so value and witness are those of solving
+every cube (cube_oscillation_rows still does, for its rows).
 """
 
 from __future__ import annotations

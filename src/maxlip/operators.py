@@ -303,6 +303,7 @@ def _cell_blocks(n: int, dim: int, cell_bytes: int):
     return itertools.product(*[_chunks(n, cell_bytes * width)] * (dim - 1), last)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _max_comm_line(b: GridFunction, stack: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Rows of the 1-D maximal commutator over the full family, at the listed cells only.
 
@@ -341,6 +342,7 @@ def _max_comm_line(b: GridFunction, stack: np.ndarray, cells: np.ndarray) -> np.
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _max_comm_rows(b: GridFunction, stack: np.ndarray, mode: CubeFamilyMode) -> np.ndarray:
     """Rows of the maximal commutator M_b, every cell at once.
 
@@ -388,6 +390,7 @@ def _max_comm_rows(b: GridFunction, stack: np.ndarray, mode: CubeFamilyMode) -> 
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _commutator_rows(kernel, b: GridFunction, stack: np.ndarray, mode: CubeFamilyMode):
     """Rows of b T(f) - T(b f) for the maximal kernel T, one kernel call per chunk of rows.
 

@@ -8,8 +8,8 @@ each operator once per stack and read all they need off that pass: a
 bound pass (lipschitz._tag_passes) over the f bank and the cube
 indicators gives per operator its bounds, its outputs on the f bank and
 its rows on the cubes.  A swept row reports the worst case of its sweep
-with the witness attaining it (``sweep.Worst``), and a sweep that saw
-nothing emits no row.
+with the witness attaining it, both taken by ``sweep.worst_of`` over the
+sweep's whole array of values, and a sweep that saw nothing emits no row.
 
 Hard rows (pass/fail) correspond to relations that hold exactly in this
 discrete setting, with explicit constants.  Boundedness-flavored
@@ -83,7 +83,7 @@ from .operators import (
     on_cubes,
 )
 from .report import Check, Report, check_eq, check_ge, check_le, new_report, report_row
-from .sweep import Worst, worst_of
+from .sweep import worst_of
 
 __all__ = ["run_scenario"]
 
@@ -200,8 +200,7 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
     dev_hl, top_hl, top_sharp, dev_frac, excess_frac = (
         worst_of(v, cubes) for v in (dev_m, top_m, top_s, dev_fr, excess_fr))
     eligible = _half_overlap_eligible(grid, mode)
-    dev_sharp = Worst()
-    dev_sharp.offer_all(dev_s[eligible], lambda i: cubes[eligible[i]])
+    dev_sharp = worst_of(dev_s[eligible], [cubes[i] for i in eligible])
 
     rows = [
         check_eq("identities/hl-on-cube", "M(chi_Q) = 1 on Q", dev_hl.value, 0.0, tol,
@@ -269,17 +268,17 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
     _function_bank(grid, cfg.functions_b)
     fs = _function_bank(grid, cfg.functions_f)
     fpairs = list(itertools.combinations_with_replacement(fs, 2))
+    pair_labels = [(lf, lg) for (lf, _), (lg, _) in fpairs]
     qs = _conjugable_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
 
     def lux(lq: str, q: VariableExponent) -> list[Check]:
-        mod, hom = Worst(), Worst()
         norms = lux_norms([f for _, f in fs] + [2.0 * f for _, f in fs], [q] * (2 * len(fs)))
-        for (lf, f), lam, doubled in zip(fs, norms[:len(fs)].tolist(), norms[len(fs):].tolist()):
-            if lam == 0.0:
-                continue
-            mod.offer(abs(modular(f * (1.0 / lam), q) - 1.0), lf)
-            hom.offer(abs(doubled - 2.0 * lam) / lam, lf)
+        kept = [(lf, f, lam, doubled) for (lf, f), lam, doubled in
+                zip(fs, norms[:len(fs)].tolist(), norms[len(fs):].tolist()) if lam != 0.0]
+        labels = [lf for lf, *_ in kept]
+        mod = worst_of([abs(modular(f * (1.0 / lam), q) - 1.0) for _, f, lam, _ in kept], labels)
+        hom = worst_of([abs(doubled - 2.0 * lam) / lam for *_, lam, doubled in kept], labels)
         if not mod.count:
             return []
         return [
@@ -290,10 +289,8 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
         ]
 
     def holder(lq: str, q: VariableExponent) -> list[Check]:
-        worst = Worst(lowest=True)
-        defects = holder_defects([(f, g) for (_, f), (_, g) in fpairs], q)
-        for ((lf, _), (lg, _)), defect in zip(fpairs, defects.tolist()):
-            worst.offer(defect, (lf, lg))
+        worst = worst_of(holder_defects([(f, g) for (_, f), (_, g) in fpairs], q),
+                         pair_labels, lowest=True)
         if not worst.count:
             return []
         return [check_ge(
@@ -303,12 +300,9 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
         )]
 
     def snorm(lq: str, q: VariableExponent) -> list[Check]:
-        worst = Worst()
-        for s in (0.5, 1.0, 1.5, 2.0):
-            if s * q.p_minus < 1.0:
-                continue
-            for (lf, _), defect in zip(fs, check_s_norms([f for _, f in fs], q, s)):
-                worst.offer(defect, {"f": lf, "s": s})
+        powers = [s for s in (0.5, 1.0, 1.5, 2.0) if s * q.p_minus >= 1.0]
+        worst = worst_of([d for s in powers for d in check_s_norms([f for _, f in fs], q, s)],
+                         [{"f": lf, "s": s} for s in powers for lf, _ in fs])
         if not worst.count:
             return []
         return [check_eq(f"lemmas/s-norm/{lq}", "|| |f|^s ||_p = ||f||^s_{s p}",
@@ -368,13 +362,12 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
             small = indicator_norms(q_rp, mode)
             power = worst_of(np.abs(big - _pow_like_scalar(base, 1.0 / r)), cubes)
             product = worst_of(np.abs(big * small - base), cubes)
-            gap = Worst()
             norms = lux_norms([f * g for (_, f), (_, g) in fpairs] + [f for (_, f), _ in fpairs]
                               + [g for _, (_, g) in fpairs],
                               [q] * len(fpairs) + [q_r] * len(fpairs) + [q_rp] * len(fpairs))
             whole, left, right = norms.reshape(3, -1).tolist()
-            for ((lf, _), (lg, _)), fg, f_r, g_rp in zip(fpairs, whole, left, right):
-                gap.offer(fg - f_r * g_rp, (lf, lg))
+            gap = worst_of([fg - f_r * g_rp for fg, f_r, g_rp in zip(whole, left, right)],
+                           pair_labels)
             rows.extend([
                 check_eq(f"lemmas/split-power/{lq}/r{r:g}",
                          "||chi_Q||_{r q} = ||chi_Q||_q^{1/r}",
@@ -447,6 +440,7 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
     bank = np.stack([f.values for _, f in fs]) if fs else np.zeros((0,) + grid.shape)
     fracs = apply_stack(OperatorTag.fractional(cfg.beta), grid, bank, mode)
     frac_norms = _stack_norms(fracs, [q for _, q in qs]).tolist()
+    labels = [lf for lf, _ in fs]
     # Without an f bank there is no pass: no bound and no [b, T]f.
     passes = (_tag_passes(grid, [tag(b) for _, b in bs], [(pair.p, pair.q) for _, pair in pairs],
                           [f for _, f in fs], mode)
@@ -462,9 +456,8 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
         mbs = (apply_stack(OperatorTag.max_commutator(b), grid, bank, mode)
                if comms is not None or reads_mb else None)
         if comms is not None:
-            worst = Worst()
-            for (lf, _), c, mb in zip(fs, comms, mbs):
-                worst.offer(float(np.max(np.abs(c) - const * mb)), lf)
+            worst = worst_of([np.max(np.abs(c) - const * mb) for c, mb in zip(comms, mbs)],
+                             labels)
             rows.append(check_le(
                 f"{theorem}/pointwise/{lb}",
                 f"|[b, {op}]f| <= {times}M_b f pointwise for b >= 0",
@@ -475,10 +468,9 @@ def _commutator_theorem(cfg: ScenarioConfig, theorem: str, op: str, const: float
         rows += own
         for j, (lq, q) in enumerate(qs):
             if comms is not None:
-                worst = Worst()
-                for (lf, _), norm, frac_norm in zip(fs, comm_norms[j], frac_norms[j]):
-                    rhs = const * factor * lip.value * frac_norm
-                    worst.offer(norm - rhs, lf)
+                worst = worst_of([norm - const * factor * lip.value * frac_norm
+                                  for norm, frac_norm in zip(comm_norms[j], frac_norms[j])],
+                                 labels)
                 rows.append(check_le(
                     f"{theorem}/norm-chain/{lb}/{lq}",
                     f"||[b, {op}]f||_q <= {times}dim^{{beta/2}} Lip_beta(b) ||M_beta f||_q "
@@ -511,9 +503,8 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
     def symbol_rows(lb: str, b: GridFunction, lip: LipResult, fs: list, mbs: np.ndarray,
                     fracs: np.ndarray):
         rows = []
-        smooth = Worst()
-        for (lf, _), mb, frac in zip(fs, mbs, fracs):
-            smooth.offer(float(np.max(mb - factor * lip.value * frac)), lf)
+        smooth = worst_of([np.max(mb - factor * lip.value * frac) for mb, frac in zip(mbs, fracs)],
+                          [lf for lf, _ in fs])
         if smooth.count:
             rows.append(check_le(
                 f"theorem1/smoothing/{lb}",
@@ -583,9 +574,8 @@ def _theorem2(cfg: ScenarioConfig) -> list[Check]:
         gaps = [np.empty(0)]
         for (k, _, t), on_q in zip(held, sharp[:len(held)], strict=True):
             gaps.append(np.abs(_cube_averages(b, k)) - t * t / (2.0 * (t - 1.0)) * on_q.min(axis=1))
-        recovered = Worst()
-        recovered.offer_all(np.concatenate(gaps),
-                            lambda i: {"cube": cubes[i], "ratio": float(ratios[i])})
+        recovered = worst_of(np.concatenate(gaps), [{"cube": cube, "ratio": t}
+                                                    for cube, t in zip(cubes, ratios.tolist())])
         rows = []
         if recovered.count:
             rows.append(check_le(

@@ -1,21 +1,22 @@
-"""Suprema with their witnesses: a running worst case and the cell-pair sweep.
+"""Suprema with their witnesses: the worst of an array and the cell-pair sweep.
 
 Every quantity maxlip reports is an extremum over a finite family (cubes,
 bank functions, cell pairs) together with the member attaining it.
-``Worst`` tracks one such extremum.  ``pair_sweep`` takes the supremum over
-cell-center pairs of a score of |f(x) - f(y)| and |x - y|: the Lip_beta
-seminorm of a symbol and the log-Holder modulus of an exponent are two
-scores of the same sweep.
+``worst_of`` takes one such extremum over a sweep's whole array of values;
+it is the one rule for ties and NaN, and ``Worst`` is its result.
+``pair_sweep`` takes the supremum over cell-center pairs of a score of
+|f(x) - f(y)| and |x - y|: the Lip_beta seminorm of a symbol and the
+log-Holder modulus of an exponent are two scores of the same sweep.
 
 The sweep groups pairs by their offset and scores each offset on its
 largest difference, so a score must be nondecreasing in the difference.
 An offset o cannot score more than score(min(R, sum_a |o_a| L_a), |o| h),
 with R the range of f and L_a its largest step along axis a.  Offsets are
 evaluated in descending order of that bound until it falls below the best
-score found, and the evaluated ones are then offered in offset order: the
-result is bit for bit that of evaluating every offset, witness included.
-The bound is scored once per distinct (|o_0|, ..., |o_dim-1|), and the
-slices of an offset are made only when it is evaluated.
+score found, and the best is then taken over the evaluated ones in offset
+order: the result is bit for bit that of evaluating every offset, witness
+included.  The bound is scored once per distinct (|o_0|, ..., |o_dim-1|),
+and the slices of an offset are made only when it is evaluated.
 A smooth f stops the walk after a few offsets; a field on which every
 offset ties (|x - x0|^beta under the Lip_beta score) evaluates them all.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,57 +41,32 @@ _SAMPLE_SEED = 0
 _SLACK = 1.0 + 2.0**-40
 
 
-class Worst:
-    """The largest (or, with lowest=True, smallest) value offered, and its witness.
+class Worst(NamedTuple):
+    """The extremum of a sweep, the member attaining it, and how many it swept.
 
-    The first value offered is taken; a later one replaces it only when it is
-    strictly better, so ties keep the earliest witness.  ``count`` is the
-    number of values offered: a sweep that offered none saw nothing, and has
-    no value to report.
+    A sweep of count 0 saw nothing, and has no value to report.
     """
 
-    __slots__ = ("value", "witness", "count", "lowest")
-
-    def __init__(self, lowest: bool = False):
-        self.value = None
-        self.witness = None
-        self.count = 0
-        self.lowest = lowest
-
-    def _takes(self, value) -> bool:
-        return not self.count or (value < self.value if self.lowest else value > self.value)
-
-    def offer(self, value, witness=None) -> None:
-        if self._takes(value):
-            self.value, self.witness = value, witness
-        self.count += 1
-
-    def offer_all(self, values, witness_of) -> None:
-        """offer(values[i], witness_of(i)) for every i in order, in one array pass.
-
-        The first best entry is taken; NaN never compares better, so it is
-        taken only as the very first value.  witness_of(i) is called only
-        for the entry taken.
-        """
-        values = np.asarray(values, dtype=float).reshape(-1)
-        if not values.size:
-            return
-        if not self.count and np.isnan(values[0]):
-            i = 0
-        else:
-            key = np.where(np.isnan(values), np.inf if self.lowest else -np.inf, values)
-            i = int(key.argmin() if self.lowest else key.argmax())
-        value = float(values[i])
-        if self._takes(value):
-            self.value, self.witness = value, witness_of(i)
-        self.count += values.size
+    value: float | None
+    witness: object
+    count: int
 
 
 def worst_of(values, witnesses, lowest: bool = False) -> Worst:
-    """The Worst of an array of values, witnesses[i] the witness of values[i]."""
-    worst = Worst(lowest)
-    worst.offer_all(values, witnesses.__getitem__)
-    return worst
+    """The largest (lowest=True: smallest) of values, witnesses[i] that of values[i].
+
+    The first best entry is taken, so ties keep the earliest witness.  NaN
+    never compares better, so it is taken only as the very first value.
+    """
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if not values.size:
+        return Worst(None, None, 0)
+    if np.isnan(values[0]):
+        i = 0
+    else:
+        key = np.where(np.isnan(values), np.inf if lowest else -np.inf, values)
+        i = int(key.argmin() if lowest else key.argmax())
+    return Worst(float(values[i]), witnesses[i], values.size)
 
 
 def _diff_bounds(v: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -150,8 +127,8 @@ def pair_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:
     Python floats; so score must be nondecreasing in the difference.
     Candidates are evaluated in descending order of bound, and the walk
     stops at the first bound below the best score so far, or at most 0: no
-    offset after it can win or tie.  The evaluated scores are then offered
-    in offset order, so value and witness are bit for bit those of
+    offset after it can win or tie.  worst_of then takes the evaluated
+    scores in offset order, after the initial 0, so value and witness are bit for bit those of
     evaluating every candidate in turn, and ties keep the lexicographically
     first offset.  The supremum starts at 0 with no witness, which is what
     a constant f returns.
@@ -186,16 +163,14 @@ def pair_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:
         d = diffs(o).reshape(-1)
         scores[i] = value = score(float(d[d.argmax()]), h * math.hypot(*o))
         top = value if value > top else top
-    best = Worst()
-    best.offer(0.0)
-    best.offer_all(scores, offsets.__getitem__)
-    if best.witness is not None:
-        o = best.witness
+    value, o, _ = worst_of(np.concatenate(([0.0], scores)), [None, *offsets])
+    pair = None
+    if o is not None:
         start = np.unravel_index(int(diffs(o).argmax()), tuple(n - abs(c) for c in o))
         x = tuple(int(s) + max(c, 0) for s, c in zip(start, o))
         y = tuple(int(s) + max(-c, 0) for s, c in zip(start, o))
         # 1-D pairs are listed in increasing order, 2-D pairs offset cell first.
-        best.witness = (y, x) if dim == 1 else (x, y)
+        pair = (y, x) if dim == 1 else (x, y)
     if not exact:
         flat = v.reshape(-1)
         coords = np.indices(v.shape).reshape(dim, -1).T
@@ -207,6 +182,8 @@ def pair_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:
         dist = h * np.sqrt(((coords[a] - coords[c]) ** 2).sum(axis=1))
         scores = score(np.abs(flat[a] - flat[c]), dist)
         i = int(np.argmax(scores))
-        pair = tuple(tuple(int(t) for t in coords[j]) for j in (a[i], c[i]))
-        best.offer(float(scores[i]), pair)
-    return best.value, best.witness, exact
+        # The sampled best wins only when strictly better.
+        if scores[i] > value:
+            value = float(scores[i])
+            pair = tuple(tuple(int(t) for t in coords[j]) for j in (a[i], c[i]))
+    return value, pair, exact

@@ -28,6 +28,21 @@ def cell_center(grid: Grid, cell) -> tuple[float, ...]:
     return tuple(float(grid.centers(axis)[i]) for axis, i in enumerate(cell))
 
 
+def first_best(values, witnesses, lowest: bool = False) -> tuple:
+    """(value, witness, count) of the largest (lowest: smallest) value, one
+    comparison at a time: a later value wins only when strictly better, so
+    ties keep the earliest and a NaN taken first is never beaten.  The
+    reference for sweep.worst_of, written apart from it."""
+    value = witness = None
+    count = 0
+    for v, w in zip(values, witnesses, strict=True):
+        v = float(v)
+        if not count or (v < value if lowest else v > value):
+            value, witness = v, w
+        count += 1
+    return value, witness, count
+
+
 def const_exponent(grid: Grid, value: float):
     return validate_p(sample(grid, lambda *xy: value))
 

@@ -37,9 +37,9 @@ from maxlip import (
     validate_p,
 )
 from maxlip.luxemburg import _newton_solve
-from maxlip.sweep import Worst, worst_of
+from maxlip.sweep import worst_of
 
-from conftest import affine_exponent, cell_center, const_exponent, seeded_function
+from conftest import affine_exponent, cell_center, const_exponent, first_best, seeded_function
 
 
 def brute_lip(b: GridFunction, beta: float) -> float:
@@ -354,15 +354,15 @@ def reference_rows(b, beta, q, mode, center):
 def reference_osc_norm_q(b, beta, q_const, mode):
     grid = b.grid
     dim = grid.dim
-    best = Worst()
-    for cube in enumerate_cubes(grid, mode):
+    cubes = enumerate_cubes(grid, mode)
+    values = []
+    for cube in cubes:
         block = b.values[cube.slices()]
         k = cube.side_cells
         mean = block.sum() / k**dim
         power_mean = (np.abs(block - mean) ** q_const).sum() / k**dim
-        best.offer(float(cube.measure(grid) ** (-beta / dim) * power_mean ** (1.0 / q_const)),
-                   cube)
-    return best.value, best.witness
+        values.append(float(cube.measure(grid) ** (-beta / dim) * power_mean ** (1.0 / q_const)))
+    return first_best(values, cubes)[:2]
 
 
 def sweep_fields(g):
@@ -388,11 +388,9 @@ def test_oscillation_sweeps_equal_the_per_cube_loop(dim, n, mode, center, functi
         for b in sweep_fields(g):
             rows = reference_rows(b, 0.5, q, mode, center)
             assert cube_oscillation_rows(b, 0.5, q, mode, center) == rows
-            best = Worst()
-            for cube, value in rows:
-                best.offer(value, cube)
+            value, cube, _ = first_best([value for _, value in rows], [cube for cube, _ in rows])
             res = functional(b, 0.5, q, mode)
-            assert (res.value, res.witness, res.exact) == (best.value, best.witness, True)
+            assert (res.value, res.witness, res.exact) == (value, cube, True)
 
 
 @pytest.mark.parametrize("dim, n", SWEEP_GRIDS)

@@ -271,6 +271,28 @@ def test_empty_banks_emit_no_vacuous_row(tmp_path, scenario, count):
     assert not [c.check_id for c in checks if c.check_id.split("/")[1] in swept]
 
 
+@pytest.mark.parametrize("scenario", KNOWN_SCENARIOS)
+def test_a_functions_section_keeps_the_scenario_bank_it_leaves_out(scenario):
+    defaults = parse_config(scenario, None).functions
+    for kept, emptied in (("b", "f"), ("f", "b")):
+        functions = parse_config(scenario, {"functions": {emptied: []}}).functions
+        assert functions == {**defaults, emptied: []}
+        assert functions[kept] == defaults[kept]
+
+
+@pytest.mark.parametrize("scenario, count", [("theorem1", 28), ("theorem2", 12),
+                                             ("theorem3", 20)])
+def test_theorems_without_an_f_bank_still_check_the_default_symbols(tmp_path, scenario, count):
+    # Setting only f used to empty b too: 0 checks, exit 0, read as a pass.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"functions": {"f": []}}))
+    out = tmp_path / "r.json"
+    assert main(["verify", scenario, "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["checks"]) == count
+    assert report["config"]["functions"]["b"] == parse_config(scenario, None).functions_b
+
+
 @pytest.mark.parametrize("raw, message", [
     ({"grid": {"box_origin": None}}, "box_origin must be a number"),
     ({"exponents": [{"affine": [1, 2]}]}, "affine exponent spec must be an object"),
@@ -573,19 +595,53 @@ def test_unwritable_out_is_found_before_computing(tmp_path, monkeypatch, capsys)
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """python -m maxlip args in a child process, stdout and stderr piped, with
+    the default warning filters (no -W error)."""
+    src = str(Path(maxlip.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "maxlip", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": {"cells": 8}}))
     out = tmp_path / "rep.json"
-    src = str(Path(maxlip.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "maxlip", "verify", "identities", "--config", str(cfg),
-         "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = run_module("verify", "identities", "--config", str(cfg), "--out", str(out))
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["scenario"] == "identities"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_dev_stdout_into_a_pipe_is_written_in_place(tmp_path):
+    # The realpath of /dev/stdout into a pipe is a "pipe:[N]" link target
+    # that names no file: it used to be written as a new regular file, and
+    # the run failed after computing.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"cells": 8}, "symbol": {"kind": "affine"}}))
+    done = run_module("compute", "lip", "--config", str(cfg), "--out", "/dev/stdout")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert math.isfinite(float(done.stdout))
+
+
+@pytest.mark.parametrize("op", ["maxcomm", "comm-m", "comm-sharp"])
+def test_an_overflowing_commutator_is_one_stderr_line(tmp_path, op):
+    # b f and the window sums of |b(x) - b(y)| |f(y)| overflow: numpy used to
+    # print 4 or 8 RuntimeWarning lines before the internal error.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid": {"cells": 8},
+        "symbol": {"kind": "random", "seed": 1, "low": -1e300, "high": 1e300},
+        "function": {"kind": "random", "seed": 2, "low": -1e300, "high": 1e300}}))
+    out = tmp_path / "out.csv"
+    done = run_module("compute", op, "--config", str(cfg), "--out", str(out))
+    assert done.returncode == 4
+    assert done.stderr.startswith("internal error: ")
+    assert done.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error, code", [(OSError(28, "No space left on device"), 3),

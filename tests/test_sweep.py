@@ -1,6 +1,6 @@
 """The cell-pair sweep behind Lip_beta and the log-Holder modulus, against
 brute force over every pair and against the per-offset loop it replaced,
-and the worst-case accumulator."""
+and worst_of against the plain first-best loop."""
 
 import itertools
 import math
@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from maxlip import GridFunction, lip_seminorm, make_grid, sample, validate_p
 from maxlip.exponents import _log_holder_score
-from maxlip.sweep import _EXACT_PAIRS, _SAMPLE_PAIRS, _SAMPLE_SEED, Worst, pair_sweep
+from maxlip.sweep import _EXACT_PAIRS, _SAMPLE_PAIRS, _SAMPLE_SEED, Worst, pair_sweep, worst_of
 
-from conftest import cell_center, seeded_function
+from conftest import cell_center, first_best, seeded_function
 
 
 def lip_score(beta):
@@ -101,22 +101,20 @@ def test_sampled_sweeps_bracket_the_supremum():
 
 
 def test_worst_takes_the_first_value_and_keeps_the_first_of_ties():
-    top, low = Worst(), Worst(lowest=True)
-    assert top.count == 0 and top.value is None and top.witness is None
-    for value, witness in ((-5.0, "a"), (3.0, "b"), (3.0, "c"), (-5.0, "d")):
-        top.offer(value, witness)
-        low.offer(value, witness)
-    assert (top.value, top.witness, top.count) == (3.0, "b", 4)
-    assert (low.value, low.witness, low.count) == (-5.0, "a", 4)
+    values, witnesses = [-5.0, 3.0, 3.0, -5.0], ["a", "b", "c", "d"]
+    assert worst_of(values, witnesses) == Worst(3.0, "b", 4)
+    assert worst_of(values, witnesses, lowest=True) == Worst(-5.0, "a", 4)
 
 
 def offered_one_by_one(values, lowest=False, before=()):
-    worst = Worst(lowest)
-    for value, witness in before:
-        worst.offer(value, witness)
-    for i, value in enumerate(values):
-        worst.offer(float(value), i)
-    return worst.value, worst.witness, worst.count
+    return first_best([v for v, _ in before] + list(values),
+                      [w for _, w in before] + list(range(len(values))), lowest)
+
+
+def same_worst(got: Worst, want: tuple) -> bool:
+    """Equal value (NaN equal to NaN), witness and count."""
+    return (np.array_equal(np.array(got[:1], dtype=float), np.array(want[:1], dtype=float),
+                           equal_nan=True) and tuple(got[1:]) == tuple(want[1:]))
 
 
 @pytest.mark.parametrize("lowest", [False, True])
@@ -132,37 +130,43 @@ def offered_one_by_one(values, lowest=False, before=()):
     [-np.inf, np.nan, -np.inf],
 ])
 @pytest.mark.parametrize("before", [(), ((2.0, "x"),), ((np.nan, "x"),), ((-np.inf, "x"),)])
-def test_offer_all_follows_one_offer_at_a_time(values, lowest, before):
-    worst = Worst(lowest)
-    for value, witness in before:
-        worst.offer(value, witness)
-    asked = []
-    worst.offer_all(np.array(values), lambda i: asked.append(i) or i)
-    expected = offered_one_by_one(values, lowest, before)
-    got = (worst.value, worst.witness, worst.count)
-    assert np.array_equal(np.array(got[:1], dtype=float), np.array(expected[:1], dtype=float),
-                          equal_nan=True)
-    assert got[1:] == expected[1:]
-    assert len(asked) <= 1
+def test_worst_of_follows_the_first_best_loop(values, lowest, before):
+    # Each before value is prepended to the array, as a sweep's leading entry.
+    got = worst_of(np.array([v for v, _ in before] + values),
+                   [w for _, w in before] + list(range(len(values))), lowest)
+    assert same_worst(got, offered_one_by_one(values, lowest, before))
+    assert type(got.value) is float
 
 
-def test_offer_all_of_nothing_changes_nothing():
-    worst = Worst()
-    worst.offer_all(np.array([]), lambda i: "never")
-    assert (worst.value, worst.witness, worst.count) == (None, None, 0)
-    worst.offer(1.0, "a")
-    worst.offer_all([], lambda i: "never")
-    assert (worst.value, worst.witness, worst.count) == (1.0, "a", 1)
+def test_worst_of_nothing_saw_nothing():
+    assert worst_of([], []) == (None, None, 0)
+    assert worst_of(np.array([]), []) == Worst(None, None, 0)
 
 
-def test_offer_all_in_parts_equals_one_pass():
+def test_worst_of_a_joined_array_is_the_better_of_its_parts():
+    # pair_sweep joins the exact offsets' best with the sampled one this way:
+    # the better part wins, and on a tie the earlier part.
     rng = np.random.default_rng(3)
     values = rng.integers(0, 4, 60).astype(float)  # many ties
     for lowest in (False, True):
-        parts = Worst(lowest)
-        for lo in range(0, 60, 7):
-            parts.offer_all(values[lo:lo + 7], lambda i, lo=lo: lo + i)
-        assert (parts.value, parts.witness, parts.count) == offered_one_by_one(values, lowest)
+        for cut in (1, 7, 30, 59):
+            head = worst_of(values[:cut], range(cut), lowest)
+            tail = worst_of(values[cut:], range(cut, 60), lowest)
+            better = tail.value < head.value if lowest else tail.value > head.value
+            joined = worst_of(values, range(60), lowest)
+            assert joined[:2] == (tail if better else head)[:2]
+
+
+WORST_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+                         st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(WORST_VALUES, max_size=12), lowest=st.booleans())
+def test_worst_of_equals_the_first_best_loop(values, lowest):
+    """Ties, signed zeros, infinities and NaN anywhere in the array."""
+    witnesses = [f"w{i}" for i in range(len(values))]
+    assert same_worst(worst_of(values, witnesses, lowest), first_best(values, witnesses, lowest))
 
 
 def per_offset_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]:
@@ -185,17 +189,17 @@ def per_offset_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]
         x, y = zip(*map(cut.get, o))
         return np.abs(v[x] - v[y])
 
-    best = Worst()
-    best.offer(0.0)
+    scores = []
     for o in offsets:
         d = diffs(o).reshape(-1)
-        best.offer(score(float(d[d.argmax()]), h * math.hypot(*o)), o)
-    if best.witness is not None:
-        o = best.witness
+        scores.append(score(float(d[d.argmax()]), h * math.hypot(*o)))
+    value, o, _ = first_best([0.0] + scores, [None] + offsets)
+    pair = None
+    if o is not None:
         start = np.unravel_index(int(diffs(o).argmax()), tuple(n - abs(c) for c in o))
         x = tuple(int(s) + max(c, 0) for s, c in zip(start, o))
         y = tuple(int(s) + max(-c, 0) for s, c in zip(start, o))
-        best.witness = (y, x) if dim == 1 else (x, y)
+        pair = (y, x) if dim == 1 else (x, y)
     if not exact:
         flat = v.reshape(-1)
         coords = np.indices(v.shape).reshape(dim, -1).T
@@ -207,9 +211,9 @@ def per_offset_sweep(f: GridFunction, score) -> tuple[float, tuple | None, bool]
         dist = h * np.sqrt(((coords[a] - coords[c]) ** 2).sum(axis=1))
         scores = score(np.abs(flat[a] - flat[c]), dist)
         i = int(np.argmax(scores))
-        pair = tuple(tuple(int(t) for t in coords[j]) for j in (a[i], c[i]))
-        best.offer(float(scores[i]), pair)
-    return best.value, best.witness, exact
+        sampled = tuple(tuple(int(t) for t in coords[j]) for j in (a[i], c[i]))
+        value, pair, _ = first_best([value, scores[i]], [pair, sampled])
+    return value, pair, exact
 
 
 FIELD_KINDS = ("uniform", "integer", "affine", "constant", "step", "ties", "quarter", "huge",
