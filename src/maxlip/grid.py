@@ -9,18 +9,24 @@ asymptotic in the continuum hold exactly on the grid.
 
 Cube enumeration is deterministic (ascending side length, then
 lexicographic start index), which keeps every reported supremum witness
-reproducible.  cube_rows lays a grid array out on every cube of one side,
-one row per cube in that order, so a sweep over a family is array passes;
-window_view is the strided view of those windows that it copies.
+reproducible.  A CubeFamily describes a family by its sides and each side's
+offset in that order; the start cells of a side are made on request, and a
+Cube only for one enumeration index, such as a sweep's witness.  No family
+is built as Cube objects or kept: enumerate_cubes is the tuple view of the
+same order, built on each call, for references and tests.  cube_rows lays a
+grid array out on every cube of one side, one row per cube in that order,
+so a sweep over a family is array passes; window_view is the strided view
+of those windows that it copies.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,14 +36,13 @@ __all__ = [
     "Grid",
     "GridFunction",
     "Cube",
+    "CubeFamily",
     "make_grid",
     "sample",
     "indicator",
     "check_cube",
     "family_sides",
     "enumerate_cubes",
-    "cubes_by_side",
-    "side_runs",
     "window_sums",
     "cube_rows",
     "write_gridfunction_csv",
@@ -71,7 +76,7 @@ class Grid:
     """Uniform cell-centered grid on a box of side ``box_side``.
 
     The cell of index i along an axis has center origin + (i + 1/2) * h.
-    Grids are immutable and hashable so cube enumerations can be cached.
+    Grids are immutable and hashable.
     """
 
     dim: int
@@ -216,9 +221,6 @@ class Cube:
     def measure(self, grid: Grid) -> float:
         return (self.side_cells * grid.spacing)**grid.dim
 
-    def side_length(self, grid: Grid) -> float:
-        return self.side_cells * grid.spacing
-
 
 def check_cube(grid: Grid, cube: Cube) -> None:
     """Raise unless the cube lies fully inside the grid."""
@@ -252,8 +254,11 @@ def family_sides(n: int, mode: CubeFamilyMode) -> list[int]:
     return sides
 
 
-@lru_cache(maxsize=128)
-def _enumerate(grid: Grid, mode: CubeFamilyMode) -> tuple[Cube, ...]:
+def enumerate_cubes(grid: Grid, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> tuple[Cube, ...]:
+    """All cubes of the family, ascending side then lexicographic start.
+
+    Built on each call and not kept: the sweeps read CubeFamily instead.
+    """
     n = grid.cells_per_axis
     cubes = []
     for k in family_sides(n, mode):
@@ -265,26 +270,66 @@ def _enumerate(grid: Grid, mode: CubeFamilyMode) -> tuple[Cube, ...]:
     return tuple(cubes)
 
 
-def enumerate_cubes(grid: Grid, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> tuple[Cube, ...]:
-    """All cubes of the family, ascending side then lexicographic start."""
-    return _enumerate(grid, mode)
+class CubeFamily:
+    """The cubes of the given sides, in enumeration order, held as a few ints.
 
+    sides holds the side lengths in ascending order, counts the number of
+    cubes of each side, (N - k + 1)^dim, and offsets[j] the enumeration index
+    of the first side-sides[j] cube, with offsets[-1] the family's size.
+    starts(k, local) makes the start cells of side-k cubes; family[i] decodes
+    the Cube of enumeration index i, its start in Python ints, and equals
+    enumerate_cubes(grid, mode)[i] for the family of(grid, mode).
+    """
 
-def cubes_by_side(grid: Grid, mode: CubeFamilyMode = CubeFamilyMode.FULL):
-    """The family split by side: (k, the side-k cubes in enumeration order) per side."""
-    cubes, sides = enumerate_cubes(grid, mode), family_sides(grid.cells_per_axis, mode)
-    counts = [(grid.cells_per_axis - k + 1) ** grid.dim for k in sides]
-    return [(k, cubes[end - count:end])
-            for k, count, end in zip(sides, counts, itertools.accumulate(counts))]
+    __slots__ = ("grid", "sides", "counts", "offsets")
 
+    def __init__(self, grid: Grid, sides: Sequence[int]):
+        n = grid.cells_per_axis
+        self.grid = grid
+        self.sides = tuple(map(operator.index, sides))
+        ends = self.sides[:1] + self.sides[-1:]
+        if list(self.sides) != sorted(set(self.sides)) or not all(1 <= k <= n for k in ends):
+            raise ValueError(f"family sides must ascend within 1..{n}, got {list(sides)}")
+        self.counts = tuple((n - k + 1) ** grid.dim for k in self.sides)
+        self.offsets = (0, *itertools.accumulate(self.counts))
 
-def side_runs(cubes):
-    """(rows, run) for each run of consecutive cubes of one side: run = cubes[rows]."""
-    lo = 0
-    for _, run in itertools.groupby(cubes, key=lambda cube: cube.side_cells):
-        run = tuple(run)
-        yield slice(lo, lo + len(run)), run
-        lo += len(run)
+    @classmethod
+    def of(cls, grid: Grid, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> "CubeFamily":
+        """Every cube of the sides that mode sweeps."""
+        return cls(grid, family_sides(grid.cells_per_axis, mode))
+
+    def __len__(self) -> int:
+        return self.offsets[-1]
+
+    def __getitem__(self, i) -> Cube:
+        """The cube of enumeration index i."""
+        i = operator.index(i)
+        if not 0 <= i < len(self):
+            raise IndexError(f"cube index {i} outside a family of {len(self)}")
+        j = bisect.bisect_right(self.offsets, i) - 1
+        k, local = self.sides[j], i - self.offsets[j]
+        if self.grid.dim == 1:
+            return Cube((local,), k)
+        return Cube(divmod(local, self.grid.cells_per_axis - k + 1), k)
+
+    def starts(self, k: int, local) -> np.ndarray:
+        """Start cells of the side-k cubes at the local indices of their side
+        (a slice or an index array), one row each: shape (cubes, dim)."""
+        m = self.grid.cells_per_axis - k + 1
+        index = np.arange(m**self.grid.dim)[local]
+        if self.grid.dim == 1:
+            return index[:, None]
+        return np.stack(np.divmod(index, m), axis=1)
+
+    def runs(self, part: slice):
+        """(rows, k, local) per side that the cubes of the enumeration slice part
+        (steps of 1) meet: the cubes at rows of the part are the side-k cubes at
+        the local slice of that side."""
+        lo, hi, _ = part.indices(len(self))
+        for k, first, end in zip(self.sides, self.offsets, self.offsets[1:]):
+            a, b = max(lo, first), min(hi, end)
+            if a < b:
+                yield slice(a - lo, b - lo), k, slice(a - first, b - first)
 
 
 def prefix_table(values: np.ndarray, dim: int, dtype=np.longdouble) -> np.ndarray:

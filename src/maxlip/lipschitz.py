@@ -11,16 +11,16 @@ only in the reference subtracted from b before taking the norm ratio:
 Each sweep reports the attaining cube so that every supremum in a report
 can be reproduced.  The sweeps run on cube rows (grid.cube_rows): b and q
 on every side-k cube, one row per cube in enumeration order, so centers,
-norm solves and the worst case are whole-array passes and enumerate_cubes
-decodes the witness.  One function (_ratios) turns rows on the cubes into
-the normalized norm ratios: a block per side, or per part of a side, holds
-the rows of each row set and then the cubes' chi_Q rows (one row for a
-constant q), and one Luxemburg solve takes them all.  cube_ratios hands it
-every cube of the family, the bounded sweeps only the cubes they solve.  A
-row keeps its cube's cell order, so every value equals the per-cube one
-bit for bit.  The pairwise beta-Holder seminorm is one score of the
-cell-pair sweep in ``sweep``: exact on small grids, a flagged sample on
-large ones.
+norm solves and the worst case are whole-array passes over a CubeFamily,
+and only the witness is decoded into a Cube.  One function (_ratios) turns
+rows on the cubes into the normalized norm ratios: a block per side, or per
+part of a side, holds the rows of each row set and then the cubes' chi_Q
+rows (one row for a constant q), and one Luxemburg solve takes them all.
+cube_ratios hands it every cube of the family, the bounded sweeps only the
+cubes they solve.  A row keeps its cube's cell order, so every value equals
+the per-cube one bit for bit.  The pairwise beta-Holder seminorm is one
+score of the cell-pair sweep in ``sweep``: exact on small grids, a flagged
+sample on large ones.
 
 The three functionals need only the largest ratio, so they solve only the
 cubes that can attain it (a bounded exact sweep, _BoundedWalk).  With
@@ -43,7 +43,6 @@ every cube (cube_oscillation_rows still does, for its rows).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,7 @@ from . import operators
 from .exponents import VariableExponent
 from .grid import (
     Cube,
+    CubeFamily,
     CubeFamilyMode,
     Grid,
     GridFunction,
@@ -64,9 +64,9 @@ from .luxemburg import _chi_rows, _newton_solve, _stack_norms, lux_norm
 from .operators import (
     OperatorTag,
     _chunks,
+    _fill_indicators,
     apply_operator,
     apply_stack,
-    indicator_stacks,
     local_max_sweep,
     on_cubes,
 )
@@ -176,7 +176,7 @@ def _centered_rows(b: GridFunction, q: VariableExponent, mode: CubeFamilyMode, c
     """(k, r) per side k of the family, r >= 0 the (cubes, k^dim) rows |b - ref| on the
     side-k cubes in enumeration order; the arguments are checked at the call, and
     one side's rows are made at a time.  For center sharp_double, sharp may hold
-    on_cubes(OperatorTag.sharp(), grid, cubes, b.values, mode) of the family,
+    on_cubes(OperatorTag.sharp(), CubeFamily.of(grid, mode), b.values, mode),
     already computed."""
     grid = b.grid
     if q.grid != grid:
@@ -195,7 +195,7 @@ def _centered_rows(b: GridFunction, q: VariableExponent, mode: CubeFamilyMode, c
             refs = (level for _, level in local_max_sweep(b, sides))
         else:
             ons = sharp if sharp is not None else on_cubes(
-                OperatorTag.sharp(), grid, enumerate_cubes(grid, mode), b.values, mode)
+                OperatorTag.sharp(), CubeFamily.of(grid, mode), b.values, mode)
             refs = (2.0 * on_q for on_q in ons)
         for k, ref in zip(sides, refs, strict=True):
             blocks = cube_rows(b.values, k)
@@ -228,11 +228,11 @@ def _sweep_result(b: GridFunction, beta: float, q: VariableExponent, mode: CubeF
     """The functional of the center; sharp as for _centered_rows."""
     sides = _centered_rows(b, q, mode, center, sharp)
     _check_beta(beta)
-    cubes = enumerate_cubes(b.grid, mode)
-    walk = _BoundedWalk(beta, q, len(cubes))
+    family = CubeFamily.of(b.grid, mode)
+    walk = _BoundedWalk(beta, q, len(family))
     for k, rows in sides:
         walk.add(k, rows)
-    best = worst_of(walk.finish(), cubes)
+    best = worst_of(walk.finish(), family)
     return LipResult(best.value, best.witness, True)
 
 
@@ -382,7 +382,8 @@ def osc_norm_q(
     grid = b.grid
     dim = grid.dim
     values = []
-    for k in family_sides(grid.cells_per_axis, mode):
+    family = CubeFamily.of(grid, mode)
+    for k in family.sides:
         blocks = cube_rows(b.values, k)
         mean = blocks.sum(axis=1) / k**dim
         r = np.abs(blocks - mean[:, None])
@@ -397,7 +398,7 @@ def osc_norm_q(
                 root[odd] = top * _pow_like_scalar(scaled, 1.0 / q_const)
         measure = (k * grid.spacing) ** dim
         values.append(measure ** (-beta / dim) * root)
-    best = worst_of(np.concatenate(values), enumerate_cubes(grid, mode))
+    best = worst_of(np.concatenate(values), family)
     return LipResult(best.value, best.witness, True)
 
 
@@ -492,32 +493,33 @@ def _tag_passes(grid: Grid, tags: list[OperatorTag], pairs: list, testbank: list
 
     bounds holds the tag's opnorm_lower for each pair (p, q), none without
     pairs; the arguments are checked by the caller.  For a tag in rows_of,
-    cube rows is list(on_cubes(tag, grid, cubes, 1.0, mode)), read off the
-    indicator rows of the same pass; else None.  bank outputs holds the
+    cube rows is list(on_cubes(tag, CubeFamily.of(grid, mode), 1.0, mode)),
+    read off the indicator rows of the same pass; else None.  bank outputs holds the
     tag's output on each test bank member, copied off the bank rows of the
     same pass.  The stacks are rebuilt for each tag, unless the members fit
     in one, which is built once; one tag's outputs are alive at a time.  The
     members' norms under every p are solved in the first tag's pass and
     kept.
     """
-    cubes = enumerate_cubes(grid, mode)
+    family = CubeFamily.of(grid, mode)
     bank = len(testbank)
-    chunks = list(_chunks(bank + len(cubes), 8 * grid.cell_count))
+    chunks = list(_chunks(bank + len(family), 8 * grid.cell_count))
     kept = []  # the stack, built once when the members fit in one
 
     def stacks():
-        """(the cubes of the stack's indicator rows, the first of those rows, stack)."""
+        """(the enumeration slice of the stack's indicator rows, the first of
+        those rows, stack)."""
         if kept:
             yield from kept
             return
-        members = itertools.chain(
-            (f.values for f in testbank),
-            (chi for _, chis in indicator_stacks(grid, cubes) for chi in chis),
-        )
         for part in chunks:
-            stack = np.stack(list(itertools.islice(members, part.stop - part.start)))
-            item = (cubes[max(part.start - bank, 0):max(part.stop - bank, 0)],
-                    max(bank - part.start, 0), stack)
+            first = min(max(bank - part.start, 0), part.stop - part.start)
+            cubes = slice(max(part.start - bank, 0), max(part.stop - bank, 0))
+            stack = np.empty((part.stop - part.start,) + grid.shape)
+            for r, f in enumerate(testbank[part.start:part.start + first]):
+                stack[r] = f.values
+            _fill_indicators(family, cubes, stack[first:])
+            item = (cubes, first, stack)
             if len(chunks) == 1:
                 kept.append(item)
             yield item
@@ -535,6 +537,6 @@ def _tag_passes(grid: Grid, tags: list[OperatorTag], pairs: list, testbank: list
                 best[j] = max(best[j], max(ratios))
             on_bank.append(out[:first].copy())
             if tag in rows_of:
-                parts.extend(operators._cube_parts(out[first:], group))
+                parts.extend(operators._cube_parts(out[first:], family, group))
         yield (best, list(operators._join_sides(parts)) if tag in rows_of else None,
                np.concatenate(on_bank))

@@ -42,8 +42,7 @@ import numpy as np
 
 from . import operators
 from .exponents import ExponentPair, VariableExponent, conjugate
-from .grid import (Cube, CubeFamilyMode, GridFunction, check_cube, family_sides,
-                   window_view)
+from .grid import Cube, CubeFamily, CubeFamilyMode, GridFunction, check_cube, window_view
 
 __all__ = [
     "NormResult",
@@ -315,12 +314,11 @@ def indicator_norms(q: VariableExponent, mode: CubeFamilyMode) -> np.ndarray:
 
     One solve takes the family a side per block; for constant q it solves one
     row per side and repeats its value over the side's cubes."""
-    grid = q.grid
-    sides = family_sides(grid.cells_per_axis, mode)
-    blocks = ((np.ones_like(r), r) for r in (_chi_rows(q, k) for k in sides))
-    norms = _newton_solve(blocks, grid.cell_measure)[0]
+    family = CubeFamily.of(q.grid, mode)
+    blocks = ((np.ones_like(r), r) for r in (_chi_rows(q, k) for k in family.sides))
+    norms = _newton_solve(blocks, q.grid.cell_measure)[0]
     if q.is_constant:
-        norms = np.repeat(norms, [(grid.cells_per_axis - k + 1) ** grid.dim for k in sides])
+        norms = np.repeat(norms, family.counts)
     return norms
 
 

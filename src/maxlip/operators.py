@@ -47,9 +47,11 @@ tables over rectangles of cells too, and a 1-D cell's rectangle over runs
 of starts.  comm_m and comm_sharp call their kernel once on
 the rows f joined with the rows b f, cut so that the joined stack fits the
 cap as well.  indicator_stacks builds the cube indicators of a
-family as stacks within the same cap, cut by the cap only, so a stack may
-straddle sides; cube_blocks reads the rows of one side on their own cubes.
-on_cubes joins the two over a whole family and yields one block per side;
+CubeFamily as stacks within the same cap, cut by the cap only, so a stack
+may straddle sides: each side's rows are one broadcast compare of the cells
+against the side's start cells, and no Cube is made.  cube_blocks reads the
+rows of one side on their own cubes, given the side and its start cells.
+on_cubes joins the two over a family and yields one block per side;
 lambda_sharp (whose call theorem2 shares with its mean recovery) and
 identities' local-on-cube check each make one call per family.
 identities' indicator check and the test bank of opnorm_lower_stacked use
@@ -70,13 +72,13 @@ import numpy as np
 
 from .grid import (
     Cube,
+    CubeFamily,
     CubeFamilyMode,
     Grid,
     GridFunction,
     check_cube,
     family_sides,
     prefix_table,
-    side_runs,
     table_window_sums,
     window_sums,
     window_view,
@@ -121,33 +123,37 @@ def _chunks(count: int, row_bytes: int):
         yield slice(lo, min(lo + step, count))
 
 
-def indicator_stacks(grid: Grid, cubes):
-    """The indicators of the cubes as stacks of at most STACK_BYTES_MAX bytes.
+def indicator_stacks(family: CubeFamily):
+    """The indicators of the family's cubes as stacks of at most STACK_BYTES_MAX bytes.
 
-    Yields (group, stack) in the order of the cubes: group is a run of
-    consecutive cubes, of one side or of several, and stack[r] is the
-    indicator of group[r], shape (len(group),) + grid.shape.
+    Yields (part, stack) in enumeration order: part is a slice of consecutive
+    enumeration indices, of one side or of several, and stack[r] is the
+    indicator of the cube of index part.start + r, shape (cubes,) + grid.shape.
     """
-    cubes = tuple(cubes)
-    for part in _chunks(len(cubes), 8 * grid.cell_count):
-        group = cubes[part]
-        stack = np.zeros((len(group),) + grid.shape)
-        for r, cube in enumerate(group):
-            check_cube(grid, cube)
-            stack[(r,) + cube.slices()] = 1.0
-        yield group, stack
+    grid = family.grid
+    for part in _chunks(len(family), 8 * grid.cell_count):
+        stack = np.empty((part.stop - part.start,) + grid.shape)
+        _fill_indicators(family, part, stack)
+        yield part, stack
 
 
-def cube_blocks(stack: np.ndarray, cubes) -> np.ndarray:
-    """Row r of the stack on the cells of cubes[r], flattened row-major.
+def _fill_indicators(family: CubeFamily, part: slice, out: np.ndarray) -> None:
+    """out[r] = the indicator of the cube of enumeration index part.start + r,
+    one broadcast compare per side: a cell is inside where every axis of it
+    lies in [start, start + k)."""
+    cells = np.arange(family.grid.cells_per_axis)
+    for rows, k, local in family.runs(part):
+        starts = family.starts(k, local)[..., None]
+        inside = (cells >= starts) & (cells < starts + k)  # (cubes, dim, N)
+        out[rows] = inside[:, 0] if family.grid.dim == 1 else (
+            inside[:, 0, :, None] & inside[:, 1, None, :])
 
-    The cubes share one side k, so the result has shape (len(cubes), k^dim).
-    """
-    dim = stack.ndim - 1
-    k = cubes[0].side_cells
-    windows = window_view(stack, k, dim)
-    starts = tuple(np.array([cube.start for cube in cubes]).T)
-    return windows[(np.arange(len(cubes)),) + starts].reshape(len(cubes), -1)
+
+def cube_blocks(stack: np.ndarray, k: int, starts: np.ndarray) -> np.ndarray:
+    """Row r of the stack on the cells of the side-k cube at start cell starts[r],
+    flattened row-major: shape (len(starts), k^dim)."""
+    windows = window_view(stack, k, stack.ndim - 1)
+    return windows[(np.arange(len(starts)),) + tuple(starts.T)].reshape(len(starts), -1)
 
 
 def _windowed_cell_max(window_vals: np.ndarray, k: int, dim: int) -> np.ndarray:
@@ -617,25 +623,26 @@ def apply_stack(
     raise ValueError(f"operator kind {tag.kind!r} has no stacked form")
 
 
-def on_cubes(tag: OperatorTag, grid: Grid, cubes, weight,
+def on_cubes(tag: OperatorTag, family: CubeFamily, weight,
              mode: CubeFamilyMode = CubeFamilyMode.FULL):
-    """The operator on weight * chi_Q for every cube Q, read on the cells of Q.
+    """The operator on weight * chi_Q for every cube Q of the family, read on the cells of Q.
 
-    weight is a grid array or a scalar.  cubes run in enumeration order, a
-    whole family or a run of its sides; one array of shape (cubes_k, k^dim)
-    is yielded per side k, its row r the r-th of the side-k cubes.  The
-    indicators go through apply_stack in stacks that may straddle sides, and
-    every row equals one call per cube bit for bit.
+    weight is a grid array or a scalar, and mode is the operator's family.
+    One array of shape (cubes_k, k^dim) is yielded per side k of the family,
+    its row r the r-th of the side-k cubes.  The indicators go through
+    apply_stack in stacks that may straddle sides, and every row equals one
+    call per cube bit for bit.
     """
-    outs = ((apply_stack(tag, grid, weight * chis, mode), group)
-            for group, chis in indicator_stacks(grid, cubes))
-    yield from _join_sides(part for out, group in outs for part in _cube_parts(out, group))
+    outs = ((apply_stack(tag, family.grid, weight * chis, mode), part)
+            for part, chis in indicator_stacks(family))
+    yield from _join_sides(side for out, part in outs for side in _cube_parts(out, family, part))
 
 
-def _cube_parts(out: np.ndarray, group):
-    """(k, rows) per run of one side k in group: out[r] on the cells of group[r] (cube_blocks)."""
-    for rows, run in side_runs(group):
-        yield run[0].side_cells, cube_blocks(out[rows], run)
+def _cube_parts(out: np.ndarray, family: CubeFamily, part: slice):
+    """(k, rows) per side k that the cubes of the enumeration slice part meet:
+    out[r] on the cells of the cube of index part.start + r (cube_blocks)."""
+    for rows, k, local in family.runs(part):
+        yield k, cube_blocks(out[rows], k, family.starts(k, local))
 
 
 def _join_sides(parts):

@@ -41,14 +41,12 @@ from .exponents import (
     validate_p,
 )
 from .grid import (
+    CubeFamily,
     CubeFamilyMode,
     Grid,
     GridFunction,
     cube_rows,
-    cubes_by_side,
-    enumerate_cubes,
     family_sides,
-    side_runs,
     window_sums,
 )
 from .lipschitz import (
@@ -181,18 +179,19 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
     mode = cfg.cube_family
     tol = cfg.tolerances["identity_tol"]
     beta = cfg.beta
-    cubes = enumerate_cubes(grid, mode)
+    cubes = CubeFamily.of(grid, mode)
     bs = _function_bank(grid, cfg.functions_b)
 
     tags = (OperatorTag.hl(), OperatorTag.sharp(), OperatorTag.fractional(beta))
     stats = []
-    for group, chis in indicator_stacks(grid, cubes):
+    for part, chis in indicator_stacks(cubes):
         outs = [apply_stack(tag, grid, chis, mode) for tag in tags]
-        tops = [out.reshape(len(group), -1).max(axis=1) for out in outs]
-        for part, run in side_runs(group):
-            target = run[0].side_length(grid) ** beta
-            on_m, on_s, on_fr = (cube_blocks(out[part], run) for out in outs)
-            top_m, top_s, top_fr = (top[part] for top in tops)
+        tops = [out.reshape(len(chis), -1).max(axis=1) for out in outs]
+        for span, k, local in cubes.runs(part):
+            target = (k * grid.spacing) ** beta
+            starts = cubes.starts(k, local)
+            on_m, on_s, on_fr = (cube_blocks(out[span], k, starts) for out in outs)
+            top_m, top_s, top_fr = (top[span] for top in tops)
             stats.append((np.abs(on_m - 1.0).max(axis=1), top_m, np.abs(on_s - 0.5).max(axis=1),
                           top_s, np.abs(on_fr - target).max(axis=1), top_fr - target))
     dev_m, top_m, dev_s, top_s, dev_fr, excess_fr = (
@@ -200,7 +199,7 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
     dev_hl, top_hl, top_sharp, dev_frac, excess_frac = (
         worst_of(v, cubes) for v in (dev_m, top_m, top_s, dev_fr, excess_fr))
     eligible = _half_overlap_eligible(grid, mode)
-    dev_sharp = worst_of(dev_s[eligible], [cubes[i] for i in eligible])
+    dev_sharp = worst_of(dev_s[eligible], eligible)
 
     rows = [
         check_eq("identities/hl-on-cube", "M(chi_Q) = 1 on Q", dev_hl.value, 0.0, tol,
@@ -213,7 +212,7 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
             "identities/sharp-on-cube",
             "M#(chi_Q) = 1/2 on Q when a half-overlap cube exists",
             dev_sharp.value, 0.0, tol,
-            {"cube": dev_sharp.witness, "eligible_cubes": dev_sharp.count},
+            {"cube": cubes[dev_sharp.witness], "eligible_cubes": dev_sharp.count},
         ))
     rows += [
         check_le("identities/sharp-bound", "M#(chi_Q) <= 1/2 everywhere", top_sharp.value,
@@ -224,13 +223,12 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
                  excess_frac.value, 0.0, tol, {"cube": excess_frac.witness}),
     ]
 
-    sides = family_sides(grid.cells_per_axis, mode)
     for label, b in bs:
         local = worst_of(np.concatenate([
             np.abs(on_q - levels.reshape(on_q.shape)).max(axis=1)
             for on_q, (_, levels) in zip(
-                on_cubes(OperatorTag.hl(), grid, cubes, b.values, CubeFamilyMode.FULL),
-                local_max_sweep(b, sides), strict=True)
+                on_cubes(OperatorTag.hl(), cubes, b.values, CubeFamilyMode.FULL),
+                local_max_sweep(b, cubes.sides), strict=True)
         ]), cubes)
         rows.append(check_eq(
             f"identities/local-on-cube/{label}",
@@ -239,7 +237,7 @@ def _identities(cfg: ScenarioConfig) -> list[Check]:
         ))
 
         gaps = []
-        for k in sides:
+        for k in cubes.sides:
             blocks = cube_rows(b.values, k)
             bq = _cube_averages(b, k)[:, None]
             below = np.where(blocks <= bq, bq - blocks, 0.0).sum(axis=1)
@@ -263,7 +261,7 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
     tol = cfg.tolerances["identity_tol"]
     beta = cfg.beta
     dim = grid.dim
-    cubes = enumerate_cubes(grid, mode)
+    cubes = CubeFamily.of(grid, mode)
     # No lemma uses b; its bank is built so that a bad spec is rejected here too.
     _function_bank(grid, cfg.functions_b)
     fs = _function_bank(grid, cfg.functions_f)
@@ -308,7 +306,9 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
         return [check_eq(f"lemmas/s-norm/{lq}", "|| |f|^s ||_p = ||f||^s_{s p}",
                          worst.value, 0.0, tol, worst.witness)]
 
-    measures = np.array([cube.measure(grid) for cube in cubes])
+    # |Q| and its powers depend on the side alone: one value per side, repeated.
+    side_measures = [(k * grid.spacing) ** dim for k in cubes.sides]
+    measures = np.repeat(side_measures, cubes.counts)
 
     def duality(lq: str, q: VariableExponent, base: np.ndarray) -> list[Check]:
         prod = base * indicator_norms(conjugate(q), mode) / measures
@@ -335,7 +335,8 @@ def _lemmas(cfg: ScenarioConfig) -> list[Check]:
 
     def embedding(lp: str, pair: ExponentPair) -> list[Check]:
         bound = embedding_bound(pair)
-        scale = np.array([pow(measure, pair.beta / dim) for measure in measures.tolist()])
+        scale = np.repeat([pow(measure, pair.beta / dim) for measure in side_measures],
+                          cubes.counts)
         top = worst_of(indicator_norms(pair.p, mode) / (scale * indicator_norms(pair.q, mode)),
                        cubes)
         rows = [check_le(
@@ -497,8 +498,7 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
     factor = _dim_factor(grid.dim, beta)
     # The localized maximal function is a full-family object, so its sweep
     # always runs the full family regardless of the config.
-    runs = cubes_by_side(grid, CubeFamilyMode.FULL)
-    full = enumerate_cubes(grid, CubeFamilyMode.FULL)
+    full = CubeFamily.of(grid, CubeFamilyMode.FULL)
 
     def symbol_rows(lb: str, b: GridFunction, lip: LipResult, fs: list, mbs: np.ndarray,
                     fracs: np.ndarray):
@@ -513,8 +513,7 @@ def _theorem1(cfg: ScenarioConfig) -> list[Check]:
                 {"b": lb, "f": smooth.witness, "lip": lip.value, "lip_exact": lip.exact},
             ))
         dom, half, neg = [], [], []
-        for (k, _), (_, levels) in zip(runs, local_max_sweep(b, [k for k, _ in runs]),
-                                       strict=True):
+        for k, (_, levels) in zip(full.sides, local_max_sweep(b, full.sides), strict=True):
             blocks = cube_rows(b.values, k)
             diff = levels.reshape(blocks.shape) - blocks
             spread = np.abs(diff).mean(axis=1)
@@ -560,28 +559,28 @@ def _theorem2(cfg: ScenarioConfig) -> list[Check]:
     grid = cfg.build_grid()
     mode = cfg.cube_family
     tol = cfg.tolerances["identity_tol"]
-    cubes = enumerate_cubes(grid, mode)
+    cubes = CubeFamily.of(grid, mode)
     # A cube's smallest strict container in the family has the next side up,
     # t times its volume; the cubes of the largest side have none.
-    runs = cubes_by_side(grid, mode)
-    held = [(k, side, (m / k) ** grid.dim) for (k, side), (m, _) in zip(runs, runs[1:])]
-    ratios = np.concatenate([np.full(len(side), t) for _, side, t in held] + [np.empty(0)])
+    held = [(k, (m / k) ** grid.dim) for k, m in zip(cubes.sides, cubes.sides[1:])]
+    ratios = np.repeat([t for _, t in held], cubes.counts[:len(held)])
 
     def symbol_rows(lb: str, b: GridFunction, lip: LipResult, *bank):
         # M#(b chi_Q) on every cube's cells, once per b: the held sides' rows
         # bound the means, and lambda_sharp centres at twice every row.
-        sharp = list(on_cubes(OperatorTag.sharp(), grid, cubes, b.values, mode))
+        sharp = list(on_cubes(OperatorTag.sharp(), cubes, b.values, mode))
         gaps = [np.empty(0)]
-        for (k, _, t), on_q in zip(held, sharp[:len(held)], strict=True):
+        for (k, t), on_q in zip(held, sharp[:len(held)], strict=True):
             gaps.append(np.abs(_cube_averages(b, k)) - t * t / (2.0 * (t - 1.0)) * on_q.min(axis=1))
-        recovered = worst_of(np.concatenate(gaps), [{"cube": cube, "ratio": t}
-                                                    for cube, t in zip(cubes, ratios.tolist())])
+        gaps = np.concatenate(gaps)
+        recovered = worst_of(gaps, range(len(gaps)))
         rows = []
         if recovered.count:
             rows.append(check_le(
                 f"theorem2/mean-recovery/{lb}",
                 "|b_Q| <= t^2/(2(t-1)) M#(b chi_Q) on Q, t the containing volume ratio",
-                recovered.value, 0.0, tol, recovered.witness,
+                recovered.value, 0.0, tol,
+                {"cube": cubes[recovered.witness], "ratio": float(ratios[recovered.witness])},
             ))
 
         def lambda_rows(lq: str, q: VariableExponent) -> list[Check]:
@@ -607,12 +606,11 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
     mode = cfg.cube_family
     tol = cfg.tolerances["identity_tol"]
     beta = cfg.beta
-    cubes = enumerate_cubes(grid, mode)
+    cubes = CubeFamily.of(grid, mode)
     bs = _function_bank(grid, cfg.functions_b)
     fs = _operand_bank(cfg, grid)
     qs = _exponent_bank(grid, cfg.exponents)
     pairs = _pair_bank(cfg, grid)
-    runs = cubes_by_side(grid, mode)
     # One pass applies each M_b, and M_beta last, once per stack of the f bank
     # and the indicators: the bounds for every pair, and M_b(chi_Q) on each
     # cube's cells.  Without an f bank it takes no bound and only reads M_b(chi_Q).
@@ -625,10 +623,10 @@ def _theorem3(cfg: ScenarioConfig) -> list[Check]:
     for lb, b in bs:
         # Per side, the rows of M_b(chi_Q) and of b, on each cube's own cells.
         bounds, mb_rows, _ = next(passes)
-        b_rows = [cube_rows(b.values, k) for k, _ in runs]
+        b_rows = [cube_rows(b.values, k) for k in cubes.sides]
         lower = worst_of(np.concatenate([
             (mb - np.abs(b_k - _cube_averages(b, k)[:, None])).min(axis=1)
-            for (k, _), b_k, mb in zip(runs, b_rows, mb_rows, strict=True)
+            for k, b_k, mb in zip(cubes.sides, b_rows, mb_rows, strict=True)
         ]), cubes, lowest=True)
         rows.append(check_ge(
             f"theorem3/pointwise-lower/{lb}",

@@ -5,12 +5,14 @@ tables, closed forms instead of solvers, nested loops instead of the
 vectorized paths under test.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from maxlip import Grid, GridFunction, make_grid, sample, validate_p
+from maxlip import (CubeFamilyMode, Grid, GridFunction, enumerate_cubes, make_grid, sample,
+                    validate_p)
 
 
 def seeded_function(grid: Grid, seed: int, low: float = -1.0, high: float = 1.0) -> GridFunction:
@@ -26,6 +28,13 @@ def fsum_integral(f: GridFunction) -> float:
 def cell_center(grid: Grid, cell) -> tuple[float, ...]:
     """Center coordinates of a cell, read from Grid.centers."""
     return tuple(float(grid.centers(axis)[i]) for axis, i in enumerate(cell))
+
+
+def cubes_by_side(grid: Grid, mode: CubeFamilyMode = CubeFamilyMode.FULL) -> list:
+    """(k, the side-k cubes in enumeration order) per side of the family,
+    grouped off enumerate_cubes."""
+    return [(k, tuple(side)) for k, side in
+            itertools.groupby(enumerate_cubes(grid, mode), key=lambda cube: cube.side_cells)]
 
 
 def first_best(values, witnesses, lowest: bool = False) -> tuple:

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from maxlip import (
     Cube,
+    CubeFamily,
     CubeFamilyMode,
     GridFunction,
     check_cube,
     cube_rows,
-    cubes_by_side,
     enumerate_cubes,
     family_sides,
     indicator,
@@ -233,13 +233,56 @@ def test_every_family_cube_fits(n):
 def test_cube_rows_follow_the_enumeration(dim, n, mode):
     g = make_grid(dim, n)
     values = seeded_function(g, 7).values * 1e3
-    runs = cubes_by_side(g, mode)
-    assert [k for k, _ in runs] == family_sides(g.cells_per_axis, mode)
-    assert tuple(c for _, side in runs for c in side) == enumerate_cubes(g, mode)
-    for k, side in runs:
+    family = CubeFamily.of(g, mode)
+    assert list(family.sides) == family_sides(g.cells_per_axis, mode)
+    assert tuple(family[i] for i in range(len(family))) == enumerate_cubes(g, mode)
+    for k, first, count in zip(family.sides, family.offsets, family.counts):
+        side = [family[first + r] for r in range(count)]
         rows = cube_rows(values, k)
         assert rows.shape == (len(side), k**dim) and rows.flags.c_contiguous
         for cube, row in zip(side, rows):
             block = values[cube.slices()]
             assert np.array_equal(row, block.reshape(-1))
             assert row.sum() == block.sum()
+
+
+@pytest.mark.parametrize("mode", [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES])
+@pytest.mark.parametrize("dim, sizes", [(1, range(2, 13)), (2, range(2, 9))])
+def test_family_decodes_every_index_to_the_enumerated_cube(dim, sizes, mode):
+    """family[i] is enumerate_cubes(grid, mode)[i], its start in Python ints, and
+    starts and runs describe the same cubes."""
+    for n in sizes:
+        g = make_grid(dim, n)
+        family = CubeFamily.of(g, mode)
+        cubes = enumerate_cubes(g, mode)
+        assert len(family) == len(cubes) == sum(family.counts)
+        assert family.offsets == (0, *itertools.accumulate(family.counts))
+        for i, cube in enumerate(cubes):
+            got = family[i]
+            assert got == cube, (n, i)
+            assert all(type(s) is int for s in got.start) and type(got.side_cells) is int
+        assert family[np.int64(len(cubes) - 1)] == cubes[-1]
+        for bad in (-1, len(cubes)):
+            with pytest.raises(IndexError):
+                family[bad]
+        for k, first, count in zip(family.sides, family.offsets, family.counts):
+            starts = family.starts(k, slice(None))
+            assert starts.shape == (count, dim)
+            want = [c.start for c in cubes[first:first + count]]
+            assert [tuple(row) for row in starts.tolist()] == want
+            assert np.array_equal(family.starts(k, slice(1, None, 2)), starts[1::2])
+        for lo, hi in ((0, len(cubes)), (1, len(cubes) - 1), (len(cubes) // 3, len(cubes) // 2)):
+            seen = []
+            for rows, k, local in family.runs(slice(lo, hi)):
+                assert rows.stop - rows.start == local.stop - local.start > 0
+                seen += [Cube(tuple(s), k) for s in family.starts(k, local).tolist()]
+            assert tuple(seen) == cubes[lo:hi]
+
+
+def test_family_of_sides_checks_them():
+    g = make_grid(1, 6)
+    assert CubeFamily(g, [2, 3, 5]).counts == (5, 4, 2)
+    assert len(CubeFamily(g, ())) == 0
+    for sides in ([3, 2], [0, 1], [1, 7], [2, 2]):
+        with pytest.raises(ValueError):
+            CubeFamily(g, sides)

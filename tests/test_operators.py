@@ -12,6 +12,7 @@ import maxlip.grid
 import maxlip.operators
 from maxlip import (
     Cube,
+    CubeFamily,
     CubeFamilyMode,
     Grid,
     GridFunction,
@@ -20,7 +21,6 @@ from maxlip import (
     apply_stack,
     comm_m,
     comm_sharp,
-    cubes_by_side,
     enumerate_cubes,
     frac_max,
     hl_max,
@@ -38,7 +38,7 @@ from maxlip import (
     sharp_max,
 )
 
-from conftest import seeded_function
+from conftest import cubes_by_side, seeded_function
 
 
 def all_tags(b: GridFunction) -> list[OperatorTag]:
@@ -386,7 +386,7 @@ def test_stacked_call_equals_per_function_calls(monkeypatch, kind, dim, n, mode,
     b = seeded_function(g, 90, -1.0, 1.0)
     tag = _stack_tag(kind, b)
     rows = [seeded_function(g, 91 + r, -1.0, 1.0).values for r in range(3)]
-    rows += [chi for _, chis in indicator_stacks(g, enumerate_cubes(g, mode)[::4]) for chi in chis]
+    rows += [chi for _, chis in indicator_stacks(CubeFamily.of(g, mode)) for chi in chis][::4]
     stack = np.stack(rows)
     expected = np.stack([apply_operator(tag, GridFunction(g, row), mode).values for row in rows])
     if chunked:
@@ -404,7 +404,9 @@ def test_indicator_stacks_cross_sides_under_the_cap_in_order(monkeypatch):
     cap = 3 * 8 * g.cell_count
     monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap)
     seen, straddling = [], 0
-    for group, stack in indicator_stacks(g, cubes):
+    for part, stack in indicator_stacks(CubeFamily.of(g, CubeFamilyMode.FULL)):
+        group = cubes[part]
+        assert part.start == len(seen)
         assert stack.nbytes <= cap and stack.shape == (len(group),) + g.shape
         # Every stack is full but the last: a side's end does not cut it.
         assert len(group) == 3 or len(seen) + len(group) == len(cubes)
@@ -416,6 +418,32 @@ def test_indicator_stacks_cross_sides_under_the_cap_in_order(monkeypatch):
     assert straddling  # 25 side-1 cubes leave a stack that takes side-2 cubes too
 
 
+@pytest.mark.parametrize("mode", [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES])
+@pytest.mark.parametrize("dim, sizes", [(1, range(2, 13)), (2, range(2, 9))])
+@pytest.mark.parametrize("cap_rows", [None, 3], ids=["real-cap", "three-rows"])
+def test_indicator_stacks_equal_the_indicators_row_for_row(monkeypatch, dim, sizes, mode,
+                                                           cap_rows):
+    """Each side's rows, one broadcast compare against its start cells, are
+    indicator(grid, cube) of the enumerated cubes bit for bit, whether a stack
+    holds the family or three rows that straddle sides."""
+    straddling = 0
+    for n in sizes:
+        g = make_grid(dim, n)
+        if cap_rows:
+            monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", cap_rows * 8 * g.cell_count)
+        cubes = enumerate_cubes(g, mode)
+        rows = []
+        for part, stack in indicator_stacks(CubeFamily.of(g, mode)):
+            assert part.start == len(rows) and stack.dtype == np.float64
+            assert cap_rows or len(stack) == len(cubes)
+            straddling += len({cube.side_cells for cube in cubes[part]}) > 1
+            rows.extend(stack)
+        assert len(rows) == len(cubes)
+        for cube, row in zip(cubes, rows):
+            assert row.tobytes() == indicator(g, cube).values.tobytes(), (n, cube)
+    assert straddling or not cap_rows
+
+
 @pytest.mark.parametrize("kind", ("hl", "sharp", "max_commutator", "comm_sharp"))
 @pytest.mark.parametrize("dim, n", [(1, 9), (2, 5)])
 @pytest.mark.parametrize("mode", [CubeFamilyMode.FULL, CubeFamilyMode.DYADIC_SIDES])
@@ -423,14 +451,15 @@ def test_on_cubes_equals_the_per_cube_calls(monkeypatch, kind, dim, n, mode):
     g = make_grid(dim, n)
     tag = _stack_tag(kind, seeded_function(g, 95, -1.0, 1.0))
     w = seeded_function(g, 96, -1.0, 2.0)
-    cubes = enumerate_cubes(g, mode)
+    family, cubes = CubeFamily.of(g, mode), enumerate_cubes(g, mode)
     # Two indicators per stack, and every kernel splits its stack as well;
     # the first side has an odd number of cubes, so a stack straddles sides.
     monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 2 * 8 * g.cell_count)
-    assert any(len({c.side_cells for c in group}) > 1 for group, _ in indicator_stacks(g, cubes))
+    assert any(len({c.side_cells for c in cubes[part]}) > 1
+               for part, _ in indicator_stacks(family))
     runs = cubes_by_side(g, mode)
     for weight, f in ((w.values, w), (1.0, 1.0)):
-        blocks = list(on_cubes(tag, g, cubes, weight, mode))
+        blocks = list(on_cubes(tag, family, weight, mode))
         assert len(blocks) == len(runs)
         for (_, side), block in zip(runs, blocks):
             expected = np.stack([
@@ -443,13 +472,13 @@ def test_on_cubes_yields_one_block_per_side_of_a_run_of_sides(monkeypatch):
     g = make_grid(1, 7)
     runs = cubes_by_side(g)
     monkeypatch.setattr(maxlip.operators, "STACK_BYTES_MAX", 4 * 8 * g.cell_count)
-    middle = [cube for _, side in runs[1:4] for cube in side]
-    blocks = list(on_cubes(OperatorTag.hl(), g, middle, 1.0))
+    middle = CubeFamily(g, [k for k, _ in runs[1:4]])
+    blocks = list(on_cubes(OperatorTag.hl(), middle, 1.0))
     assert [b.shape for b in blocks] == [(len(side), k) for k, side in runs[1:4]]
-    for (_, side), block in zip(runs[1:4], blocks):
-        (alone,) = on_cubes(OperatorTag.hl(), g, side, 1.0)
+    for (k, side), block in zip(runs[1:4], blocks):
+        (alone,) = on_cubes(OperatorTag.hl(), CubeFamily(g, [k]), 1.0)
         assert np.array_equal(block, alone)
-    assert list(on_cubes(OperatorTag.hl(), g, (), 1.0)) == []
+    assert list(on_cubes(OperatorTag.hl(), CubeFamily(g, ()), 1.0)) == []
 
 
 COMMUTATOR_KERNELS = (("comm_m", "_average_max"), ("comm_sharp", "_sharp_rows"))

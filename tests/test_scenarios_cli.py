@@ -1,10 +1,14 @@
 """End-to-end runs of the named scenarios and the command line front end."""
 
+import gc
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -52,6 +56,43 @@ def test_all_scenario_merges_subreports():
         "normequiv",
         "counterexamples",
     }
+
+
+def _clear_caches() -> None:
+    """Empty every functools cache of the package's modules."""
+    for info in pkgutil.iter_modules(maxlip.__path__):
+        if info.name != "__main__":
+            for value in vars(importlib.import_module(f"maxlip.{info.name}")).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_scenarios_keep_no_cube_family_and_make_a_cube_per_witness(monkeypatch):
+    """From empty caches, a run leaves at most 128 KiB traced in maxlip's frames
+    once its report is gone; normequiv makes at most one Cube per report row."""
+    frames = tracemalloc.Filter(True, os.path.join(os.path.dirname(maxlip.__file__), "*"))
+    init, made = maxlip.grid.Cube.__init__, []
+
+    def counting(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(maxlip.grid.Cube, "__init__", counting)
+    for scenario in ("normequiv", "all"):
+        _clear_caches()
+        gc.collect()
+        made.clear()
+        tracemalloc.start()
+        try:
+            rows = len(run_scenario(scenario).checks)
+            gc.collect()
+            kept = tracemalloc.take_snapshot().filter_traces([frames])
+        finally:
+            tracemalloc.stop()
+        kib = sum(stat.size for stat in kept.statistics("filename")) / 1024
+        assert kib <= 128, (scenario, kib, kept.statistics("lineno")[:5])
+        if scenario == "normequiv":
+            assert 0 < len(made) <= rows, (len(made), rows)
 
 
 def test_counterexample_star_value_is_closed_form():
@@ -777,12 +818,12 @@ THEOREM3_CONFIGS = [
 def test_theorem3_mb_rows_equal_on_cubes(monkeypatch, raw, cap_rows):
     """The M_b(chi_Q) rows theorem3 reads off its bound pass are on_cubes' rows bit for bit;
     a cap of two grid rows makes a stack hold both f bank and indicator rows."""
-    from maxlip import OperatorTag, build_function, enumerate_cubes, on_cubes
+    from maxlip import CubeFamily, OperatorTag, build_function, on_cubes
 
     cfg = parse_config("theorem3", raw)
     g, mode = cfg.build_grid(), cfg.cube_family
-    cubes = enumerate_cubes(g, mode)
-    expected = [list(on_cubes(OperatorTag.max_commutator(build_function(g, spec)), g, cubes,
+    family = CubeFamily.of(g, mode)
+    expected = [list(on_cubes(OperatorTag.max_commutator(build_function(g, spec)), family,
                               1.0, mode))
                 for spec in cfg.functions_b]
     seen = []
